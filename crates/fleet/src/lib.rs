@@ -1125,13 +1125,7 @@ pub fn write_reports<W: Write>(
     id: u64,
     reports: &[SimReport],
 ) -> Result<(), FleetError> {
-    for (index, report) in reports.iter().enumerate() {
-        let json = serde_json::to_string(report)
-            .map_err(|e| FleetError::Engine(format!("report serialisation failed: {e}")))?;
-        writeln!(out, "{{\"id\":{id},\"index\":{index},\"report\":{json}}}")?;
-    }
-    out.flush()?;
-    Ok(())
+    write_lines(out, id, reports.iter().map(Ok))
 }
 
 /// Writes one line per scenario result: a report line, or — when that
@@ -1142,19 +1136,40 @@ fn write_results<W: Write>(
     id: u64,
     results: &[Result<SimReport, String>],
 ) -> Result<(), FleetError> {
-    for (index, result) in results.iter().enumerate() {
+    write_lines(
+        out,
+        id,
+        results.iter().map(|r| r.as_ref().map_err(String::as_str)),
+    )
+}
+
+/// The line path behind [`write_reports`] and [`write_results`]: each
+/// line is serialised straight into one reused buffer and written
+/// whole, then the batch is flushed once.
+fn write_lines<'a, W: Write>(
+    out: &mut W,
+    id: u64,
+    lines: impl Iterator<Item = Result<&'a SimReport, &'a str>>,
+) -> Result<(), FleetError> {
+    let mut line = String::new();
+    for (index, result) in lines.enumerate() {
+        line.clear();
+        line.push_str("{\"id\":");
+        id.serialize_json(&mut line);
+        line.push_str(",\"index\":");
+        index.serialize_json(&mut line);
         match result {
             Ok(report) => {
-                let json = serde_json::to_string(report)
-                    .map_err(|e| FleetError::Engine(format!("report serialisation failed: {e}")))?;
-                writeln!(out, "{{\"id\":{id},\"index\":{index},\"report\":{json}}}")?;
+                line.push_str(",\"report\":");
+                report.serialize_json(&mut line);
             }
             Err(msg) => {
-                let msg = serde_json::to_string(msg.as_str())
-                    .map_err(|e| FleetError::Engine(format!("error serialisation failed: {e}")))?;
-                writeln!(out, "{{\"id\":{id},\"index\":{index},\"error\":{msg}}}")?;
+                line.push_str(",\"error\":");
+                msg.serialize_json(&mut line);
             }
         }
+        line.push_str("}\n");
+        out.write_all(line.as_bytes())?;
     }
     out.flush()?;
     Ok(())
