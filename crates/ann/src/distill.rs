@@ -32,6 +32,7 @@
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
@@ -76,7 +77,9 @@ pub struct DistillConfig {
 
 impl DistillConfig {
     /// A compact configuration adequate for the scheduler's ~13-input
-    /// observation vectors; distils in well under a second.
+    /// observation vectors. Distilling the offline pipeline's 13-input
+    /// teacher with it takes ~0.2 s on one core of a 2-vCPU Xeon VM
+    /// (EXPERIMENTS.md, "Distillation cost").
     pub fn small(seed: u64) -> Self {
         Self {
             depth_const: 5,
@@ -224,9 +227,10 @@ impl DistilledPolicy {
     ///
     /// Returns [`AnnError::BadConfig`] for invalid hyper-parameters or
     /// a `const_prefix`/depth combination that leaves a tree section
-    /// with no features to split on, and
-    /// [`AnnError::DimensionMismatch`] for extra samples of the wrong
-    /// width.
+    /// with no features to split on or a training set too large to
+    /// index (more than `u32::MAX` rows, or a sample matrix beyond the
+    /// address space), and [`AnnError::DimensionMismatch`] for extra
+    /// samples of the wrong width.
     pub fn distill(
         teacher: &Dbn,
         const_prefix: usize,
@@ -280,8 +284,8 @@ impl DistilledPolicy {
 
         // Training set: box samples + weighted trajectory samples,
         // labelled by the teacher.
+        let n = training_rows(cfg, extra_samples.len(), in_dim, out_dim)?;
         let mut rng = helio_common::rng::derive(cfg.seed, "distill-box");
-        let n = cfg.samples + extra_samples.len() * cfg.extra_weight;
         let mut xs = Matrix::zeros(n, in_dim);
         for r in 0..cfg.samples {
             let row = xs.row_mut(r);
@@ -337,9 +341,9 @@ impl DistilledPolicy {
             feat_mean,
             feat_std,
         };
-        let root_idx: Vec<usize> = (0..n).collect();
-        let root_mean = column_means(&ys, &root_idx, out_dim);
-        fit.grow(0, 0, root_idx, &root_mean);
+        let mut rows = fit.presort();
+        let root_mean = column_means(&ys, rows.in_row_order(0, n), out_dim);
+        fit.grow(&mut rows, 0, 0, 0, n, &root_mean);
 
         let mut policy = Self {
             in_dim,
@@ -349,11 +353,8 @@ impl DistilledPolicy {
             depth_vary: cfg.depth_vary as u32,
             feat: fit.feat,
             thresh: fit.thresh,
-            // The ridge fits run in f64; the artifact keeps the f32
-            // quantisation so the stored agreement below measures the
-            // precision actually deployed.
-            leaf_bias: fit.leaf_bias.iter().map(|&v| v as f32).collect(),
-            leaf_coef: fit.leaf_coef.iter().map(|&v| v as f32).collect(),
+            leaf_bias: fit.leaf_bias,
+            leaf_coef: fit.leaf_coef,
             agreement: 0.0,
         };
 
@@ -1525,13 +1526,45 @@ pub fn decisions_match(a: &[f64], b: &[f64]) -> bool {
         .all(|(x, y)| (*x >= 0.5) == (*y >= 0.5))
 }
 
-fn column_means(ys: &Matrix, idx: &[usize], out_dim: usize) -> Vec<f64> {
+/// Number of training rows, `samples + extras × extra_weight`, in
+/// checked arithmetic. The fitter indexes rows as `u32`, and the
+/// `n × in_dim` / `n × out_dim` sample matrices (which bound the
+/// fitter's `(in_dim + 1) × n` row lists too) must fit the address
+/// space.
+fn training_rows(
+    cfg: &DistillConfig,
+    extras: usize,
+    in_dim: usize,
+    out_dim: usize,
+) -> Result<usize, AnnError> {
+    let n = extras
+        .checked_mul(cfg.extra_weight)
+        .and_then(|e| e.checked_add(cfg.samples))
+        .filter(|&n| u32::try_from(n).is_ok());
+    let fits = |cols: usize| {
+        n.and_then(|n| n.checked_mul(cols))
+            .and_then(|c| c.checked_mul(std::mem::size_of::<f64>()))
+            .is_some_and(|bytes| isize::try_from(bytes).is_ok())
+    };
+    match n {
+        Some(n) if fits(in_dim) && fits(out_dim) => Ok(n),
+        _ => Err(AnnError::BadConfig(format!(
+            "{} box samples plus {extras} trajectory samples × {} exceed the \
+             distillation set's limit of {} rows",
+            cfg.samples,
+            cfg.extra_weight,
+            u32::MAX
+        ))),
+    }
+}
+
+fn column_means(ys: &Matrix, idx: &[u32], out_dim: usize) -> Vec<f64> {
     let mut mean = vec![0.0; out_dim];
     if idx.is_empty() {
         return mean;
     }
     for &r in idx {
-        for (m, v) in mean.iter_mut().zip(ys.row(r)) {
+        for (m, v) in mean.iter_mut().zip(ys.row(r as usize)) {
             *m += v;
         }
     }
@@ -1561,15 +1594,102 @@ fn column_moments(m: &Matrix, cols: usize) -> (Vec<f64>, Vec<f64>) {
     (mean, std)
 }
 
+/// Order-preserving `u64` image of [`f64::total_cmp`]: comparing keys
+/// as integers compares the values in IEEE total order.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The fitter's presorted row lists (SLIQ-style attribute lists): one
+/// `n`-long lane of row ids per feature, plus a last lane in row order.
+///
+/// **Invariant.** Every tree node owns one contiguous range
+/// `[start, end)`, the same in every lane. Within it, feature lane `f`
+/// lists the node's rows sorted by `(x[f], row)` — IEEE total order,
+/// ties by row index — and the row-order lane lists them ascending.
+/// Splitting a node stably partitions each lane its subtree still reads
+/// (left rows first), so both children inherit the invariant and no
+/// node ever sorts.
+struct Presort {
+    n: usize,
+    /// `(in_dim + 1) × n` row ids, lane-major; lane `in_dim` is the
+    /// row-order lane.
+    lanes: Vec<u32>,
+    row_lane: usize,
+    /// Routing of the split being applied, by row: `true` goes right.
+    goes_right: Vec<bool>,
+    /// The right-hand rows of the lane being partitioned.
+    spill: Vec<u32>,
+}
+
+impl Presort {
+    fn lane(&self, lane: usize, start: usize, end: usize) -> &[u32] {
+        &self.lanes[lane * self.n + start..lane * self.n + end]
+    }
+
+    /// The node's rows in ascending row order — the order every sum
+    /// over a node's rows runs in.
+    fn in_row_order(&self, start: usize, end: usize) -> &[u32] {
+        self.lane(self.row_lane, start, end)
+    }
+
+    /// Routes the node's rows on `x[f] > t` (right) and stably
+    /// partitions the row-order lane and every lane in `keep` into left
+    /// rows then right rows. Returns the first right position.
+    fn partition(
+        &mut self,
+        xs: &Matrix,
+        start: usize,
+        end: usize,
+        f: usize,
+        t: f64,
+        keep: Range<usize>,
+    ) -> usize {
+        let n = self.n;
+        let row_lane = self.row_lane;
+        for &r in &self.lanes[row_lane * n + start..row_lane * n + end] {
+            self.goes_right[r as usize] = xs.row(r as usize)[f] > t;
+        }
+        let mut mid = start;
+        for lane in keep.chain(std::iter::once(row_lane)) {
+            let seg = &mut self.lanes[lane * n + start..lane * n + end];
+            let spill = &mut self.spill[..seg.len()];
+            // Every row is written to both sides and only its side's
+            // cursor advances: no branch on the routing to mispredict.
+            let (mut left, mut right) = (0, 0);
+            for i in 0..seg.len() {
+                let r = seg[i];
+                let go = usize::from(self.goes_right[r as usize]);
+                seg[left] = r;
+                spill[right] = r;
+                left += 1 - go;
+                right += go;
+            }
+            seg[left..].copy_from_slice(&spill[..right]);
+            mid = start + left;
+        }
+        mid
+    }
+}
+
 /// Greedy CART fitter for the complete, level-feature-partitioned
-/// linear model tree.
+/// linear model tree. Split search sweeps [`Presort`] lanes, so each
+/// feature is sorted once per fit rather than once per node.
 struct Fit<'a> {
     xs: &'a Matrix,
     ys: &'a Matrix,
     feat: Vec<u32>,
     thresh: Vec<f64>,
-    leaf_bias: Vec<f64>,
-    leaf_coef: Vec<f64>,
+    /// Leaf models, quantised to the artifact's `f32` as each leaf is
+    /// fitted (the ridge fits run in f64), so the stored agreement
+    /// measures the precision actually deployed.
+    leaf_bias: Vec<f32>,
+    leaf_coef: Vec<f32>,
     depth: usize,
     depth_const: usize,
     const_prefix: usize,
@@ -1587,14 +1707,74 @@ struct Fit<'a> {
 }
 
 impl Fit<'_> {
-    fn grow(&mut self, node: usize, level: usize, idx: Vec<usize>, parent_mean: &[f64]) {
-        let mean = if idx.is_empty() {
+    /// Feature lanes the subtree of a node at `level` reads: its own
+    /// split section and every section below it. Leaves read none.
+    fn lanes_below(&self, level: usize) -> Range<usize> {
+        let lo = if level < self.depth_const {
+            0
+        } else {
+            self.const_prefix
+        };
+        let hi = if level == self.depth {
+            lo
+        } else if self.depth > self.depth_const {
+            self.in_dim
+        } else {
+            self.const_prefix
+        };
+        lo..hi
+    }
+
+    /// Sorts every lane the root's subtree reads, once. The
+    /// `(key, row)` pairs are distinct, so an unstable sort yields the
+    /// one `(value, row)` order.
+    fn presort(&self) -> Presort {
+        let n = self.xs.rows();
+        let row_lane = self.in_dim;
+        let mut lanes = vec![0u32; (row_lane + 1) * n];
+        for (slot, r) in lanes[row_lane * n..].iter_mut().zip(0u32..) {
+            *slot = r;
+        }
+        // One feature's keys at a time, dropped before the tree grows.
+        let mut keys = vec![0u64; n];
+        for f in self.lanes_below(0) {
+            for (key, r) in keys.iter_mut().zip(0..n) {
+                *key = total_order_key(self.xs.row(r)[f]);
+            }
+            let lane = &mut lanes[f * n..(f + 1) * n];
+            for (slot, r) in lane.iter_mut().zip(0u32..) {
+                *slot = r;
+            }
+            lane.sort_unstable_by_key(|&r| (keys[r as usize], r));
+        }
+        Presort {
+            n,
+            lanes,
+            row_lane,
+            goes_right: vec![false; n],
+            spill: vec![0; n],
+        }
+    }
+
+    /// Grows the subtree of `node`, whose rows are `[start, end)` of
+    /// every lane of `rows`.
+    fn grow(
+        &mut self,
+        rows: &mut Presort,
+        node: usize,
+        level: usize,
+        start: usize,
+        end: usize,
+        parent_mean: &[f64],
+    ) {
+        let mean = if start == end {
             parent_mean.to_vec()
         } else {
-            column_means(self.ys, &idx, self.out_dim)
+            column_means(self.ys, rows.in_row_order(start, end), self.out_dim)
         };
         if level == self.depth {
-            self.fit_leaf(node - ((1usize << self.depth) - 1), &idx, &mean);
+            let leaf = node - ((1usize << self.depth) - 1);
+            self.fit_leaf(leaf, rows.in_row_order(start, end), &mean);
             return;
         }
         let (fl, fh) = if level < self.depth_const {
@@ -1602,48 +1782,36 @@ impl Fit<'_> {
         } else {
             (self.const_prefix, self.in_dim)
         };
-        match self.best_split(&idx, fl, fh) {
+        let (f, t, mid) = match self.best_split(rows, start, end, fl, fh) {
             Some((f, t)) => {
-                self.feat[node] = f as u32;
-                self.thresh[node] = t;
-                let mut left = Vec::new();
-                let mut right = Vec::new();
-                for &r in &idx {
-                    if self.xs.row(r)[f] > t {
-                        right.push(r);
-                    } else {
-                        left.push(r);
-                    }
-                }
-                self.grow(2 * node + 1, level + 1, left, &mean);
-                self.grow(2 * node + 2, level + 1, right, &mean);
+                let keep = self.lanes_below(level + 1);
+                (f, t, rows.partition(self.xs, start, end, f, t, keep))
             }
-            None => {
-                // Degenerate region (too small or constant): route
-                // everything left; the right subtree inherits the mean.
-                // `f64::MAX` rather than `+inf` because the routing
-                // rule is `x > thresh` and the JSON form (which maps
-                // non-finite floats to null) must round-trip bytewise.
-                self.feat[node] = fl as u32;
-                self.thresh[node] = f64::MAX;
-                self.grow(2 * node + 1, level + 1, idx, &mean);
-                self.grow(2 * node + 2, level + 1, Vec::new(), &mean);
-            }
-        }
+            // Degenerate region (too small or constant): route
+            // everything left; the right subtree inherits the mean.
+            // `f64::MAX` rather than `+inf` because the routing rule is
+            // `x > thresh` and the JSON form (which maps non-finite
+            // floats to null) must round-trip bytewise.
+            None => (fl, f64::MAX, end),
+        };
+        self.feat[node] = f as u32;
+        self.thresh[node] = t;
+        self.grow(rows, 2 * node + 1, level + 1, start, mid, &mean);
+        self.grow(rows, 2 * node + 2, level + 1, mid, end, &mean);
     }
 
     /// Ridge-fits `y ≈ bias + coef · x` over the leaf's samples in
     /// globally standardised feature space, then unfolds the model back
     /// to raw space. Under-populated leaves keep the (ancestor) mean
     /// with zero slope.
-    fn fit_leaf(&mut self, leaf: usize, idx: &[usize], mean: &[f64]) {
+    fn fit_leaf(&mut self, leaf: usize, idx: &[u32], mean: &[f64]) {
         let bias_base = leaf * self.out_dim;
         let p = self.in_dim;
         let dims = p + 1; // intercept last
         let nl = idx.len();
         // Fewer samples than model dims: fall back to the mean.
         if nl < dims + 2 {
-            self.leaf_bias[bias_base..bias_base + self.out_dim].copy_from_slice(mean);
+            self.set_mean(bias_base, mean);
             return;
         }
         // Normal equations in z-space: G = Zᵀ Z + λ n I, b_d = Zᵀ y_d.
@@ -1651,7 +1819,7 @@ impl Fit<'_> {
         let mut b = vec![0.0; dims * self.out_dim];
         let mut z = vec![0.0; dims];
         for &r in idx {
-            let xr = self.xs.row(r);
+            let xr = self.xs.row(r as usize);
             for i in 0..p {
                 z[i] = if self.feat_std[i] > 1e-12 {
                     (xr[i] - self.feat_mean[i]) / self.feat_std[i]
@@ -1668,7 +1836,7 @@ impl Fit<'_> {
                 for j in i..dims {
                     g[i * dims + j] += zi * z[j];
                 }
-                for (d, v) in self.ys.row(r).iter().enumerate() {
+                for (d, v) in self.ys.row(r as usize).iter().enumerate() {
                     b[d * dims + i] += zi * v;
                 }
             }
@@ -1680,7 +1848,7 @@ impl Fit<'_> {
             g[i * dims + i] += self.ridge * nl as f64;
         }
         let Some(chol) = cholesky(&g, dims) else {
-            self.leaf_bias[bias_base..bias_base + self.out_dim].copy_from_slice(mean);
+            self.set_mean(bias_base, mean);
             return;
         };
         for d in 0..self.out_dim {
@@ -1699,12 +1867,12 @@ impl Fit<'_> {
                 };
                 ok &= c.is_finite();
                 bias -= c * self.feat_mean[i];
-                self.leaf_coef[lc + i * self.out_dim + d] = c;
+                self.leaf_coef[lc + i * self.out_dim + d] = c as f32;
             }
             if ok && bias.is_finite() {
-                self.leaf_bias[bias_base + d] = bias;
+                self.leaf_bias[bias_base + d] = bias as f32;
             } else {
-                self.leaf_bias[bias_base + d] = mean[d];
+                self.leaf_bias[bias_base + d] = mean[d] as f32;
                 for i in 0..p {
                     self.leaf_coef[lc + i * self.out_dim + d] = 0.0;
                 }
@@ -1712,28 +1880,44 @@ impl Fit<'_> {
         }
     }
 
+    /// Sets a leaf's intercepts to `mean`, leaving its slopes zero.
+    fn set_mean(&mut self, bias_base: usize, mean: &[f64]) {
+        let bias = &mut self.leaf_bias[bias_base..bias_base + self.out_dim];
+        for (b, m) in bias.iter_mut().zip(mean) {
+            *b = *m as f32;
+        }
+    }
+
     /// Best axis-aligned split over features `[fl, fh)` by summed
     /// per-output variance reduction, evaluated at sample quantiles via
-    /// one sorted sweep per feature. Returns `None` when no candidate
-    /// separates the region.
-    fn best_split(&self, idx: &[usize], fl: usize, fh: usize) -> Option<(usize, f64)> {
-        let n = idx.len();
+    /// one sweep of each feature's presorted segment. Returns `None`
+    /// when no candidate separates the region.
+    fn best_split(
+        &self,
+        rows: &Presort,
+        start: usize,
+        end: usize,
+        fl: usize,
+        fh: usize,
+    ) -> Option<(usize, f64)> {
+        let n = end - start;
         if n < 2 || fl >= fh {
             return None;
         }
         let mut total = vec![0.0; self.out_dim];
-        for &r in idx {
-            for ((t, v), w) in total.iter_mut().zip(self.ys.row(r)).zip(&self.out_weight) {
+        for &r in rows.in_row_order(start, end) {
+            for ((t, v), w) in total
+                .iter_mut()
+                .zip(self.ys.row(r as usize))
+                .zip(&self.out_weight)
+            {
                 *t += v * w;
             }
         }
         let mut best: Option<(f64, usize, f64)> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut left_sum = vec![0.0; self.out_dim];
         for f in fl..fh {
-            order.clear();
-            order.extend_from_slice(idx);
-            order.sort_unstable_by(|&a, &b| self.xs.row(a)[f].total_cmp(&self.xs.row(b)[f]));
+            let order = rows.lane(f, start, end);
             left_sum.fill(0.0);
             // Candidate split positions at quantiles of this region.
             let mut next_cand = 1usize;
@@ -1741,8 +1925,8 @@ impl Fit<'_> {
             for (k, &r) in order.iter().enumerate() {
                 if k > 0 && k == next_cand * stride {
                     next_cand += 1;
-                    let a = self.xs.row(order[k - 1])[f];
-                    let b = self.xs.row(r)[f];
+                    let a = self.xs.row(order[k - 1] as usize)[f];
+                    let b = self.xs.row(r as usize)[f];
                     if a < b {
                         // Score = Σ_d (S_L²/n_L + S_R²/n_R); maximising
                         // this minimises the summed within-child SSE.
@@ -1764,7 +1948,7 @@ impl Fit<'_> {
                 }
                 for ((s, v), w) in left_sum
                     .iter_mut()
-                    .zip(self.ys.row(r))
+                    .zip(self.ys.row(r as usize))
                     .zip(&self.out_weight)
                 {
                     *s += v * w;
@@ -2008,6 +2192,27 @@ mod tests {
         );
     }
 
+    /// 64-bit FNV-1a: a digest that, unlike `RandomState`, is the same
+    /// on every host and toolchain.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn offline_shaped_artifact_bytes_are_pinned() {
+        // The offline pipeline's and the fleet's shape: the default
+        // 5+5 tree over 32 768 box samples and no trajectory samples.
+        // The digest was recorded before the split search was
+        // presorted; any change to the fitted tree or leaves moves it.
+        let policy =
+            DistilledPolicy::distill(&teacher(), 5, &[], &DistillConfig::small(99)).unwrap();
+        let json = policy.to_json().unwrap();
+        assert_eq!(json.len(), 418_810);
+        assert_eq!(fnv1a(json.as_bytes()), 0x694b_452f_951c_d209);
+    }
+
     #[test]
     fn distill_is_deterministic() {
         let dbn = teacher();
@@ -2043,6 +2248,40 @@ mod tests {
         let mut broken = policy;
         broken.thresh[0] = f64::NAN;
         assert!(broken.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_training_sets_are_config_errors() {
+        // Each case would overflow a row count, exceed the fitter's
+        // `u32` row ids or overflow a sample matrix's capacity; all are
+        // refused before anything is allocated.
+        let dbn = teacher();
+        let extra = vec![vec![1.0; 8]; 3];
+        let too_many = u32::MAX as usize + 1;
+        for (samples, extra_weight, extras) in [
+            (usize::MAX, 1, &[][..]),
+            (too_many, 1, &[][..]),
+            (too_many - 2, 1, &extra[..]),
+            (64, usize::MAX / 2, &extra[..]),
+        ] {
+            let cfg = DistillConfig {
+                samples,
+                extra_weight,
+                ..small_cfg()
+            };
+            let err = DistilledPolicy::distill(&dbn, 5, extras, &cfg).unwrap_err();
+            assert!(
+                matches!(err, AnnError::BadConfig(ref m) if m.contains("limit")),
+                "{samples} + {} × {extra_weight}: {err}",
+                extras.len()
+            );
+        }
+        let fits = DistillConfig {
+            samples: u32::MAX as usize,
+            ..small_cfg()
+        };
+        assert_eq!(training_rows(&fits, 0, 8, 4).unwrap(), u32::MAX as usize);
+        assert!(training_rows(&fits, 1, 8, 4).is_err());
     }
 
     #[test]

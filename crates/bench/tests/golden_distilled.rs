@@ -11,6 +11,11 @@
 //! linear model tree covered by its recorded teacher-agreement rate,
 //! and this harness bounds what student/teacher disagreements do to
 //! the metric the paper reports — the deadline miss rate.
+//!
+//! The artifact itself is pinned separately: its JSON must equal the
+//! committed `results/golden_distilled/ecg_policy.json` byte for byte,
+//! so a change to the fitter that moves any split or leaf weight shows
+//! up here even when it leaves every DMR inside epsilon.
 
 use helio_bench::golden::{
     golden_dbn, golden_distilled_batch_reports, golden_distilled_checkpoint_reports,
@@ -18,6 +23,7 @@ use helio_bench::golden::{
     golden_reports, golden_trace, GOLDEN_DELTA, GOLDEN_DISTILLED_DMR_EPS,
 };
 use heliosched::OptimalPlanner;
+use std::path::PathBuf;
 
 #[test]
 fn distilled_dmr_within_epsilon_on_all_golden_scenarios() {
@@ -96,4 +102,34 @@ fn golden_artifact_agrees_with_its_teacher() {
         policy.agreement()
     );
     assert_eq!(policy.const_prefix(), golden_grid().slots_per_period());
+}
+
+#[test]
+fn golden_artifact_matches_committed_bytes() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results/golden_distilled/ecg_policy.json");
+    let committed = std::fs::read_to_string(&path).expect("committed golden artifact");
+    let node = golden_node();
+    let trace = golden_trace();
+    let graph = helio_tasks::benchmarks::ecg();
+    let optimal = OptimalPlanner::compute(&node, &graph, &trace, &golden_dp(), GOLDEN_DELTA)
+        .expect("golden optimal");
+    let fresh = golden_distilled_policy(&golden_dbn(&optimal))
+        .to_json()
+        .expect("artifact serialises");
+    // Compared without `assert_eq!` so a mismatch names the first
+    // differing byte instead of printing two 80 KB strings.
+    let first_diff = fresh
+        .bytes()
+        .zip(committed.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(fresh.len().min(committed.len()));
+    assert!(
+        fresh == committed,
+        "distilled golden artifact differs from {} at byte {first_diff} \
+         (fresh {} bytes, committed {} bytes)",
+        path.display(),
+        fresh.len(),
+        committed.len()
+    );
 }

@@ -6,7 +6,7 @@
 
 use std::io::Cursor;
 
-use helio_fleet::serve;
+use helio_fleet::{serve, FleetError};
 
 /// Tiny everything: one 4-period day keeps the startup DBN training
 /// and the distillation pass fast enough for debug-mode CI.
@@ -95,8 +95,25 @@ fn distill_without_a_dbn_is_a_config_error() {
         r#"{"grid":{"days":1,"periods":4,"slots":10},"capacitors_farads":[2.0],"distill":{}}"#;
     let input = session(config, &[]);
     let mut out = Vec::new();
-    let Err(err) = serve(Cursor::new(input), &mut out) else {
-        panic!("config accepted a distill spec with no dbn");
-    };
-    assert!(err.to_string().contains("requires a `dbn` spec"), "{err}");
+    let err = serve(Cursor::new(input), &mut out).err();
+    assert!(
+        err.as_ref()
+            .is_some_and(|e| e.to_string().contains("requires a `dbn` spec")),
+        "config with a distill spec and no dbn must be refused, got {err:?}"
+    );
+}
+
+#[test]
+fn oversized_distill_spec_is_a_config_error() {
+    // `samples` at `u64::MAX` once overflowed the sample-matrix
+    // capacity and aborted the service; it must be refused as a config
+    // error before anything is allocated.
+    let config = CONFIG.replace(r#""samples":1024"#, r#""samples":18446744073709551615"#);
+    let input = session(&config, &[]);
+    let mut out = Vec::new();
+    let err = serve(Cursor::new(input), &mut out).err();
+    assert!(
+        matches!(&err, Some(FleetError::Config(msg)) if msg.contains("distillation failed")),
+        "an oversized distill spec must be a config error, got {err:?}"
+    );
 }
