@@ -2,10 +2,10 @@
 //! machine-readable `results/BENCH_offline.json`.
 //!
 //! Stages: supercapacitor sizing (parallel per-day bracket search),
-//! the optimal long-term plan (memoized + parallel DP per capacitor
+//! the optimal long-term plan (memoised + parallel DP per capacitor
 //! candidate), and DBN training on the recorded samples. A final
 //! micro-benchmark runs the same one-day DP through the serial
-//! reference path and the cached+parallel path, checks the results are
+//! reference path and the memoised+parallel path, checks the results are
 //! identical, and reports the speedup.
 //!
 //! Thread count follows `HELIO_THREADS`/`HELIO_SERIAL`; the JSON
@@ -50,7 +50,7 @@ fn main() {
         wall_ms: sizing_ms,
     });
 
-    // --- Stage 2: optimal plan (memoized + parallel DP) ----------------
+    // --- Stage 2: optimal plan (memoised + parallel DP) ----------------
     let (optimal, plan_ms) = timed(|| {
         OptimalPlanner::compute(&node, &graph, &training, &dp, 0.5).expect("optimal plan")
     });
@@ -80,7 +80,7 @@ fn main() {
         wall_ms: dbn_ms,
     });
 
-    // --- DP micro-benchmark: serial reference vs cached+parallel -------
+    // --- DP micro-benchmark: serial reference vs memoised+parallel -----
     let grid = training.grid();
     let solar: Vec<Vec<Joules>> = (0..grid.periods_per_day())
         .map(|j| {
@@ -135,7 +135,7 @@ fn main() {
         last
     });
     let dp_matches_serial = serial_result == fast_result;
-    assert!(dp_matches_serial, "cached+parallel DP diverged from serial");
+    assert!(dp_matches_serial, "memoised DP diverged from serial");
     let dp_speedup = serial_ms / fast_ms.max(1e-9);
     println!("dp serial ref   {serial_ms:9.1} ms  ({DP_REPS} reps)");
     println!("dp cached+par   {fast_ms:9.1} ms  ({DP_REPS} reps)  speedup {dp_speedup:.2}x");

@@ -80,8 +80,7 @@ pub use config::NodeConfig;
 pub use engine::Engine;
 pub use error::CoreError;
 pub use longterm::{
-    optimize_horizon, optimize_horizon_serial, optimize_horizon_with_cache, DpConfig, DpResult,
-    PeriodPlan,
+    optimize_horizon, optimize_horizon_serial, CacheStats, DpConfig, DpResult, PeriodPlan,
 };
 pub use metrics::{PeriodRecord, SimReport};
 pub use offline::{size_capacitors, train_proposed, OfflineConfig};

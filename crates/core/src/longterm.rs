@@ -9,13 +9,28 @@
 //! capacitor's stored energy quantised into buckets — the standard
 //! trick that turns the exponential sequence search into
 //! `O(periods × buckets × subsets)`.
+//!
+//! ## Stage memo
+//!
+//! A stage's transitions — `(misses, next bucket)` for every
+//! bucket × subset cell — depend only on the period's solar profile
+//! once the graph, the subsets, the capacitor and the bucket grid are
+//! fixed. Horizons repeat profiles heavily (every dark period is the
+//! same), so [`StageMemo`] keeps one transition table per distinct
+//! profile, keyed on its exact `f64` bits: a memoised stage is
+//! bitwise the table the kernel would compute again. The value
+//! iteration then only reads tables. The forward replay starts from
+//! exact voltages, off the bucket grid, so it runs the kernel directly.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 use helio_common::units::{Joules, Seconds, Volts};
 use helio_common::TaskSet;
 use helio_nvp::Pmu;
-use helio_par::par_map_range;
-use helio_sched::{simulate_subset_at, SubsetOutcome, SubsetSimCache};
-use helio_storage::{CapState, StorageModelParams, SuperCap};
+use helio_par::{configured_threads, par_map_ranges};
+use helio_sched::{SubsetKernel, SubsetOutcome};
+use helio_storage::{CapState, CapacitorBank, StorageModelParams, SuperCap};
 use helio_tasks::TaskGraph;
 use serde::{Deserialize, Serialize};
 
@@ -66,6 +81,70 @@ pub struct DpResult {
     pub complexity: u64,
 }
 
+/// Hit/miss counters of a [`StageMemo`], in DP cells: a cell served
+/// from a memoised stage is a hit, a cell the kernel filled is a miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// Fraction of cells served from the memo (0 when unused).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// One DP cell's transition: misses this period and the bucket the
+/// capacitor ends in.
+type Cell = (usize, usize);
+
+/// Memoised DP stages of one capacitor: one transition table per
+/// distinct solar profile, bucket-major over `bucket × subset` cells.
+///
+/// The key is the profile alone, so one memo serves one DP setup —
+/// graph, subsets, capacitor, bucket count, slot duration, storage and
+/// PMU. [`OptimalPlanner`](crate::OptimalPlanner) keeps one per
+/// capacitor; [`optimize_horizon`] one per call.
+#[derive(Debug, Default)]
+pub(crate) struct StageMemo {
+    tables: HashMap<Vec<u64>, Vec<Cell>>,
+    stats: CacheStats,
+}
+
+impl StageMemo {
+    /// Cell counters so far.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// The transition table of a stage with `solar`, filled by the
+    /// kernel, in parallel, on first sight.
+    fn table(&mut self, dp: &Dp<'_>, solar: &[Joules]) -> &[Cell] {
+        let cells = (dp.buckets * dp.subsets.len()) as u64;
+        match self
+            .tables
+            .entry(solar.iter().map(|e| e.value().to_bits()).collect())
+        {
+            Entry::Occupied(e) => {
+                self.stats.hits += cells;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.stats.misses += cells;
+                e.insert(dp.table(solar, true))
+            }
+        }
+    }
+}
+
 /// Maps a bucket index to a voltage (uniform in stored energy).
 fn bucket_voltage(cap: &SuperCap, bucket: usize, buckets: usize) -> Volts {
     let frac = bucket as f64 / (buckets - 1).max(1) as f64;
@@ -82,43 +161,91 @@ fn voltage_bucket(cap: &SuperCap, v: Volts, buckets: usize) -> usize {
     (frac * (buckets - 1).max(1) as f64).round() as usize
 }
 
-/// Simulates one period from an explicit capacitor voltage, returning
-/// the outcome and the final voltage. Looked up in `cache` when one is
-/// supplied (hits are bitwise identical to re-simulating).
-#[allow(clippy::too_many_arguments)]
-fn step(
-    cache: Option<&SubsetSimCache>,
-    graph: &TaskGraph,
-    subset: TaskSet,
-    solar: &[Joules],
+/// Everything a DP cell depends on besides the stage's solar profile
+/// and the start bucket.
+struct Dp<'a> {
+    graph: &'a TaskGraph,
+    subsets: &'a [TaskSet],
     slot_duration: Seconds,
-    cap: &SuperCap,
-    voltage: Volts,
-    storage: &StorageModelParams,
-    pmu: &Pmu,
-) -> (SubsetOutcome, Volts) {
-    match cache {
-        Some(c) => c.simulate(
+    cap: &'a SuperCap,
+    storage: &'a StorageModelParams,
+    pmu: &'a Pmu,
+    buckets: usize,
+}
+
+impl<'a> Dp<'a> {
+    fn new(
+        graph: &'a TaskGraph,
+        subsets: &'a [TaskSet],
+        slot_duration: Seconds,
+        cap: &'a SuperCap,
+        storage: &'a StorageModelParams,
+        pmu: &'a Pmu,
+        cfg: &DpConfig,
+    ) -> Self {
+        Self {
             graph,
-            subset,
-            solar,
+            subsets,
             slot_duration,
             cap,
-            voltage,
-            pmu,
             storage,
-        ),
-        None => simulate_subset_at(
-            graph,
-            subset,
-            solar,
-            slot_duration,
-            cap,
-            voltage,
             pmu,
-            storage,
-        ),
+            buckets: cfg.voltage_buckets.max(2),
+        }
     }
+
+    /// A kernel with a one-capacitor bank to run it on.
+    fn stepper(&self) -> Stepper {
+        Stepper {
+            kernel: SubsetKernel::new(self.graph, self.slot_duration),
+            bank: CapacitorBank::single(*self.cap),
+        }
+    }
+
+    /// Simulates one period of `subset` from `voltage`, returning the
+    /// outcome and the final voltage.
+    fn step(
+        &self,
+        stepper: &mut Stepper,
+        subset: TaskSet,
+        solar: &[Joules],
+        voltage: Volts,
+    ) -> (SubsetOutcome, Volts) {
+        let Stepper { kernel, bank } = stepper;
+        bank.set_active_state(self.cap.state_at(voltage));
+        let outcome = kernel.run(subset, solar, bank, self.pmu, self.storage);
+        (outcome, bank.active_state().voltage())
+    }
+
+    /// The transition table of one stage, computed by the kernel. With
+    /// `parallel`, bucket rows split across workers, each with its own
+    /// kernel; rows come back in bucket order.
+    fn table(&self, solar: &[Joules], parallel: bool) -> Vec<Cell> {
+        let rows = |range: Range<usize>| {
+            let mut stepper = self.stepper();
+            let mut cells = Vec::with_capacity(range.len() * self.subsets.len());
+            for b in range {
+                let v0 = bucket_voltage(self.cap, b, self.buckets);
+                for &subset in self.subsets {
+                    let (outcome, v1) = self.step(&mut stepper, subset, solar, v0);
+                    cells.push((outcome.misses, voltage_bucket(self.cap, v1, self.buckets)));
+                }
+            }
+            cells
+        };
+        if parallel {
+            let chunk = self.buckets.div_ceil(configured_threads());
+            par_map_ranges(self.buckets, chunk, rows).concat()
+        } else {
+            rows(0..self.buckets)
+        }
+    }
+}
+
+/// The kernel and bank one worker simulates periods with.
+struct Stepper {
+    kernel: SubsetKernel,
+    bank: CapacitorBank,
 }
 
 /// The scheduling-pattern index `α` of Eq. 18.
@@ -148,10 +275,10 @@ pub fn alpha_index(graph: &TaskGraph, subset: TaskSet, solar_energy: Joules) -> 
 /// `initial` (the replay uses exact voltages, so the plans line up
 /// with what a simulator will actually see).
 ///
-/// # Panics
-///
-/// Panics when `subsets` masks do not match the graph or `solar` is
-/// empty.
+/// `cap` must be built with `storage`. Stages that repeat a solar
+/// profile are simulated once (see the module docs). An empty `solar`
+/// or `subsets` yields the empty plan, and `subsets` bits outside the
+/// graph are ignored, as in [`helio_sched::simulate_subset`].
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_horizon(
     graph: &TaskGraph,
@@ -164,8 +291,7 @@ pub fn optimize_horizon(
     pmu: &Pmu,
     cfg: &DpConfig,
 ) -> DpResult {
-    let cache = SubsetSimCache::new();
-    run_horizon(
+    optimize_horizon_memo(
         graph,
         subsets,
         solar,
@@ -175,16 +301,14 @@ pub fn optimize_horizon(
         storage,
         pmu,
         cfg,
-        Some(&cache),
-        true,
+        &mut StageMemo::default(),
     )
 }
 
-/// [`optimize_horizon`] with a caller-supplied memo cache, so repeated
-/// DP runs (e.g. one per capacitor candidate, one per day) share period
-/// simulations and the caller can read the aggregate hit rate.
+/// [`optimize_horizon`] reading and filling a caller-held stage memo,
+/// so repeated DP runs on one capacitor (one per day) share stages.
 #[allow(clippy::too_many_arguments)]
-pub fn optimize_horizon_with_cache(
+pub(crate) fn optimize_horizon_memo(
     graph: &TaskGraph,
     subsets: &[TaskSet],
     solar: &[Vec<Joules>],
@@ -194,25 +318,15 @@ pub fn optimize_horizon_with_cache(
     storage: &StorageModelParams,
     pmu: &Pmu,
     cfg: &DpConfig,
-    cache: &SubsetSimCache,
+    memo: &mut StageMemo,
 ) -> DpResult {
-    run_horizon(
-        graph,
-        subsets,
-        solar,
-        slot_duration,
-        cap,
-        initial,
-        storage,
-        pmu,
-        cfg,
-        Some(cache),
-        true,
-    )
+    let dp = Dp::new(graph, subsets, slot_duration, cap, storage, pmu, cfg);
+    run_horizon(&dp, solar, initial, Some(memo))
 }
 
-/// [`optimize_horizon`] with no memoization and no worker threads — the
-/// reference implementation the differential tests compare against.
+/// [`optimize_horizon`] with no memo and no worker threads — every
+/// stage is simulated afresh; the reference implementation the
+/// differential tests compare against.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_horizon_serial(
     graph: &TaskGraph,
@@ -225,39 +339,23 @@ pub fn optimize_horizon_serial(
     pmu: &Pmu,
     cfg: &DpConfig,
 ) -> DpResult {
-    run_horizon(
-        graph,
-        subsets,
-        solar,
-        slot_duration,
-        cap,
-        initial,
-        storage,
-        pmu,
-        cfg,
-        None,
-        false,
-    )
+    let dp = Dp::new(graph, subsets, slot_duration, cap, storage, pmu, cfg);
+    run_horizon(&dp, solar, initial, None)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Backward value iteration over the stage tables (memoised and
+/// parallel with a memo, fresh and serial without), then the forward
+/// replay.
 fn run_horizon(
-    graph: &TaskGraph,
-    subsets: &[TaskSet],
+    dp: &Dp<'_>,
     solar: &[Vec<Joules>],
-    slot_duration: Seconds,
-    cap: &SuperCap,
     initial: CapState,
-    storage: &StorageModelParams,
-    pmu: &Pmu,
-    cfg: &DpConfig,
-    cache: Option<&SubsetSimCache>,
-    parallel: bool,
+    mut memo: Option<&mut StageMemo>,
 ) -> DpResult {
     // Degenerate horizons (no periods, no candidate subsets) have a
     // well-defined empty optimum; returning it keeps fault-injected
     // callers alive instead of aborting the run.
-    if solar.is_empty() || subsets.is_empty() {
+    if solar.is_empty() || dp.subsets.is_empty() {
         return DpResult {
             plans: Vec::new(),
             total_misses: 0,
@@ -265,9 +363,7 @@ fn run_horizon(
             complexity: 0,
         };
     }
-    let horizon = solar.len();
-    let buckets = cfg.voltage_buckets.max(2);
-    let mut complexity: u64 = 0;
+    let (cap, buckets, subsets) = (dp.cap, dp.buckets, dp.subsets);
 
     // value[b]: (misses-to-go, -final-energy) from the *next* stage.
     // Terminal: zero misses, reward stored energy as the tie-break so
@@ -279,77 +375,46 @@ fn run_horizon(
         })
         .collect();
     // choice[p][b] = best subset index at period p from bucket b.
-    let mut choice = vec![vec![0usize; buckets]; horizon];
+    let mut choice = vec![vec![0usize; buckets]; solar.len()];
+    let mut fresh: Vec<Cell>;
 
-    for p in (0..horizon).rev() {
-        // Buckets of one stage only read the previous stage's `value`,
-        // so they fan out across workers; results come back in bucket
-        // order, which keeps the stage bitwise identical to the serial
-        // loop (each bucket's subset scan is untouched).
-        let eval_bucket = |b: usize| -> ((f64, f64), usize, u64) {
-            let v0 = bucket_voltage(cap, b, buckets);
-            let mut best = (f64::INFINITY, f64::INFINITY);
-            let mut best_s = 0usize;
-            let mut expansions = 0u64;
-            for (si, &subset) in subsets.iter().enumerate() {
-                expansions += 1;
-                let (outcome, v1) = step(
-                    cache,
-                    graph,
-                    subset,
-                    &solar[p],
-                    slot_duration,
-                    cap,
-                    v0,
-                    storage,
-                    pmu,
-                );
-                let b1 = voltage_bucket(cap, v1, buckets);
-                let next = value[b1];
-                let cand = (outcome.misses as f64 + next.0, next.1);
-                if cand < best {
-                    best = cand;
-                    best_s = si;
-                }
+    for (p, solar_p) in solar.iter().enumerate().rev() {
+        let table: &[Cell] = match memo.as_deref_mut() {
+            Some(memo) => memo.table(dp, solar_p),
+            None => {
+                fresh = dp.table(solar_p, false);
+                &fresh
             }
-            (best, best_s, expansions)
-        };
-        let results: Vec<((f64, f64), usize, u64)> = if parallel {
-            par_map_range(buckets, eval_bucket)
-        } else {
-            (0..buckets).map(eval_bucket).collect()
         };
         let mut new_value = vec![(f64::INFINITY, f64::INFINITY); buckets];
-        for (b, (best, best_s, expansions)) in results.into_iter().enumerate() {
+        for (b, row) in table.chunks_exact(subsets.len()).enumerate() {
+            let mut best = (f64::INFINITY, f64::INFINITY);
+            for (si, &(misses, b1)) in row.iter().enumerate() {
+                let next = value[b1];
+                let cand = (misses as f64 + next.0, next.1);
+                if cand < best {
+                    best = cand;
+                    choice[p][b] = si;
+                }
+            }
             new_value[b] = best;
-            choice[p][b] = best_s;
-            complexity += expansions;
         }
         value = new_value;
     }
 
     // Forward replay with exact voltages.
-    let mut plans = Vec::with_capacity(horizon);
+    let mut stepper = dp.stepper();
+    let mut plans = Vec::with_capacity(solar.len());
     let mut voltage = initial.voltage();
     let mut total_misses = 0usize;
     for (p, solar_p) in solar.iter().enumerate() {
         let b = voltage_bucket(cap, voltage, buckets);
         let subset = subsets[choice[p][b]];
-        let (outcome, v1) = step(
-            cache,
-            graph,
-            subset,
-            solar_p,
-            slot_duration,
-            cap,
-            voltage,
-            storage,
-            pmu,
-        );
+        let (outcome, v1) = dp.step(&mut stepper, subset, solar_p, voltage);
         let solar_energy: Joules = solar_p.iter().copied().sum();
         plans.push(PeriodPlan {
             subset,
-            alpha: alpha_index(graph, subset, solar_energy),
+            alpha: alpha_index(dp.graph, subset, solar_energy),
             expected_misses: outcome.misses,
             cap_energy: outcome.cap_drawn,
         });
@@ -361,7 +426,9 @@ fn run_horizon(
         plans,
         total_misses,
         final_voltage: voltage,
-        complexity,
+        // Every stage expands every (bucket, subset) cell, memoised or
+        // not.
+        complexity: (solar.len() * buckets * subsets.len()) as u64,
     }
 }
 
@@ -434,12 +501,11 @@ mod tests {
         );
         // Greedy everything-every-period for comparison.
         let full = g.all_tasks();
-        let mut v = cap.empty_state().voltage();
+        let mut bank = CapacitorBank::single(cap);
         let mut greedy_misses = 0;
         for p in &solar {
-            let (o, v1) = step(None, &g, full, p, SLOT, &cap, v, &storage, &pmu);
-            greedy_misses += o.misses;
-            v = v1;
+            greedy_misses +=
+                helio_sched::simulate_subset(&g, full, p, SLOT, &mut bank, &pmu, &storage).misses;
         }
         assert!(
             r.total_misses <= greedy_misses,
@@ -478,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_parallel_dp_matches_serial_reference() {
+    fn memoised_parallel_dp_matches_serial_reference() {
         let (g, cap, storage, pmu) = setup();
         let subsets = dmr_level_subsets(&g, 2);
         let mut solar = vec![sunny_period(), sunny_period()];
@@ -515,12 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_reuses_repeated_periods() {
+    fn stage_memo_reuses_repeated_periods() {
         let (g, cap, storage, pmu) = setup();
         let subsets = dmr_level_subsets(&g, 2);
         let solar = vec![dark_period(); 4];
-        let cache = helio_sched::SubsetSimCache::new();
-        let r = optimize_horizon_with_cache(
+        let mut memo = StageMemo::default();
+        let cfg = DpConfig::default();
+        let r = optimize_horizon_memo(
             &g,
             &subsets,
             &solar,
@@ -529,21 +596,71 @@ mod tests {
             cap.empty_state(),
             &storage,
             &pmu,
-            &DpConfig::default(),
-            &cache,
+            &cfg,
+            &mut memo,
         );
-        let stats = cache.stats();
-        // Four identical dark periods: stages after the first hit the
-        // cache for every (bucket, subset) cell.
-        assert!(
-            stats.hits > stats.misses,
-            "expected mostly hits, got {stats:?}"
-        );
-        // Complexity still counts every expansion, hit or miss.
+        // Four identical dark periods: the first stage fills the table,
+        // the other three read it.
+        let cells = (cfg.voltage_buckets * subsets.len()) as u64;
         assert_eq!(
-            r.complexity,
-            (solar.len() * DpConfig::default().voltage_buckets * subsets.len()) as u64
+            memo.stats(),
+            CacheStats {
+                hits: 3 * cells,
+                misses: cells
+            }
         );
+        assert_eq!(memo.tables.len(), 1);
+        // Complexity still counts every expansion, hit or miss.
+        assert_eq!(r.complexity, 4 * cells);
+        // A second day on the same capacitor is served entirely from
+        // the memo, and plans exactly as a fresh run does.
+        let again = optimize_horizon_memo(
+            &g,
+            &subsets,
+            &solar,
+            SLOT,
+            &cap,
+            cap.empty_state(),
+            &storage,
+            &pmu,
+            &cfg,
+            &mut memo,
+        );
+        assert_eq!(again, r);
+        assert_eq!(memo.stats().misses, cells);
+    }
+
+    /// The memo key holds every slot's exact bits: two profiles that
+    /// differ in one slot by the smallest representable amount are two
+    /// stages, whichever slot it is.
+    #[test]
+    fn memo_key_covers_every_slot_bit_exactly() {
+        let (g, cap, storage, pmu) = setup();
+        let subsets = dmr_level_subsets(&g, 1);
+        let cfg = DpConfig::default();
+        let cells = (cfg.voltage_buckets * subsets.len()) as u64;
+        for k in 0..SLOTS {
+            let mut nudged = dark_period();
+            nudged[k] = Joules::new(f64::from_bits(1));
+            let mut memo = StageMemo::default();
+            optimize_horizon_memo(
+                &g,
+                &subsets,
+                &[dark_period(), nudged],
+                SLOT,
+                &cap,
+                cap.empty_state(),
+                &storage,
+                &pmu,
+                &cfg,
+                &mut memo,
+            );
+            assert_eq!(
+                memo.stats().misses,
+                2 * cells,
+                "slot {k} dropped from the key"
+            );
+        }
     }
 
     #[test]

@@ -11,15 +11,17 @@
 use helio_ann::{Matrix, TrainingSet};
 use helio_common::time::PeriodRef;
 use helio_common::units::{Joules, Volts};
-use helio_par::par_map_range;
-use helio_sched::{CacheStats, SubsetSimCache};
+use helio_par::{par_map_mut, par_map_range};
+use helio_sched::SubsetKernel;
 use helio_solar::SolarTrace;
-use helio_storage::SuperCap;
+use helio_storage::{CapacitorBank, SuperCap};
 use helio_tasks::TaskGraph;
 
 use crate::config::NodeConfig;
 use crate::error::CoreError;
-use crate::longterm::{optimize_horizon_with_cache, DpConfig, PeriodPlan};
+use crate::longterm::{
+    optimize_horizon_memo, CacheStats, DpConfig, DpResult, PeriodPlan, StageMemo,
+};
 use crate::planner::{Pattern, PeriodPlanner, PlanDecision, PlannerObservation};
 use crate::subsets::dmr_level_subsets;
 
@@ -90,10 +92,14 @@ impl OptimalPlanner {
         let mut complexity = 0u64;
         let mut acc_misses = 0usize;
         let mut acc_tasks = 0usize;
-        // One memo cache for the whole plan: candidate DPs of one day
-        // and the same capacitor across days revisit identical
-        // (subset, solar, voltage) cells constantly.
-        let cache = SubsetSimCache::new();
+        // One stage memo per capacitor, kept across days: every dark
+        // period, on any day, is the same stage. Each capacitor's DP
+        // runs on one worker, which owns its memo.
+        let mut memos: Vec<StageMemo> = caps.iter().map(|_| StageMemo::default()).collect();
+        // Replays the chosen plan to advance the active capacitor.
+        let mut kernel = SubsetKernel::new(graph, slot_duration);
+        let mut banks: Vec<CapacitorBank> =
+            caps.iter().map(|&c| CapacitorBank::single(c)).collect();
 
         for day in 0..grid.days() {
             // Per-period per-slot solar of this day.
@@ -111,8 +117,8 @@ impl OptimalPlanner {
             // their own start voltage, so they run in parallel; the
             // selection below walks the results in candidate order,
             // matching the serial tie-breaking exactly.
-            let candidates: Vec<crate::longterm::DpResult> = par_map_range(caps.len(), |h| {
-                optimize_horizon_with_cache(
+            let candidates: Vec<DpResult> = par_map_mut(&mut memos, |h, memo| {
+                optimize_horizon_memo(
                     graph,
                     &subsets,
                     &solar,
@@ -122,10 +128,10 @@ impl OptimalPlanner {
                     storage,
                     pmu,
                     dp,
-                    &cache,
+                    memo,
                 )
             });
-            let mut best: Option<(usize, crate::longterm::DpResult)> = None;
+            let mut best: Option<(usize, DpResult)> = None;
             for (h, r) in candidates.into_iter().enumerate() {
                 complexity += r.complexity;
                 let better = match &best {
@@ -142,7 +148,8 @@ impl OptimalPlanner {
                     best = Some((h, r));
                 }
             }
-            let (h_star, result) = best.expect("at least one capacitor");
+            let (h_star, result) =
+                best.ok_or_else(|| CoreError::Config("node has no capacitors".into()))?;
 
             // Record decisions and observation seeds, replaying period
             // by period so the snapshot voltages track the bank.
@@ -162,21 +169,11 @@ impl OptimalPlanner {
                 // Advance voltages: active capacitor per the plan, the
                 // others leak.
                 let period_secs = grid.period_duration();
-                for (h, cap) in caps.iter().enumerate() {
+                for (h, (cap, bank)) in caps.iter().zip(&mut banks).enumerate() {
                     if h == h_star {
-                        let mut bank =
-                            helio_storage::CapacitorBank::new(&[cap.capacitance()], storage)?;
-                        bank.set_state(0, cap.state_at(voltages[h]))?;
-                        helio_sched::simulate_subset(
-                            graph,
-                            plan.subset,
-                            &solar[j],
-                            slot_duration,
-                            &mut bank,
-                            pmu,
-                            storage,
-                        );
-                        voltages[h] = bank.state(0)?.voltage();
+                        bank.set_active_state(cap.state_at(voltages[h]));
+                        kernel.run(plan.subset, &solar[j], bank, pmu, storage);
+                        voltages[h] = bank.active_state().voltage();
                     } else {
                         let mut state = cap.state_at(voltages[h]);
                         cap.leak(&mut state, storage, period_secs);
@@ -243,7 +240,12 @@ impl OptimalPlanner {
             samples,
             delta,
             complexity,
-            cache_stats: cache.stats(),
+            cache_stats: memos
+                .iter()
+                .fold(CacheStats::default(), |acc, m| CacheStats {
+                    hits: acc.hits + m.stats().hits,
+                    misses: acc.misses + m.stats().misses,
+                }),
             periods_per_day: grid.periods_per_day(),
         })
     }
@@ -254,8 +256,9 @@ impl OptimalPlanner {
         &self.samples
     }
 
-    /// Hit/miss counters of the period-simulation memo cache the DP
-    /// runs shared while computing this plan.
+    /// Hit/miss counters of the per-capacitor stage memos, in DP cells
+    /// (the forward replays run the kernel directly and are not
+    /// counted).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache_stats
     }
@@ -413,7 +416,7 @@ mod tests {
         let planner = OptimalPlanner::compute(&node, &g, &t, &DpConfig::default(), 0.5).unwrap();
         assert!(planner.complexity() > 1000);
         let stats = planner.cache_stats();
-        // Night periods repeat, so the shared cache must see reuse.
+        // Night periods repeat, so the stage memos must see reuse.
         assert!(stats.hits > 0, "{stats:?}");
         assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
     }

@@ -119,6 +119,32 @@ where
     par_map_range(items.len(), |i| f(&items[i]))
 }
 
+/// Maps `f(index, item)` over a mutable slice, in parallel, returning
+/// results in input order. Each item is handed to exactly one worker,
+/// so `f` may update it without a lock.
+///
+/// # Panics
+///
+/// Re-raises any panic from `f` on the calling thread.
+pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let mut indexed: Vec<(usize, &mut T)> = items.iter_mut().enumerate().collect();
+    let mut workers = vec![(); configured_threads().min(indexed.len())];
+    par_zip_chunks_mut(&mut indexed, &mut workers, |_, chunk, ()| {
+        chunk
+            .iter_mut()
+            .map(|(i, item)| f(*i, item))
+            .collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Splits `items` into `states.len()` contiguous chunks (the first
 /// `items.len().div_ceil(states.len())` items per chunk, last chunk
 /// short) and runs `f(chunk_index, items_chunk, state)` once per chunk
@@ -238,6 +264,18 @@ mod tests {
         let parallel = par_map_range(257, |i| format!("{i}:{}", i % 7));
         let serial: Vec<String> = (0..257).map(|i| format!("{i}:{}", i % 7)).collect();
         assert_eq!(parallel, serial);
+    }
+
+    #[test]
+    fn map_mut_visits_each_item_once_in_order() {
+        let mut items: Vec<usize> = (0..37).collect();
+        let out = par_map_mut(&mut items, |i, x| {
+            *x += 100;
+            (i, *x)
+        });
+        assert_eq!(out, (0..37).map(|i| (i, i + 100)).collect::<Vec<_>>());
+        assert!(items.iter().enumerate().all(|(i, &x)| x == i + 100));
+        assert!(par_map_mut(&mut Vec::<u8>::new(), |_, _| 0).is_empty());
     }
 
     #[test]

@@ -43,18 +43,14 @@ impl ExecState {
             completed: TaskSet::EMPTY,
             pred_mask,
         };
-        // Zero-slot tasks (none in the paper's benchmarks, but legal)
-        // start complete.
-        for i in 0..state.remaining.len() {
-            if state.remaining[i] == 0 {
-                state.completed.insert(i);
-            }
-        }
+        state.reset();
         state
     }
 
     /// Restores the period-start state in place — equivalent to a fresh
     /// [`ExecState::new`] on the same graph, without allocating.
+    /// Zero-slot tasks (none in the paper's benchmarks, but legal) start
+    /// complete.
     pub fn reset(&mut self) {
         self.completed = TaskSet::EMPTY;
         for i in 0..self.remaining.len() {

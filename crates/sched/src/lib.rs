@@ -29,7 +29,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod asap;
-pub mod cache;
 pub mod context;
 pub mod exec;
 pub mod intra;
@@ -38,10 +37,9 @@ pub mod subset;
 pub mod traits;
 
 pub use asap::AsapScheduler;
-pub use cache::{simulate_subset_at, CacheStats, SubsetSimCache};
 pub use context::{PeriodStart, SlotContext};
 pub use exec::ExecState;
 pub use intra::IntraTaskScheduler;
 pub use lsa::LsaScheduler;
-pub use subset::{simulate_subset, SubsetOutcome};
+pub use subset::{simulate_subset, SubsetKernel, SubsetOutcome};
 pub use traits::{edf_pick, edf_pick_set, SlotScheduler};

@@ -88,9 +88,15 @@ impl SlotScheduler for LsaScheduler {
         self.latest_start.clear();
         self.latest_start.resize(n, usize::MAX);
         let latest_start = &mut self.latest_start;
-        graph
+        // Validated graphs are acyclic; should a cycle slip through,
+        // id order still bounds every task (as `closed_subsets` does).
+        if graph
             .topological_order_into(&mut self.indegree, &mut self.stack, &mut self.topo)
-            .expect("validated graphs are acyclic");
+            .is_err()
+        {
+            self.topo.clear();
+            self.topo.extend(graph.ids());
+        }
         self.needed.clear();
         self.needed
             .extend(graph.tasks().iter().map(|t| t.slots_needed(slot)));

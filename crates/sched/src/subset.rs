@@ -52,6 +52,9 @@ pub struct SubsetOutcome {
 /// Bits of `subset` outside the graph's task range are ignored — a
 /// corrupted planner decision degrades to the valid part of the mask
 /// instead of bringing the node down.
+///
+/// One-shot wrapper over [`SubsetKernel`]; callers that simulate many
+/// periods of one graph keep a kernel instead.
 pub fn simulate_subset(
     graph: &TaskGraph,
     subset: TaskSet,
@@ -61,94 +64,142 @@ pub fn simulate_subset(
     pmu: &Pmu,
     storage: &StorageModelParams,
 ) -> SubsetOutcome {
-    let subset = subset.intersection(graph.all_tasks());
-    let mut exec = ExecState::new(graph, slot_duration);
-    let mut cap_drawn = Joules::ZERO;
-    let mut cap_stored = Joules::ZERO;
-    let mut wasted = Joules::ZERO;
-    let mut served = Joules::ZERO;
-    let mut brownouts = 0usize;
+    SubsetKernel::new(graph, slot_duration).run(subset, solar, bank, pmu, storage)
+}
 
-    // Per-NVP task masks, computed once for the allocation-free
-    // urgency check below.
-    let mut nvp_tasks = [TaskSet::EMPTY; MAX_TASKS];
-    for (nvp, mask) in nvp_tasks.iter_mut().enumerate().take(graph.nvp_count()) {
-        *mask = graph.nvp_set(nvp);
-    }
-    // Urgency-ordered candidate scratch, reused across slots.
-    let mut candidates: Vec<TaskId> = Vec::with_capacity(graph.len());
+/// The subset-execution kernel with its scratch, built once per
+/// (graph, slot duration) and reused across periods.
+///
+/// [`SubsetKernel::run`] resets the execution state in place, so after
+/// the first run it allocates nothing, and every run equals a fresh
+/// [`simulate_subset`] on the same inputs.
+#[derive(Debug, Clone)]
+pub struct SubsetKernel {
+    exec: ExecState,
+    slot_duration: Seconds,
+    /// Every task of the graph; stray mask bits are dropped against it.
+    all: TaskSet,
+    /// Per-task NVP index and one slot's energy (`power × slot`).
+    tasks: Vec<(usize, Joules)>,
+    /// Per-NVP task masks for the allocation-free urgency check.
+    nvp_tasks: [TaskSet; MAX_TASKS],
+    /// Urgency-ordered candidate scratch, reused across slots.
+    candidates: Vec<TaskId>,
+}
 
-    for (m, &harvest) in solar.iter().enumerate() {
-        bank.leak_all(storage, slot_duration);
-
-        // Candidate tasks: runnable members of the subset.
-        candidates.clear();
-        candidates.extend(exec.runnable_set(m).intersection(subset).iter().map(TaskId));
-        candidates
-            .sort_unstable_by_key(|&id| (exec.slack(id, m).unwrap_or(usize::MAX), id.index()));
-
-        let mut picked = TaskSet::EMPTY;
-        let mut nvp_used = 0u32;
-        let direct_capacity = harvest * pmu.params().direct_efficiency;
-        let mut committed = Joules::ZERO;
-        // Urgent pass: an NVP must run when any deadline horizon of its
-        // pending subset tasks has no spare slot left (classic busy
-        // condition — per-task slack alone misses same-NVP contention).
-        for &id in &candidates {
-            let nvp = graph.task(id).nvp;
-            if nvp_used & (1 << nvp) != 0 {
-                continue;
-            }
-            if nvp_is_forced(nvp_tasks[nvp].intersection(subset), &exec, m) {
-                // Candidates are slack-sorted, so `id` is this NVP's
-                // most urgent runnable task.
-                picked.insert(id.index());
-                nvp_used |= 1 << nvp;
-                committed += graph.task(id).power * slot_duration;
-            }
+impl SubsetKernel {
+    /// Builds the kernel for `graph` on slots of `slot_duration`.
+    pub fn new(graph: &TaskGraph, slot_duration: Seconds) -> Self {
+        let mut nvp_tasks = [TaskSet::EMPTY; MAX_TASKS];
+        for (nvp, mask) in nvp_tasks.iter_mut().enumerate().take(graph.nvp_count()) {
+            *mask = graph.nvp_set(nvp);
         }
-        // Opportunistic pass: spend free sunshine.
-        for &id in &candidates {
-            let nvp = graph.task(id).nvp;
-            if nvp_used & (1 << nvp) != 0 {
-                continue;
-            }
-            let cost = graph.task(id).power * slot_duration;
-            if committed + cost <= direct_capacity {
-                picked.insert(id.index());
-                nvp_used |= 1 << nvp;
-                committed += cost;
-            }
-        }
-
-        // `committed` accumulated exactly the picked tasks' costs in
-        // pick order, so it *is* the slot demand.
-        let flow = pmu.settle_slot(harvest, committed, bank, storage);
-        cap_drawn += flow.served_storage;
-        cap_stored += flow.stored;
-        wasted += flow.wasted;
-        served += flow.served_direct + flow.served_storage;
-        if flow.fully_served() {
-            for i in picked {
-                exec.advance(TaskId(i));
-            }
-        } else {
-            // Brown-out: the energy is spent but the slot makes no
-            // progress (the NVPs back up and stall).
-            brownouts += 1;
+        Self {
+            exec: ExecState::new(graph, slot_duration),
+            slot_duration,
+            all: graph.all_tasks(),
+            tasks: graph
+                .tasks()
+                .iter()
+                .map(|t| (t.nvp, t.power * slot_duration))
+                .collect(),
+            nvp_tasks,
+            candidates: Vec::with_capacity(graph.len()),
         }
     }
 
-    let completed_all = subset.is_subset_of(exec.completed_set());
-    SubsetOutcome {
-        misses: exec.misses(),
-        dmr: exec.dmr(),
-        completed_all,
-        cap_drawn,
-        cap_stored,
-        wasted,
-        served,
-        brownouts,
+    /// Simulates one period of `subset` on the kernel's graph; see
+    /// [`simulate_subset`] for the contract.
+    pub fn run(
+        &mut self,
+        subset: TaskSet,
+        solar: &[Joules],
+        bank: &mut CapacitorBank,
+        pmu: &Pmu,
+        storage: &StorageModelParams,
+    ) -> SubsetOutcome {
+        let subset = subset.intersection(self.all);
+        let slot_duration = self.slot_duration;
+        let exec = &mut self.exec;
+        exec.reset();
+        let candidates = &mut self.candidates;
+        let mut cap_drawn = Joules::ZERO;
+        let mut cap_stored = Joules::ZERO;
+        let mut wasted = Joules::ZERO;
+        let mut served = Joules::ZERO;
+        let mut brownouts = 0usize;
+
+        for (m, &harvest) in solar.iter().enumerate() {
+            bank.leak_all(storage, slot_duration);
+
+            // Candidate tasks: runnable members of the subset.
+            candidates.clear();
+            candidates.extend(exec.runnable_set(m).intersection(subset).iter().map(TaskId));
+            candidates
+                .sort_unstable_by_key(|&id| (exec.slack(id, m).unwrap_or(usize::MAX), id.index()));
+
+            let mut picked = TaskSet::EMPTY;
+            let mut nvp_used = 0u32;
+            let direct_capacity = harvest * pmu.params().direct_efficiency;
+            let mut committed = Joules::ZERO;
+            // Urgent pass: an NVP must run when any deadline horizon of
+            // its pending subset tasks has no spare slot left (classic
+            // busy condition — per-task slack alone misses same-NVP
+            // contention).
+            for &id in candidates.iter() {
+                let (nvp, cost) = self.tasks[id.index()];
+                if nvp_used & (1 << nvp) != 0 {
+                    continue;
+                }
+                if nvp_is_forced(self.nvp_tasks[nvp].intersection(subset), exec, m) {
+                    // Candidates are slack-sorted, so `id` is this
+                    // NVP's most urgent runnable task.
+                    picked.insert(id.index());
+                    nvp_used |= 1 << nvp;
+                    committed += cost;
+                }
+            }
+            // Opportunistic pass: spend free sunshine.
+            for &id in candidates.iter() {
+                let (nvp, cost) = self.tasks[id.index()];
+                if nvp_used & (1 << nvp) != 0 {
+                    continue;
+                }
+                if committed + cost <= direct_capacity {
+                    picked.insert(id.index());
+                    nvp_used |= 1 << nvp;
+                    committed += cost;
+                }
+            }
+
+            // `committed` accumulated exactly the picked tasks' costs in
+            // pick order, so it *is* the slot demand.
+            let flow = pmu.settle_slot(harvest, committed, bank, storage);
+            cap_drawn += flow.served_storage;
+            cap_stored += flow.stored;
+            wasted += flow.wasted;
+            served += flow.served_direct + flow.served_storage;
+            if flow.fully_served() {
+                for i in picked {
+                    exec.advance(TaskId(i));
+                }
+            } else {
+                // Brown-out: the energy is spent but the slot makes no
+                // progress (the NVPs back up and stall).
+                brownouts += 1;
+            }
+        }
+
+        SubsetOutcome {
+            misses: exec.misses(),
+            dmr: exec.dmr(),
+            completed_all: subset.is_subset_of(exec.completed_set()),
+            cap_drawn,
+            cap_stored,
+            wasted,
+            served,
+            brownouts,
+        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! Property tests of the subset-execution kernel — the workhorse every
 //! planner calls thousands of times per optimisation.
 
-use helio_common::units::{Farads, Joules, Seconds};
+use helio_common::units::{Farads, Joules, Seconds, Volts};
 use helio_common::TaskSet;
 use helio_nvp::Pmu;
-use helio_sched::simulate_subset;
+use helio_sched::{simulate_subset, SubsetKernel};
 use helio_storage::{CapacitorBank, StorageModelParams};
 use helio_tasks::{benchmarks, TaskGraph};
 use proptest::prelude::*;
@@ -102,5 +102,50 @@ proptest! {
             bright.misses,
             dim.misses
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One kernel driven through a sequence of runs — each on its own
+    /// subset, solar profile and start voltage — gives every run the
+    /// outcome and final voltage bits of a fresh `simulate_subset`:
+    /// nothing of one run leaks into the next.
+    #[test]
+    fn reused_kernel_matches_fresh_runs(
+        graph_idx in 0usize..6,
+        capacitance in 1.0f64..80.0,
+        masks in prop::collection::vec(any::<bool>(), 8 * 7),
+        solar_mw in prop::collection::vec(0.0f64..120.0, 10 * 7),
+        volts in prop::collection::vec(0.5f64..5.0, 1..=7),
+    ) {
+        let graph = graph_for(graph_idx);
+        let storage = StorageModelParams::default();
+        let pmu = Pmu::default();
+        let fresh_bank = |volts: f64| {
+            let mut bank = CapacitorBank::new(&[Farads::new(capacitance)], &storage)
+                .expect("valid capacitance");
+            let state = bank.active_cap().state_at(Volts::new(volts));
+            bank.set_state(0, state).expect("index 0");
+            bank
+        };
+        let mut kernel = SubsetKernel::new(&graph, SLOT);
+        for (r, &volts) in volts.iter().enumerate() {
+            let subset = close_mask(&graph, masks[8 * r..8 * (r + 1)].to_vec());
+            let solar: Vec<Joules> = solar_mw[10 * r..10 * (r + 1)]
+                .iter()
+                .map(|&mw| Joules::new(mw * 1e-3 * SLOT.value()))
+                .collect();
+            let mut reused = fresh_bank(volts);
+            let got = kernel.run(subset, &solar, &mut reused, &pmu, &storage);
+            let mut fresh = fresh_bank(volts);
+            let want = simulate_subset(&graph, subset, &solar, SLOT, &mut fresh, &pmu, &storage);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(
+                reused.active_state().voltage().value().to_bits(),
+                fresh.active_state().voltage().value().to_bits()
+            );
+        }
     }
 }

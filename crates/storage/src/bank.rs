@@ -66,6 +66,16 @@ impl CapacitorBank {
         })
     }
 
+    /// A one-capacitor bank holding `cap`, drained to its cut-off
+    /// voltage — the bank a single-capacitor what-if runs on.
+    pub fn single(cap: SuperCap) -> Self {
+        Self {
+            states: vec![cap.empty_state()],
+            caps: vec![cap],
+            active: 0,
+        }
+    }
+
     /// Number of capacitors `H`.
     pub fn len(&self) -> usize {
         self.caps.len()
@@ -106,6 +116,11 @@ impl CapacitorBank {
         }
         self.active = index;
         Ok(())
+    }
+
+    /// Overwrites the active capacitor's state.
+    pub fn set_active_state(&mut self, state: CapState) {
+        self.states[self.active] = state;
     }
 
     /// The capacitor at `index`.
@@ -257,6 +272,19 @@ mod tests {
         assert_eq!(bank.active_index(), 0);
         assert_eq!(bank.voltages(), vec![1.0, 1.0, 1.0]);
         assert_eq!(bank.total_usable(), Joules::ZERO);
+    }
+
+    #[test]
+    fn single_matches_a_one_size_bank() {
+        let params = StorageModelParams::default();
+        let cap = SuperCap::new(Farads::new(10.0), &params).unwrap();
+        let mut single = CapacitorBank::single(cap);
+        assert_eq!(
+            single,
+            CapacitorBank::new(&[Farads::new(10.0)], &params).unwrap()
+        );
+        single.set_active_state(cap.full_state());
+        assert_eq!(single.active_state(), &cap.full_state());
     }
 
     #[test]

@@ -16,6 +16,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::StorageError;
 
+/// Knot voltages of both default curves.
+const KNOT_VOLTAGES: [f64; 10] = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
+/// Efficiencies of [`RegulatorCurve::default_charge`] at [`KNOT_VOLTAGES`].
+const CHARGE_EFFICIENCIES: [f64; 10] =
+    [0.52, 0.60, 0.68, 0.75, 0.79, 0.82, 0.82, 0.845, 0.86, 0.87];
+/// Efficiencies of [`RegulatorCurve::default_discharge`] at [`KNOT_VOLTAGES`].
+const DISCHARGE_EFFICIENCIES: [f64; 10] = [
+    0.46, 0.55, 0.66, 0.75, 0.80, 0.83, 0.83, 0.855, 0.875, 0.885,
+];
+
 /// A voltage-dependent efficiency curve stored as piecewise-linear knots.
 ///
 /// Queries clamp outside the knot range. Efficiencies are fractions in
@@ -38,20 +48,8 @@ pub struct RegulatorCurve {
 }
 
 impl RegulatorCurve {
-    /// Builds a curve from `(voltage, efficiency)` knots.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the knots are rejected by
-    /// [`RegulatorCurve::try_from_knots`] — the curves in this
-    /// workspace are constants defined at build time, so malformed
-    /// knots are programming errors.
-    pub fn from_knots(knots: &[(f64, f64)]) -> Self {
-        Self::try_from_knots(knots).expect("regulator knots are valid")
-    }
-
-    /// Fallible variant of [`RegulatorCurve::from_knots`] for curves
-    /// built from external (untrusted) calibration data.
+    /// Builds a curve from `(voltage, efficiency)` knots, e.g. from
+    /// external calibration data.
     ///
     /// # Errors
     ///
@@ -90,18 +88,10 @@ impl RegulatorCurve {
     /// Calibrated against the paper's Fig. 5 shape: ~0.5 near the cut-off
     /// voltage, saturating around 0.78 near full charge.
     pub fn default_charge() -> Self {
-        Self::from_knots(&[
-            (0.5, 0.52),
-            (1.0, 0.60),
-            (1.5, 0.68),
-            (2.0, 0.75),
-            (2.5, 0.79),
-            (3.0, 0.82),
-            (3.5, 0.82),
-            (4.0, 0.845),
-            (4.5, 0.86),
-            (5.0, 0.87),
-        ])
+        Self {
+            voltages: KNOT_VOLTAGES.to_vec(),
+            efficiencies: CHARGE_EFFICIENCIES.to_vec(),
+        }
     }
 
     /// Default *output* (discharging) regulator fit, `η_dis(V)`.
@@ -110,18 +100,10 @@ impl RegulatorCurve {
     /// regulator bucks down from a charged capacitor), slightly worse
     /// near cut-off.
     pub fn default_discharge() -> Self {
-        Self::from_knots(&[
-            (0.5, 0.46),
-            (1.0, 0.55),
-            (1.5, 0.66),
-            (2.0, 0.75),
-            (2.5, 0.80),
-            (3.0, 0.83),
-            (3.5, 0.83),
-            (4.0, 0.855),
-            (4.5, 0.875),
-            (5.0, 0.885),
-        ])
+        Self {
+            voltages: KNOT_VOLTAGES.to_vec(),
+            efficiencies: DISCHARGE_EFFICIENCIES.to_vec(),
+        }
     }
 
     /// Efficiency at a capacitor voltage.
@@ -178,20 +160,31 @@ mod tests {
 
     #[test]
     fn interpolates_between_knots() {
-        let c = RegulatorCurve::from_knots(&[(1.0, 0.5), (2.0, 0.7)]);
+        let c = RegulatorCurve::try_from_knots(&[(1.0, 0.5), (2.0, 0.7)]).unwrap();
         assert!((c.efficiency(Volts::new(1.5)) - 0.6).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn rejects_unsorted_knots() {
-        RegulatorCurve::from_knots(&[(2.0, 0.5), (1.0, 0.7)]);
+    fn default_curves_are_valid_knots() {
+        for (effs, curve) in [
+            (CHARGE_EFFICIENCIES, RegulatorCurve::default_charge()),
+            (DISCHARGE_EFFICIENCIES, RegulatorCurve::default_discharge()),
+        ] {
+            let knots: Vec<(f64, f64)> = KNOT_VOLTAGES.into_iter().zip(effs).collect();
+            assert_eq!(RegulatorCurve::try_from_knots(&knots).unwrap(), curve);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "(0, 1]")]
+    fn rejects_unsorted_knots() {
+        let err = RegulatorCurve::try_from_knots(&[(2.0, 0.5), (1.0, 0.7)]).unwrap_err();
+        assert!(err.to_string().contains("strictly increasing"), "{err}");
+    }
+
+    #[test]
     fn rejects_out_of_range_efficiency() {
-        RegulatorCurve::from_knots(&[(1.0, 0.0)]);
+        let err = RegulatorCurve::try_from_knots(&[(1.0, 0.0)]).unwrap_err();
+        assert!(err.to_string().contains("(0, 1]"), "{err}");
     }
 
     #[test]
