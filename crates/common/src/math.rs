@@ -151,10 +151,9 @@ pub fn kmeans_1d(values: &[f64], k: usize, iters: usize) -> Result<Vec<f64>> {
     if k >= sorted.len() {
         // Degenerate: at most one point per cluster; centres are the points
         // themselves (deduplicated by position, padded by repetition).
-        let mut centres = sorted.clone();
-        while centres.len() < k {
-            centres.push(*sorted.last().expect("nonempty"));
-        }
+        let last = sorted[sorted.len() - 1];
+        let mut centres = sorted;
+        centres.resize(k, last);
         return Ok(centres);
     }
     // Quantile initialisation: centre c_i at the (i + ½)/k quantile.
@@ -172,12 +171,13 @@ pub fn kmeans_1d(values: &[f64], k: usize, iters: usize) -> Result<Vec<f64>> {
     for _ in 0..iters {
         let mut changed = false;
         for (vi, &v) in sorted.iter().enumerate() {
+            // `k > 0`, so there is always a nearest centre.
             let (best, _) = centres
                 .iter()
                 .enumerate()
                 .map(|(ci, &c)| (ci, (v - c).abs()))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("k > 0");
+                .unwrap_or((0, 0.0));
             if assign[vi] != best {
                 assign[vi] = best;
                 changed = true;
@@ -222,17 +222,12 @@ pub fn lerp_table(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     if x >= xs[xs.len() - 1] {
         return ys[ys.len() - 1];
     }
-    // Binary search for the bracketing interval.
-    let mut lo = 0usize;
-    let mut hi = xs.len() - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if xs[mid] <= x {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    // Bracketing interval `xs[lo] <= x < xs[lo + 1]`: with strictly
+    // increasing knots, `lo` is the number of interior knots `<= x`.
+    // Counting is branch-free, where a binary search over the handful
+    // of regulator knots mispredicts on every query.
+    let lo = xs[1..xs.len() - 1].iter().filter(|&&k| k <= x).count();
+    let hi = lo + 1;
     let t = (x - xs[lo]) / (xs[hi] - xs[lo]);
     ys[lo] + t * (ys[hi] - ys[lo])
 }

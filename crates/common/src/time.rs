@@ -273,6 +273,13 @@ impl TimeGrid {
             self.slot_duration,
         )
     }
+
+    /// This grid cut to a single day — [`TimeGrid::with_days`]`(1)`,
+    /// infallible because every other dimension was validated when
+    /// `self` was built.
+    pub const fn one_day(&self) -> Self {
+        Self { days: 1, ..*self }
+    }
 }
 
 #[cfg(test)]
@@ -367,6 +374,7 @@ mod tests {
 
     #[test]
     fn with_days_preserves_shape() {
+        assert_eq!(grid().one_day(), grid().with_days(1).unwrap());
         let g = grid().with_days(30).unwrap();
         assert_eq!(g.days(), 30);
         assert_eq!(g.periods_per_day(), 144);

@@ -64,4 +64,52 @@ proptest! {
         prop_assert_eq!(smoothstep(-a - 0.001), 0.0);
         prop_assert_eq!(smoothstep(1.001 + a), 1.0);
     }
+
+    /// The counting knot bracket picks the same interval, and so the
+    /// same bits, as a binary search — at random queries and exactly on
+    /// every knot.
+    #[test]
+    fn lerp_matches_binary_search_bitwise(
+        steps in prop::collection::vec(0.01f64..2.0, 1..12),
+        ys in prop::collection::vec(-1.0f64..1.0, 13),
+        queries in prop::collection::vec(-1.0f64..30.0, 32),
+    ) {
+        let mut xs = vec![0.5];
+        for s in &steps {
+            xs.push(xs[xs.len() - 1] + s);
+        }
+        let ys = &ys[..xs.len()];
+        for &q in queries.iter().chain(&xs) {
+            prop_assert_eq!(
+                lerp_table(&xs, ys, q).to_bits(),
+                lerp_binary_search(&xs, ys, q).to_bits()
+            );
+        }
+        prop_assert_eq!(
+            lerp_table(&xs, ys, f64::NAN).to_bits(),
+            lerp_binary_search(&xs, ys, f64::NAN).to_bits()
+        );
+    }
+}
+
+/// `lerp_table` as it was written with a binary-searched bracket.
+fn lerp_binary_search(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    if x <= xs[0] {
+        return ys[0];
+    }
+    if x >= xs[xs.len() - 1] {
+        return ys[ys.len() - 1];
+    }
+    let mut lo = 0usize;
+    let mut hi = xs.len() - 1;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if xs[mid] <= x {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let t = (x - xs[lo]) / (xs[hi] - xs[lo]);
+    ys[lo] + t * (ys[hi] - ys[lo])
 }

@@ -43,6 +43,7 @@ use std::sync::Arc;
 use helio_ann::{BatchPredictScratch, Dbn, FoldEntry, FoldTable, Matrix};
 use helio_common::units::{Joules, Seconds};
 use helio_faults::FaultHarness;
+use helio_sched::SchedTables;
 use helio_solar::{SolarPredictor, SolarTrace, WcmaPredictor};
 use helio_tasks::{TaskGraph, TaskId};
 
@@ -174,14 +175,18 @@ enum ShardOutcome {
 /// and a paused-then-resumed span is byte-identical to an
 /// uninterrupted one.
 fn shard_loop(
-    node: &NodeConfig,
-    graph: &TaskGraph,
-    ctx: &Arc<PlanContext>,
+    shared: Shared<'_>,
     scenarios: &mut [BatchScenario<'_>],
     resume: Option<&[ScenarioCheckpoint]>,
     span: Span,
     scratch: &mut BatchScratch,
 ) -> Result<ShardOutcome, CoreError> {
+    let Shared {
+        node,
+        graph,
+        ctx,
+        tables,
+    } = shared;
     let grid = &node.grid;
     let b = scenarios.len();
     let mut states = Vec::with_capacity(b);
@@ -244,6 +249,7 @@ fn shard_loop(
                 trace: sc.trace,
                 predictor: sc.predictor.as_ref(),
                 ctx,
+                tables,
                 harness: harnesses[i],
             };
             states[i].pre_plan(&env, flat, sc.planner.as_mut())?;
@@ -306,6 +312,7 @@ fn shard_loop(
                     trace: sc.trace,
                     predictor: sc.predictor.as_ref(),
                     ctx,
+                    tables,
                     harness: harnesses[i],
                 };
                 let obs = states[i].observation(&env, period);
@@ -358,6 +365,7 @@ fn shard_loop(
                     trace: sc.trace,
                     predictor: sc.predictor.as_ref(),
                     ctx,
+                    tables,
                     harness: harnesses[i],
                 };
                 let obs = states[i].observation(&env, period);
@@ -376,6 +384,7 @@ fn shard_loop(
                 trace: sc.trace,
                 predictor: sc.predictor.as_ref(),
                 ctx,
+                tables,
                 harness: harnesses[i],
             };
             let decision = decisions[i].take().ok_or_else(|| {
@@ -404,6 +413,16 @@ fn shard_loop(
     Ok(ShardOutcome::Done(reports))
 }
 
+/// What every shard of a batch reads: the node, the task set, the plan
+/// context and the scheduling tables.
+#[derive(Clone, Copy)]
+struct Shared<'s> {
+    node: &'s NodeConfig,
+    graph: &'s TaskGraph,
+    ctx: &'s PlanContext,
+    tables: &'s SchedTables,
+}
+
 /// Outcome of [`BatchEngine::run_span_with`]: the batch either ran to
 /// the end of the horizon (reports, in push order) or paused at the
 /// requested period boundary (a resumable [`BatchCheckpoint`]).
@@ -421,6 +440,9 @@ pub struct BatchEngine<'a> {
     node: &'a NodeConfig,
     graph: &'a TaskGraph,
     ctx: Arc<PlanContext>,
+    /// Scheduling tables of the task set on the node's grid, built once
+    /// per batch and shared read-only by every shard.
+    tables: SchedTables,
     scenarios: Vec<BatchScenario<'a>>,
 }
 
@@ -437,12 +459,7 @@ impl<'a> BatchEngine<'a> {
             .validate(node.grid.period_duration())
             .map_err(|e| CoreError::Tasks(e.to_string()))?;
         let ctx = Arc::new(PlanContext::new(graph, node.grid.slot_duration())?);
-        Ok(Self {
-            node,
-            graph,
-            ctx,
-            scenarios: Vec::new(),
-        })
+        Ok(Self::assemble(node, graph, ctx))
     }
 
     /// [`BatchEngine::new`] reusing an already-derived [`PlanContext`]
@@ -461,12 +478,20 @@ impl<'a> BatchEngine<'a> {
         graph
             .validate(node.grid.period_duration())
             .map_err(|e| CoreError::Tasks(e.to_string()))?;
-        Ok(Self {
+        Ok(Self::assemble(node, graph, ctx))
+    }
+
+    /// An empty batch on a validated task set; builds the scheduling
+    /// tables once for the whole batch.
+    fn assemble(node: &'a NodeConfig, graph: &'a TaskGraph, ctx: Arc<PlanContext>) -> Self {
+        let grid = &node.grid;
+        Self {
             node,
             graph,
             ctx,
+            tables: SchedTables::new(graph, grid.slot_duration(), grid.slots_per_period()),
             scenarios: Vec::new(),
-        })
+        }
     }
 
     /// Adds a scenario to the batch, attaching the shared plan context
@@ -649,9 +674,12 @@ impl<'a> BatchEngine<'a> {
         let shards = scratches.len().min(b);
         let chunk = b.div_ceil(shards).max(1);
         let span = Span { start, stop };
-        let node = self.node;
-        let graph = self.graph;
-        let ctx = &self.ctx;
+        let shared = Shared {
+            node: self.node,
+            graph: self.graph,
+            ctx: &self.ctx,
+            tables: &self.tables,
+        };
         let resume_states = resume.map(|c| c.scenarios.as_slice());
         let outcomes = helio_par::par_zip_chunks_mut_quarantine(
             &mut self.scenarios,
@@ -661,7 +689,7 @@ impl<'a> BatchEngine<'a> {
                 // partition the pool applied to the scenarios.
                 let lo = ci * chunk;
                 let sub = resume_states.map(|r| &r[lo..lo + shard.len()]);
-                shard_loop(node, graph, ctx, shard, sub, span, scratch)
+                shard_loop(shared, shard, sub, span, scratch)
             },
         );
         let mut reports = Vec::new();

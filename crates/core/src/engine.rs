@@ -14,8 +14,8 @@ use helio_common::units::Joules;
 use helio_faults::{DegradedCounters, FaultEvent, FaultHarness, ForecastMode};
 use helio_nvp::NvpFleet;
 use helio_sched::{
-    AsapScheduler, ExecState, IntraTaskScheduler, LsaScheduler, PeriodStart, SlotContext,
-    SlotScheduler,
+    AsapScheduler, ExecState, IntraTaskScheduler, LsaScheduler, PeriodStart, SchedTables,
+    SlotContext, SlotScheduler,
 };
 use helio_solar::{SolarPredictor, SolarTrace, WcmaPredictor};
 use helio_storage::{CapacitorBank, StorageModelParams};
@@ -120,17 +120,20 @@ impl<'a> Engine<'a> {
     ) -> Result<SimReport, CoreError> {
         let harness = harness.filter(|h| !h.is_empty());
         let grid = &self.node.grid;
-        // The plan context is rebuilt per run here (sequential runs
-        // keep their original cost profile — the planner is NOT
-        // attached to it, so it still derives the topological order
-        // itself); the batch engine builds it once per batch instead.
+        // The plan context and scheduling tables are rebuilt per run
+        // here (sequential runs keep their original cost profile — the
+        // planner is NOT attached to the context, so it still derives
+        // the topological order itself); the batch engine builds both
+        // once per batch instead.
         let ctx = PlanContext::new(self.graph, grid.slot_duration())?;
+        let tables = SchedTables::new(self.graph, grid.slot_duration(), grid.slots_per_period());
         let env = ScenarioEnv {
             node: self.node,
             graph: self.graph,
             trace: self.trace,
             predictor: self.predictor.as_ref(),
             ctx: &ctx,
+            tables: &tables,
             harness,
         };
         let mut state = ScenarioState::new(self.node, self.graph)?;
@@ -148,8 +151,8 @@ impl<'a> Engine<'a> {
 }
 
 /// The immutable surroundings of one simulated scenario: the node, the
-/// task set, that scenario's trace/predictor/fault harness, and the
-/// shared [`PlanContext`]. Everything a period step needs that is not
+/// task set, that scenario's trace/predictor/fault harness, the shared
+/// [`PlanContext`] and the scheduling tables. Everything a period step needs that is not
 /// per-scenario mutable state.
 pub(crate) struct ScenarioEnv<'e> {
     pub(crate) node: &'e NodeConfig,
@@ -157,6 +160,7 @@ pub(crate) struct ScenarioEnv<'e> {
     pub(crate) trace: &'e SolarTrace,
     pub(crate) predictor: &'e (dyn SolarPredictor + 'e),
     pub(crate) ctx: &'e PlanContext,
+    pub(crate) tables: &'e SchedTables,
     pub(crate) harness: Option<&'e FaultHarness>,
 }
 
@@ -352,6 +356,7 @@ impl ScenarioState {
         }
         let start = PeriodStart {
             graph: env.graph,
+            tables: env.tables,
             slot_duration,
             slots_per_period: grid.slots_per_period(),
             predicted_energy: predicted,
@@ -399,6 +404,7 @@ impl ScenarioState {
             let picked = {
                 let ctx = SlotContext {
                     graph: env.graph,
+                    tables: env.tables,
                     exec: &self.exec,
                     slot: m,
                     slot_duration,

@@ -6,7 +6,7 @@ use helio_ann::{Dbn, DbnConfig};
 use helio_common::time::PeriodRef;
 use helio_common::units::{Farads, Joules, Seconds};
 use helio_nvp::Pmu;
-use helio_sched::{AsapScheduler, ExecState, PeriodStart, SlotContext, SlotScheduler};
+use helio_sched::{AsapScheduler, ExecState, PeriodStart, SchedTables, SlotContext, SlotScheduler};
 use helio_solar::SolarTrace;
 use helio_storage::{cluster_sizes, optimal_capacitance, StorageModelParams};
 use helio_tasks::TaskGraph;
@@ -53,9 +53,11 @@ pub fn asap_demand_profile(
     slot: Seconds,
 ) -> Vec<Joules> {
     let mut exec = ExecState::new(graph, slot);
+    let tables = SchedTables::new(graph, slot, slots_per_period);
     let mut asap = AsapScheduler::new();
     asap.begin_period(&PeriodStart {
         graph,
+        tables: &tables,
         slot_duration: slot,
         slots_per_period,
         predicted_energy: Joules::ZERO,
@@ -66,6 +68,7 @@ pub fn asap_demand_profile(
     for m in 0..slots_per_period {
         let picked = asap.select(&SlotContext {
             graph,
+            tables: &tables,
             exec: &exec,
             slot: m,
             slot_duration: slot,
@@ -235,9 +238,10 @@ mod tests {
         // A lossless PMU sees more usable harvest, so the sizing must
         // actually depend on the efficiency (the parameter is no
         // longer ignored).
-        let lossless = Pmu::new(helio_nvp::PmuParams {
+        let lossless = Pmu::try_new(helio_nvp::PmuParams {
             direct_efficiency: 1.0,
-        });
+        })
+        .unwrap();
         let got_lossless = size_capacitors(&g, &t, 1, &storage, &lossless).unwrap();
         assert_ne!(got, got_lossless, "efficiency must influence sizing");
     }

@@ -115,8 +115,8 @@ enum Backend {
         out_buf: Vec<f64>,
         /// Shared fold cache, keyed by the run-constant feature
         /// prefix (the previous period's trace powers — run constants
-        /// by the same contract the decide cache's harvest table
-        /// relies on). Entries persist for the whole run, so any
+        /// by the same contract the decide cache relies on: the graph
+        /// and trace never change within a run). Entries persist for the whole run, so any
         /// revisited prefix (re-decisions, crash-resume replays,
         /// repeated sweeps, other scenarios on the same trace)
         /// resumes from its warm fold. Behind an `Arc`: a batch, a
@@ -195,9 +195,9 @@ pub struct ProposedPlanner {
     ctx: Option<Arc<PlanContext>>,
     /// Run-constant tables for the per-period decision, computed on
     /// first use. Like the MPC subset table, this relies on the graph
-    /// and trace never changing within a run — re-deriving the
-    /// dependency closure and period energies every period dominated
-    /// the decision latency.
+    /// never changing within a run — re-deriving the dependency
+    /// closure every period dominated the decision latency. (Period
+    /// energies come from the trace's own table.)
     decide_cache: Option<DbnDecideCache>,
 }
 
@@ -209,8 +209,6 @@ struct DbnDecideCache {
     /// predecessors of tasks already admitted, so the closed set is
     /// exactly the union of the admitted tasks' ancestor cones.
     closure: Vec<TaskSet>,
-    /// `trace.period_energy(p)` per flat period index.
-    harvest: Vec<Joules>,
     /// `graph.total_energy()`.
     full_load: Joules,
 }
@@ -522,9 +520,8 @@ impl ProposedPlanner {
     /// cone (so closing under dependencies is a mask union per
     /// admitted task, not a graph walk — the DBN's bits are
     /// independent sigmoids, and an admitted task drags in its
-    /// predecessors), the per-period harvest, and the full task-set
-    /// load. A batch-attached context supplies the topological order
-    /// this build consumes.
+    /// predecessors) and the full task-set load. A batch-attached
+    /// context supplies the topological order this build consumes.
     #[inline(never)]
     fn build_decide_cache(
         ctx: Option<&PlanContext>,
@@ -552,11 +549,6 @@ impl ProposedPlanner {
         }
         DbnDecideCache {
             closure,
-            harvest: obs
-                .grid
-                .periods()
-                .map(|p| obs.trace.period_energy(p))
-                .collect(),
             full_load: obs.graph.total_energy(),
         }
     }
@@ -621,7 +613,7 @@ impl ProposedPlanner {
         // stored energy and completes every deadline.
         let flat = obs.grid.period_index(obs.period);
         if flat > 0 {
-            let last_harvest = cache.harvest[flat - 1];
+            let last_harvest = obs.trace.period_energy(obs.grid.period_at(flat - 1));
             let eta = obs.pmu.params().direct_efficiency;
             let full_load = cache.full_load;
             if last_harvest * eta * 0.85 >= full_load {

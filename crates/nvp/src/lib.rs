@@ -19,10 +19,10 @@
 //! use helio_nvp::{Pmu, PmuParams};
 //! use helio_storage::{CapacitorBank, StorageModelParams};
 //!
-//! # fn main() -> Result<(), helio_storage::StorageError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let storage = StorageModelParams::default();
 //! let mut bank = CapacitorBank::new(&[Farads::new(10.0)], &storage)?;
-//! let pmu = Pmu::new(PmuParams::default());
+//! let pmu = Pmu::try_new(PmuParams::default())?;
 //!
 //! // A sunny slot: 30 J harvested, 10 J demanded — the direct channel
 //! // serves the load and the surplus charges the capacitor.

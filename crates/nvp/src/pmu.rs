@@ -59,23 +59,13 @@ impl SlotEnergyFlow {
 /// Routing policy: the direct channel serves the load first (it is the
 /// most efficient path); any remaining solar surplus charges the active
 /// supercapacitor; any remaining deficit discharges it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Pmu {
     params: PmuParams,
 }
 
 impl Pmu {
-    /// Creates a PMU.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the direct-channel efficiency leaves `(0, 1]`; use
-    /// [`Pmu::try_new`] for untrusted calibration data.
-    pub fn new(params: PmuParams) -> Self {
-        Self::try_new(params).expect("PMU parameters are valid")
-    }
-
-    /// Fallible variant of [`Pmu::new`].
+    /// Creates a PMU, e.g. from external calibration data.
     ///
     /// # Errors
     ///
@@ -159,12 +149,6 @@ impl Pmu {
     ) -> Joules {
         harvested.max(Joules::ZERO) * self.params.direct_efficiency
             + bank.active_deliverable(storage)
-    }
-}
-
-impl Default for Pmu {
-    fn default() -> Self {
-        Self::new(PmuParams::default())
     }
 }
 
@@ -267,10 +251,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "efficiency")]
+    fn default_params_are_accepted() {
+        assert_eq!(Pmu::try_new(PmuParams::default()), Ok(Pmu::default()));
+    }
+
+    #[test]
     fn rejects_bad_efficiency() {
-        Pmu::new(PmuParams {
+        let err = Pmu::try_new(PmuParams {
             direct_efficiency: 0.0,
-        });
+        })
+        .unwrap_err();
+        assert!(err.contains("efficiency"), "{err}");
     }
 }

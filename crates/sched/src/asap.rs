@@ -37,7 +37,7 @@ impl SlotScheduler for AsapScheduler {
         if let Some(mask) = self.allowed {
             candidates = candidates.intersection(mask);
         }
-        edf_pick_set(ctx.graph, candidates)
+        edf_pick_set(ctx.tables, candidates)
     }
 }
 
@@ -45,16 +45,19 @@ impl SlotScheduler for AsapScheduler {
 mod tests {
     use super::*;
     use crate::exec::ExecState;
+    use crate::tables::SchedTables;
     use helio_common::units::{Joules, Seconds};
     use helio_tasks::benchmarks;
 
     fn ctx<'a>(
         graph: &'a helio_tasks::TaskGraph,
+        tables: &'a SchedTables,
         exec: &'a ExecState,
         slot: usize,
     ) -> SlotContext<'a> {
         SlotContext {
             graph,
+            tables,
             exec,
             slot,
             slot_duration: Seconds::new(60.0),
@@ -69,8 +72,9 @@ mod tests {
     fn runs_even_with_zero_energy() {
         let g = benchmarks::wam();
         let exec = ExecState::new(&g, Seconds::new(60.0));
+        let t = SchedTables::new(&g, Seconds::new(60.0), 10);
         let mut s = AsapScheduler::new();
-        let picked = s.select(&ctx(&g, &exec, 0));
+        let picked = s.select(&ctx(&g, &t, &exec, 0));
         assert!(
             !picked.is_empty(),
             "ASAP must try to run regardless of energy"
@@ -81,25 +85,28 @@ mod tests {
     fn respects_allowed_mask() {
         let g = benchmarks::wam();
         let exec = ExecState::new(&g, Seconds::new(60.0));
+        let t = SchedTables::new(&g, Seconds::new(60.0), 10);
         let mut s = AsapScheduler::new();
         s.begin_period(&PeriodStart {
             graph: &g,
+            tables: &t,
             slot_duration: Seconds::new(60.0),
             slots_per_period: 10,
             predicted_energy: Joules::ZERO,
             stored_energy: Joules::ZERO,
             allowed: Some(TaskSet::EMPTY),
         });
-        assert!(s.select(&ctx(&g, &exec, 0)).is_empty());
+        assert!(s.select(&ctx(&g, &t, &exec, 0)).is_empty());
     }
 
     #[test]
     fn drains_the_whole_graph_given_enough_slots() {
         let g = benchmarks::ecg();
         let mut exec = ExecState::new(&g, Seconds::new(60.0));
+        let t = SchedTables::new(&g, Seconds::new(60.0), 10);
         let mut s = AsapScheduler::new();
         for m in 0..10 {
-            for i in s.select(&ctx(&g, &exec, m)) {
+            for i in s.select(&ctx(&g, &t, &exec, m)) {
                 exec.advance(helio_tasks::TaskId(i));
             }
         }

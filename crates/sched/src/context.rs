@@ -6,6 +6,7 @@ use helio_common::TaskSet;
 use helio_tasks::TaskGraph;
 
 use crate::exec::ExecState;
+use crate::tables::SchedTables;
 
 /// Period-start context handed to
 /// [`SlotScheduler::begin_period`](crate::SlotScheduler::begin_period).
@@ -13,6 +14,8 @@ use crate::exec::ExecState;
 pub struct PeriodStart<'a> {
     /// The task set.
     pub graph: &'a TaskGraph,
+    /// The task set's run-constant tables on this grid.
+    pub tables: &'a SchedTables,
     /// Slot duration `Δt`.
     pub slot_duration: Seconds,
     /// Slots per period `N_s`.
@@ -46,6 +49,8 @@ impl PeriodStart<'_> {
 pub struct SlotContext<'a> {
     /// The task set.
     pub graph: &'a TaskGraph,
+    /// The task set's run-constant tables on this grid.
+    pub tables: &'a SchedTables,
     /// Execution progress so far this period.
     pub exec: &'a ExecState,
     /// Slot index `m` within the period.
@@ -83,8 +88,10 @@ mod tests {
     #[test]
     fn allowed_mask_defaults_to_everything() {
         let g = benchmarks::ecg();
+        let t = SchedTables::new(&g, Seconds::new(60.0), 10);
         let ps = PeriodStart {
             graph: &g,
+            tables: &t,
             slot_duration: Seconds::new(60.0),
             slots_per_period: 10,
             predicted_energy: Joules::new(20.0),
@@ -105,8 +112,10 @@ mod tests {
     fn slot_context_arithmetic() {
         let g = benchmarks::ecg();
         let exec = ExecState::new(&g, Seconds::new(60.0));
+        let t = SchedTables::new(&g, Seconds::new(60.0), 10);
         let ctx = SlotContext {
             graph: &g,
+            tables: &t,
             exec: &exec,
             slot: 0,
             slot_duration: Seconds::new(60.0),

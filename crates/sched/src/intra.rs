@@ -19,9 +19,9 @@ use crate::traits::SlotScheduler;
 #[derive(Debug, Clone, Default)]
 pub struct IntraTaskScheduler {
     allowed: Option<TaskSet>,
-    /// Urgency-ordered candidate scratch, reused across slots so the
-    /// select path stops allocating once warm.
-    scratch: Vec<TaskId>,
+    /// Urgency-ordered `(slack, EDF rank)` candidate keys, reused
+    /// across slots so the select path stops allocating once warm.
+    scratch: Vec<(usize, u8)>,
 }
 
 impl IntraTaskScheduler {
@@ -41,44 +41,35 @@ impl SlotScheduler for IntraTaskScheduler {
     }
 
     fn select(&mut self, ctx: &SlotContext<'_>) -> TaskSet {
-        let graph = ctx.graph;
         let mut candidates = ctx.exec.runnable_set(ctx.slot);
         if let Some(mask) = self.allowed {
             candidates = candidates.intersection(mask);
         }
-        // Urgency order: least slack first, then earliest deadline.
+        // Urgency order: least slack first, then earliest deadline
+        // (ties: lowest index) — which is exactly the EDF rank. The
+        // keys are distinct, so the unstable sort is deterministic.
+        let tables = ctx.tables;
         self.scratch.clear();
-        self.scratch.extend(candidates.iter().map(TaskId));
-        // Unstable sort: the (slack, deadline, index) key is a total
-        // order, so the result matches a stable sort without the
-        // stable sort's merge buffer.
-        self.scratch.sort_unstable_by(|&a, &b| {
-            let sa = ctx.exec.slack(a, ctx.slot).unwrap_or(usize::MAX);
-            let sb = ctx.exec.slack(b, ctx.slot).unwrap_or(usize::MAX);
-            sa.cmp(&sb)
-                .then(
-                    graph
-                        .task(a)
-                        .deadline
-                        .value()
-                        .total_cmp(&graph.task(b).deadline.value()),
-                )
-                .then(a.index().cmp(&b.index()))
-        });
+        self.scratch.extend(candidates.iter().map(|i| {
+            let slack = ctx.exec.slack(TaskId(i), ctx.slot).unwrap_or(usize::MAX);
+            (slack, tables.edf_rank(i))
+        }));
+        self.scratch.sort_unstable();
 
         let mut picked = TaskSet::EMPTY;
         let mut nvp_used = 0u32;
         let mut budget = ctx.available();
-        for &id in &self.scratch {
-            let nvp = graph.task(id).nvp;
-            if nvp_used & (1 << nvp) != 0 {
+        for &(slack, rank) in &self.scratch {
+            let id = tables.edf_order()[usize::from(rank)];
+            let bit = tables.nvp_bit(id.index());
+            if nvp_used & bit != 0 {
                 continue;
             }
             let cost = ctx.slot_cost(id);
-            let urgent = ctx.exec.slack(id, ctx.slot) == Some(0);
+            let urgent = slack == 0;
             if urgent || cost <= budget {
                 picked.insert(id.index());
-                nvp_used |= 1 << nvp;
+                nvp_used |= bit;
                 budget = (budget - cost).max(Joules::ZERO);
             }
         }
@@ -90,6 +81,7 @@ impl SlotScheduler for IntraTaskScheduler {
 mod tests {
     use super::*;
     use crate::exec::ExecState;
+    use crate::tables::SchedTables;
     use helio_common::units::Seconds;
     use helio_tasks::benchmarks;
 
@@ -97,6 +89,7 @@ mod tests {
 
     fn slot_ctx<'a>(
         graph: &'a helio_tasks::TaskGraph,
+        tables: &'a SchedTables,
         exec: &'a ExecState,
         slot: usize,
         direct: f64,
@@ -104,6 +97,7 @@ mod tests {
     ) -> SlotContext<'a> {
         SlotContext {
             graph,
+            tables,
             exec,
             slot,
             slot_duration: SLOT,
@@ -118,14 +112,15 @@ mod tests {
     fn load_matches_to_available_energy() {
         let g = benchmarks::wam();
         let exec = ExecState::new(&g, SLOT);
+        let t = SchedTables::new(&g, SLOT, 10);
         let mut s = IntraTaskScheduler::new();
         // Plenty of energy: fills every NVP that has a runnable task
         // (NVP 2's tasks are dependency-blocked at slot 0).
-        let full = s.select(&slot_ctx(&g, &exec, 0, 10.0, 5.0));
+        let full = s.select(&slot_ctx(&g, &t, &exec, 0, 10.0, 5.0));
         assert_eq!(full.len(), 2);
         // Tiny budget at slot 0 (no task urgent yet): admits only what
         // fits.
-        let tiny = s.select(&slot_ctx(&g, &exec, 0, 0.7, 0.0));
+        let tiny = s.select(&slot_ctx(&g, &t, &exec, 0, 0.7, 0.0));
         assert!(tiny.len() < full.len());
         let spent: f64 = tiny
             .iter()
@@ -138,9 +133,10 @@ mod tests {
     fn urgent_tasks_are_admitted_even_without_energy() {
         let g = benchmarks::ecg();
         let exec = ExecState::new(&g, SLOT);
+        let t = SchedTables::new(&g, SLOT, 10);
         let mut s = IntraTaskScheduler::new();
         // lpf (deadline slot 3, 1 slot needed) has zero slack at slot 2.
-        let picked = s.select(&slot_ctx(&g, &exec, 2, 0.0, 0.0));
+        let picked = s.select(&slot_ctx(&g, &t, &exec, 2, 0.0, 0.0));
         let lpf = g.ids().next().unwrap();
         assert!(
             picked.contains(lpf.index()),
@@ -160,10 +156,11 @@ mod tests {
         exec.advance(ids[0]);
         exec.advance(ids[1]);
         exec.advance(ids[2]);
+        let t = SchedTables::new(&g, SLOT, 10);
         let mut s = IntraTaskScheduler::new();
         let mut ran: Vec<TaskId> = Vec::new();
         for m in 3..10 {
-            let picked = s.select(&slot_ctx(&g, &exec, m, 2.5, 0.0));
+            let picked = s.select(&slot_ctx(&g, &t, &exec, m, 2.5, 0.0));
             for i in picked {
                 let id = TaskId(i);
                 if g.task(id).nvp == 1 {
@@ -180,17 +177,19 @@ mod tests {
     fn respects_allowed_mask() {
         let g = benchmarks::wam();
         let exec = ExecState::new(&g, SLOT);
+        let t = SchedTables::new(&g, SLOT, 10);
         let mut s = IntraTaskScheduler::new();
         // Only periodic_locating.
         s.begin_period(&PeriodStart {
             graph: &g,
+            tables: &t,
             slot_duration: SLOT,
             slots_per_period: 10,
             predicted_energy: Joules::new(50.0),
             stored_energy: Joules::ZERO,
             allowed: Some(TaskSet::EMPTY.with(0)),
         });
-        let picked = s.select(&slot_ctx(&g, &exec, 0, 10.0, 5.0));
+        let picked = s.select(&slot_ctx(&g, &t, &exec, 0, 10.0, 5.0));
         assert_eq!(picked.len(), 1);
         let first = picked.iter().next().unwrap();
         assert_eq!(g.task(TaskId(first)).name, "periodic_locating");

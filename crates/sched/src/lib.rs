@@ -34,6 +34,7 @@ pub mod exec;
 pub mod intra;
 pub mod lsa;
 pub mod subset;
+pub mod tables;
 pub mod traits;
 
 pub use asap::AsapScheduler;
@@ -42,4 +43,5 @@ pub use exec::ExecState;
 pub use intra::IntraTaskScheduler;
 pub use lsa::LsaScheduler;
 pub use subset::{simulate_subset, SubsetKernel, SubsetOutcome};
-pub use traits::{edf_pick, edf_pick_set, SlotScheduler};
+pub use tables::SchedTables;
+pub use traits::{edf_pick_set, SlotScheduler};

@@ -14,29 +14,20 @@
 
 use helio_common::units::Joules;
 use helio_common::TaskSet;
-use helio_tasks::TaskId;
 
 use crate::context::{PeriodStart, SlotContext};
 use crate::traits::{edf_pick_set, SlotScheduler};
 
 /// Lazy inter-task scheduler with energy-budget admission.
+///
+/// The lazy windows (latest feasible start per task) depend only on the
+/// task set and the grid, so they live in the run-constant
+/// [`SchedTables`](crate::SchedTables); a period only decides which
+/// tasks its budget admits.
 #[derive(Debug, Clone, Default)]
 pub struct LsaScheduler {
     admitted: TaskSet,
     started: TaskSet,
-    latest_start: Vec<usize>,
-    /// Deadline-ordered admission scratch, reused across periods.
-    order: Vec<TaskId>,
-    // Per-period scratch for the lazy-window fixpoint, reused so
-    // `begin_period` allocates nothing once warm.
-    topo: Vec<TaskId>,
-    indegree: Vec<usize>,
-    stack: Vec<TaskId>,
-    needed: Vec<usize>,
-    own_deadline: Vec<usize>,
-    nvp_order: Vec<TaskId>,
-    succ_sets: Vec<TaskSet>,
-    nvp_sets: Vec<TaskSet>,
 }
 
 impl LsaScheduler {
@@ -52,106 +43,22 @@ impl SlotScheduler for LsaScheduler {
     }
 
     fn begin_period(&mut self, ctx: &PeriodStart<'_>) {
-        let graph = ctx.graph;
-        let n = graph.len();
+        let tables = ctx.tables;
         // Admission: EDF order, while the predicted budget lasts.
         let budget = ctx.predicted_energy * 0.95 + ctx.stored_energy;
-        self.order.clear();
-        self.order.extend(graph.ids());
-        self.order.sort_unstable_by(|&a, &b| {
-            graph
-                .task(a)
-                .deadline
-                .value()
-                .total_cmp(&graph.task(b).deadline.value())
-                .then(a.index().cmp(&b.index()))
-        });
         let mut admitted = TaskSet::EMPTY;
         let mut spent = Joules::ZERO;
-        for &id in &self.order {
+        for &id in tables.edf_order() {
             if !ctx.is_allowed(id) {
                 continue;
             }
-            let cost = graph.task(id).energy();
+            let i = id.index();
+            let cost = tables.energy(i);
             // Admit a task only with its whole dependency closure.
-            let preds_ok = graph.predecessor_set(id).is_subset_of(admitted);
+            let preds_ok = tables.predecessors(i).is_subset_of(admitted);
             if preds_ok && spent + cost <= budget {
-                admitted.insert(id.index());
+                admitted.insert(i);
                 spent += cost;
-            }
-        }
-        // Latest feasible start per task: alternate a dependency
-        // backward pass with a per-NVP compaction pass (same-NVP tasks
-        // serialise, so their lazy windows must not overlap). A few
-        // iterations reach the fixpoint on these small graphs.
-        let slot = ctx.slot_duration;
-        self.latest_start.clear();
-        self.latest_start.resize(n, usize::MAX);
-        let latest_start = &mut self.latest_start;
-        // Validated graphs are acyclic; should a cycle slip through,
-        // id order still bounds every task (as `closed_subsets` does).
-        if graph
-            .topological_order_into(&mut self.indegree, &mut self.stack, &mut self.topo)
-            .is_err()
-        {
-            self.topo.clear();
-            self.topo.extend(graph.ids());
-        }
-        self.needed.clear();
-        self.needed
-            .extend(graph.tasks().iter().map(|t| t.slots_needed(slot)));
-        let needed = &self.needed;
-        self.own_deadline.clear();
-        self.own_deadline.extend(
-            graph
-                .tasks()
-                .iter()
-                .map(|t| t.deadline_slot(slot).min(ctx.slots_per_period)),
-        );
-        let own_deadline = &self.own_deadline;
-        // Successor and NVP membership masks, hoisted out of the
-        // fixpoint iterations (they never change within a period).
-        self.succ_sets.clear();
-        self.succ_sets
-            .extend(graph.ids().map(|id| graph.successor_set(id)));
-        self.nvp_sets.clear();
-        self.nvp_sets
-            .extend((0..graph.nvp_count()).map(|nvp| graph.nvp_set(nvp)));
-        for _ in 0..4 {
-            // Dependency pass.
-            for &id in self.topo.iter().rev() {
-                let succ_bound = self.succ_sets[id.index()]
-                    .iter()
-                    .map(|s| latest_start[s])
-                    .min()
-                    .unwrap_or(usize::MAX)
-                    .min(own_deadline[id.index()])
-                    .min(latest_start[id.index()].saturating_add(needed[id.index()]));
-                latest_start[id.index()] = succ_bound.saturating_sub(needed[id.index()]);
-            }
-            // NVP compaction pass: latest-fit tasks of each NVP back to
-            // back, latest finisher first. The unstable sort keyed on
-            // (finish, index) reproduces the stable finish-only sort of
-            // the ascending-index NVP membership exactly.
-            for nvp in 0..self.nvp_sets.len() {
-                self.nvp_order.clear();
-                self.nvp_order.extend(self.nvp_sets[nvp].iter().map(TaskId));
-                self.nvp_order.sort_unstable_by_key(|&id| {
-                    (
-                        std::cmp::Reverse(
-                            latest_start[id.index()].saturating_add(needed[id.index()]),
-                        ),
-                        id.index(),
-                    )
-                });
-                let mut bound = usize::MAX;
-                for &id in &self.nvp_order {
-                    let finish = latest_start[id.index()]
-                        .saturating_add(needed[id.index()])
-                        .min(bound);
-                    latest_start[id.index()] = finish.saturating_sub(needed[id.index()]);
-                    bound = latest_start[id.index()];
-                }
             }
         }
         self.admitted = admitted;
@@ -164,11 +71,11 @@ impl SlotScheduler for LsaScheduler {
         for i in runnable.iter() {
             // Started tasks continue (non-preemptive); unstarted tasks
             // wait for their lazy start slot.
-            if self.started.contains(i) || ctx.slot >= self.latest_start[i] {
+            if self.started.contains(i) || ctx.slot >= ctx.tables.latest_start(i) {
                 candidates.insert(i);
             }
         }
-        let picked = edf_pick_set(ctx.graph, candidates);
+        let picked = edf_pick_set(ctx.tables, candidates);
         self.started = self.started.union(picked);
         picked
     }
@@ -178,18 +85,25 @@ impl SlotScheduler for LsaScheduler {
 mod tests {
     use super::*;
     use crate::exec::ExecState;
+    use crate::tables::SchedTables;
     use helio_common::units::Seconds;
-    use helio_tasks::benchmarks;
+    use helio_tasks::{benchmarks, TaskId};
 
     const SLOT: Seconds = Seconds::new(60.0);
 
+    fn tables(graph: &helio_tasks::TaskGraph) -> SchedTables {
+        SchedTables::new(graph, SLOT, 10)
+    }
+
     fn start<'a>(
         graph: &'a helio_tasks::TaskGraph,
+        tables: &'a SchedTables,
         predicted: f64,
         stored: f64,
     ) -> PeriodStart<'a> {
         PeriodStart {
             graph,
+            tables,
             slot_duration: SLOT,
             slots_per_period: 10,
             predicted_energy: Joules::new(predicted),
@@ -200,11 +114,13 @@ mod tests {
 
     fn slot_ctx<'a>(
         graph: &'a helio_tasks::TaskGraph,
+        tables: &'a SchedTables,
         exec: &'a ExecState,
         slot: usize,
     ) -> SlotContext<'a> {
         SlotContext {
             graph,
+            tables,
             exec,
             slot,
             slot_duration: SLOT,
@@ -218,21 +134,23 @@ mod tests {
     #[test]
     fn zero_budget_admits_nothing() {
         let g = benchmarks::wam();
+        let t = tables(&g);
         let mut s = LsaScheduler::new();
-        s.begin_period(&start(&g, 0.0, 0.0));
+        s.begin_period(&start(&g, &t, 0.0, 0.0));
         let exec = ExecState::new(&g, SLOT);
-        assert!(s.select(&slot_ctx(&g, &exec, 0)).is_empty());
+        assert!(s.select(&slot_ctx(&g, &t, &exec, 0)).is_empty());
     }
 
     #[test]
     fn generous_budget_admits_everything_lazily() {
         let g = benchmarks::ecg();
+        let t = tables(&g);
         let mut s = LsaScheduler::new();
-        s.begin_period(&start(&g, 100.0, 0.0));
+        s.begin_period(&start(&g, &t, 100.0, 0.0));
         let mut exec = ExecState::new(&g, SLOT);
         // Drive a full period; everything should complete.
         for m in 0..10 {
-            for i in s.select(&slot_ctx(&g, &exec, m)) {
+            for i in s.select(&slot_ctx(&g, &t, &exec, m)) {
                 exec.advance(TaskId(i));
             }
         }
@@ -242,14 +160,15 @@ mod tests {
     #[test]
     fn laziness_delays_slack_tasks() {
         let g = benchmarks::ecg();
+        let t = tables(&g);
         let mut s = LsaScheduler::new();
-        s.begin_period(&start(&g, 100.0, 0.0));
+        s.begin_period(&start(&g, &t, 100.0, 0.0));
         let exec = ExecState::new(&g, SLOT);
         // lpf has deadline slot 3 and needs 1 slot: latest start is
         // bounded by its successors' chain, but it must not start at
         // slot 0 if the chain allows later. The chain hpf1(4)-hpf2(5)
         // bounds lpf's latest start below 3.
-        let picked0 = s.select(&slot_ctx(&g, &exec, 0));
+        let picked0 = s.select(&slot_ctx(&g, &t, &exec, 0));
         let lpf = g.ids().next().unwrap();
         assert!(
             !picked0.contains(lpf.index()),
@@ -260,9 +179,10 @@ mod tests {
     #[test]
     fn admission_is_deadline_ordered_under_tight_budget() {
         let g = benchmarks::wam();
+        let t = tables(&g);
         let mut s = LsaScheduler::new();
         // Budget for roughly the two earliest-deadline root tasks.
-        s.begin_period(&start(&g, 4.0, 0.0));
+        s.begin_period(&start(&g, &t, 4.0, 0.0));
         let admitted = s.admitted;
         let names: Vec<&str> = g
             .ids()
@@ -282,12 +202,13 @@ mod tests {
     #[test]
     fn started_tasks_are_not_preempted() {
         let g = benchmarks::shm();
+        let t = tables(&g);
         let mut s = LsaScheduler::new();
-        s.begin_period(&start(&g, 100.0, 0.0));
+        s.begin_period(&start(&g, &t, 100.0, 0.0));
         let mut exec = ExecState::new(&g, SLOT);
         let mut runs: Vec<TaskSet> = Vec::new();
         for m in 0..10 {
-            let picked = s.select(&slot_ctx(&g, &exec, m));
+            let picked = s.select(&slot_ctx(&g, &t, &exec, m));
             for i in picked {
                 exec.advance(TaskId(i));
             }

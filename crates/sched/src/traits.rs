@@ -1,11 +1,10 @@
 //! The [`SlotScheduler`] trait the simulation engine drives, plus the
 //! NVP-exclusive EDF selection helper every concrete scheduler uses.
 
-use helio_common::taskset::MAX_TASKS;
 use helio_common::TaskSet;
-use helio_tasks::{TaskGraph, TaskId};
 
 use crate::context::{PeriodStart, SlotContext};
+use crate::tables::SchedTables;
 
 /// A scheduler that decides, slot by slot, which tasks run.
 ///
@@ -32,62 +31,48 @@ pub trait SlotScheduler {
 
 /// Picks at most one task per NVP from `candidates`, preferring the
 /// earliest deadline (ties: lowest id) — the canonical priority rule
-/// all schedulers here share. Allocation-free: per-NVP champions live
-/// on the stack.
-pub fn edf_pick_set(graph: &TaskGraph, candidates: TaskSet) -> TaskSet {
-    let mut best: [Option<TaskId>; MAX_TASKS] = [None; MAX_TASKS];
-    for i in candidates.iter() {
-        let id = TaskId(i);
-        let nvp = graph.task(id).nvp;
-        match best[nvp] {
-            None => best[nvp] = Some(id),
-            Some(b) => {
-                // Ascending iteration: on deadline ties the earlier
-                // index is already in place.
-                if graph
-                    .task(id)
-                    .deadline
-                    .value()
-                    .total_cmp(&graph.task(b).deadline.value())
-                    .is_lt()
-                {
-                    best[nvp] = Some(id);
-                }
-            }
+/// all schedulers here share. Walks the precomputed EDF order with an
+/// NVP-used bitmask: the first candidate met on each NVP is its
+/// champion. Allocation-free; candidate bits outside the graph are
+/// ignored.
+pub fn edf_pick_set(tables: &SchedTables, candidates: TaskSet) -> TaskSet {
+    let mut left = candidates;
+    let mut nvp_used = 0u32;
+    let mut picked = TaskSet::EMPTY;
+    for &id in tables.edf_order() {
+        if left.is_empty() {
+            break;
+        }
+        let i = id.index();
+        if !left.contains(i) {
+            continue;
+        }
+        left.remove(i);
+        let bit = tables.nvp_bit(i);
+        if nvp_used & bit == 0 {
+            nvp_used |= bit;
+            picked.insert(i);
         }
     }
-    let mut picked = TaskSet::EMPTY;
-    for champ in best.iter().flatten() {
-        picked.insert(champ.index());
-    }
     picked
-}
-
-/// Picks at most one task per NVP from `candidates`, preferring the
-/// earliest deadline (ties: lowest id). Allocating convenience wrapper
-/// over [`edf_pick_set`]; the returned ids are in ascending index
-/// order.
-pub fn edf_pick(graph: &TaskGraph, candidates: &[TaskId], slot: usize) -> Vec<TaskId> {
-    let _ = slot;
-    let mut set = TaskSet::EMPTY;
-    for id in candidates {
-        set.insert(id.index());
-    }
-    edf_pick_set(graph, set).iter().map(TaskId).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helio_tasks::benchmarks;
+    use helio_common::units::Seconds;
+    use helio_tasks::{benchmarks, TaskId};
+
+    fn tables(g: &helio_tasks::TaskGraph) -> SchedTables {
+        SchedTables::new(g, Seconds::new(60.0), 10)
+    }
 
     #[test]
     fn edf_pick_respects_nvp_exclusivity() {
         let g = benchmarks::wam();
-        let all: Vec<TaskId> = g.ids().collect();
-        let picked = edf_pick(&g, &all, 0);
+        let picked = edf_pick_set(&tables(&g), g.all_tasks());
         // One per NVP at most.
-        let mut nvps: Vec<usize> = picked.iter().map(|&id| g.task(id).nvp).collect();
+        let mut nvps: Vec<usize> = picked.iter().map(|i| g.task(TaskId(i)).nvp).collect();
         nvps.sort_unstable();
         nvps.dedup();
         assert_eq!(nvps.len(), picked.len());
@@ -97,32 +82,30 @@ mod tests {
     #[test]
     fn edf_pick_prefers_earliest_deadline() {
         let g = benchmarks::wam();
-        let all: Vec<TaskId> = g.ids().collect();
-        let picked = edf_pick(&g, &all, 0);
+        let picked = edf_pick_set(&tables(&g), g.all_tasks());
         // On NVP 0 the earliest deadline is heart_rate_sampling (150 s).
         let nvp0 = picked
             .iter()
-            .find(|&&id| g.task(id).nvp == 0)
+            .map(TaskId)
+            .find(|&id| g.task(id).nvp == 0)
             .expect("nvp0 candidate");
-        assert_eq!(g.task(*nvp0).name, "heart_rate_sampling");
+        assert_eq!(g.task(nvp0).name, "heart_rate_sampling");
     }
 
     #[test]
     fn edf_pick_empty_candidates() {
         let g = benchmarks::wam();
-        assert!(edf_pick(&g, &[], 0).is_empty());
-        assert!(edf_pick_set(&g, TaskSet::EMPTY).is_empty());
+        assert!(edf_pick_set(&tables(&g), TaskSet::EMPTY).is_empty());
     }
 
     #[test]
-    fn set_and_vec_pick_agree() {
+    fn edf_pick_keeps_one_champion_per_nvp() {
         let g = benchmarks::ecg();
-        let all: Vec<TaskId> = g.ids().collect();
-        let from_vec = edf_pick(&g, &all, 0);
-        let from_set = edf_pick_set(&g, g.all_tasks());
-        assert_eq!(
-            from_vec.iter().map(|id| id.index()).collect::<Vec<_>>(),
-            from_set.iter().collect::<Vec<_>>()
-        );
+        let t = tables(&g);
+        let picked = edf_pick_set(&t, g.all_tasks());
+        for nvp in 0..g.nvp_count() {
+            let on_nvp = picked.intersection(g.nvp_set(nvp));
+            assert_eq!(on_nvp.len(), 1, "nvp {nvp}");
+        }
     }
 }

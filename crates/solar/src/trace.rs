@@ -16,16 +16,46 @@ use crate::panel::SolarPanel;
 use crate::weather::WeatherProcess;
 
 /// A per-slot harvested-power trace over a time grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every constructor also sums each period's slot energies once into a
+/// period-energy table, so [`SolarTrace::period_energy`] — which the
+/// predictors and planners ask for dozens of times per simulated period
+/// — is a lookup. The table is derived data: it is not serialised and
+/// is rebuilt when a trace is read back.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolarTrace {
     grid: TimeGrid,
     /// Per-slot average harvested power, `slot_index`-ordered (W).
     powers: Vec<f64>,
     /// Archetype of each day when generated synthetically.
     day_archetypes: Vec<Option<DayArchetype>>,
+    /// Harvested energy of each period, by flat period index.
+    period_energies: Vec<Joules>,
 }
 
 impl SolarTrace {
+    /// Assembles a trace and builds its period-energy table. Each entry
+    /// sums the period's slot energies in slot order — the exact
+    /// arithmetic of a per-slot sum, so a lookup is bit-identical to
+    /// summing the slots on the spot.
+    fn assemble(
+        grid: TimeGrid,
+        powers: Vec<f64>,
+        day_archetypes: Vec<Option<DayArchetype>>,
+    ) -> Self {
+        let mut trace = Self {
+            grid,
+            powers,
+            day_archetypes,
+            period_energies: Vec::new(),
+        };
+        trace.period_energies = grid
+            .periods()
+            .map(|p| grid.slots_in(p).map(|s| trace.slot_energy(s)).sum())
+            .collect();
+        trace
+    }
+
     /// Builds a trace from raw per-slot powers.
     ///
     /// # Panics
@@ -42,11 +72,11 @@ impl SolarTrace {
             powers.iter().all(|p| p.is_finite() && p.value() >= 0.0),
             "powers must be finite and nonnegative"
         );
-        Self {
+        Self::assemble(
             grid,
-            powers: powers.into_iter().map(|p| p.value()).collect(),
-            day_archetypes: vec![None; grid.days()],
-        }
+            powers.into_iter().map(|p| p.value()).collect(),
+            vec![None; grid.days()],
+        )
     }
 
     /// The grid this trace is aligned to.
@@ -82,12 +112,9 @@ impl SolarTrace {
         &self.powers[base..base + self.grid.slots_per_period()]
     }
 
-    /// Total harvested energy of one period.
+    /// Total harvested energy of one period (a table lookup).
     pub fn period_energy(&self, period: PeriodRef) -> Joules {
-        self.grid
-            .slots_in(period)
-            .map(|s| self.slot_energy(s))
-            .sum()
+        self.period_energies[self.grid.period_index(period)]
     }
 
     /// Total harvested energy of one day.
@@ -115,14 +142,45 @@ impl SolarTrace {
     /// Panics when `day` is outside the horizon.
     pub fn extract_day(&self, day: usize) -> SolarTrace {
         assert!(day < self.grid.days(), "day {day} outside trace");
-        let day_grid = self.grid.with_days(1).expect("one day is valid");
+        let day_grid = self.grid.one_day();
         let start = day * self.grid.slots_per_day();
         let end = start + self.grid.slots_per_day();
-        SolarTrace {
-            grid: day_grid,
-            powers: self.powers[start..end].to_vec(),
-            day_archetypes: vec![self.day_archetypes[day]],
+        SolarTrace::assemble(
+            day_grid,
+            self.powers[start..end].to_vec(),
+            vec![self.day_archetypes[day]],
+        )
+    }
+}
+
+// Hand-written so the derived period-energy table stays out of the
+// JSON form: it serialises exactly as the three stored fields always
+// have, and reading a trace back rebuilds the table.
+impl Serialize for SolarTrace {
+    fn serialize_json(&self, out: &mut String) {
+        out.push_str("{\"grid\":");
+        self.grid.serialize_json(out);
+        out.push_str(",\"powers\":");
+        self.powers.serialize_json(out);
+        out.push_str(",\"day_archetypes\":");
+        self.day_archetypes.serialize_json(out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for SolarTrace {
+    fn deserialize_json(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let grid = TimeGrid::deserialize_json(v.field("grid")?)?;
+        let powers = Vec::<f64>::deserialize_json(v.field("powers")?)?;
+        let day_archetypes = Vec::deserialize_json(v.field("day_archetypes")?)?;
+        if powers.len() != grid.total_slots() {
+            return Err(serde::DeError(format!(
+                "trace has {} slot powers but its grid has {} slots",
+                powers.len(),
+                grid.total_slots()
+            )));
         }
+        Ok(Self::assemble(grid, powers, day_archetypes))
     }
 }
 
@@ -222,11 +280,7 @@ impl TraceBuilder {
             archetypes.push(Some(arche));
         }
 
-        SolarTrace {
-            grid: self.grid,
-            powers,
-            day_archetypes: archetypes,
-        }
+        SolarTrace::assemble(self.grid, powers, archetypes)
     }
 }
 

@@ -14,6 +14,26 @@ use serde::{Deserialize, Serialize};
 
 use crate::archetype::DayArchetype;
 
+/// Day-to-day transitions of [`WeatherProcess::temperate`], rows from
+/// Clear, BrokenClouds, Overcast and Storm.
+const TEMPERATE_TRANSITION: [[f64; 4]; 4] = [
+    [0.60, 0.28, 0.09, 0.03],
+    [0.30, 0.42, 0.21, 0.07],
+    [0.12, 0.33, 0.40, 0.15],
+    [0.08, 0.22, 0.40, 0.30],
+];
+/// First-day distribution of [`WeatherProcess::temperate`].
+const TEMPERATE_INITIAL: [f64; 4] = [0.40, 0.30, 0.20, 0.10];
+/// Day-to-day transitions of [`WeatherProcess::monsoon`].
+const MONSOON_TRANSITION: [[f64; 4]; 4] = [
+    [0.35, 0.30, 0.22, 0.13],
+    [0.18, 0.32, 0.30, 0.20],
+    [0.08, 0.22, 0.40, 0.30],
+    [0.05, 0.15, 0.35, 0.45],
+];
+/// First-day distribution of [`WeatherProcess::monsoon`].
+const MONSOON_INITIAL: [f64; 4] = [0.15, 0.25, 0.35, 0.25];
+
 /// A first-order Markov chain over [`DayArchetype`]s.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WeatherProcess {
@@ -24,19 +44,8 @@ pub struct WeatherProcess {
 }
 
 impl WeatherProcess {
-    /// Builds a process from explicit matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the matrices are rejected by
-    /// [`WeatherProcess::try_new`] — the in-tree climates are constants,
-    /// so malformed matrices are programming errors. Use `try_new` for
-    /// matrices from configuration files.
-    pub fn new(transition: [[f64; 4]; 4], initial: [f64; 4]) -> Self {
-        Self::try_new(transition, initial).expect("weather matrices are valid")
-    }
-
-    /// Fallible variant of [`WeatherProcess::new`].
+    /// Builds a process from explicit matrices, e.g. from a
+    /// configuration file.
     ///
     /// # Errors
     ///
@@ -71,32 +80,18 @@ impl WeatherProcess {
     /// A temperate climate: clear and broken-cloud days dominate, storms
     /// are short-lived, weather is sticky from day to day.
     pub fn temperate() -> Self {
-        Self::new(
-            [
-                // from Clear
-                [0.60, 0.28, 0.09, 0.03],
-                // from BrokenClouds
-                [0.30, 0.42, 0.21, 0.07],
-                // from Overcast
-                [0.12, 0.33, 0.40, 0.15],
-                // from Storm
-                [0.08, 0.22, 0.40, 0.30],
-            ],
-            [0.40, 0.30, 0.20, 0.10],
-        )
+        Self {
+            transition: TEMPERATE_TRANSITION,
+            initial: TEMPERATE_INITIAL,
+        }
     }
 
     /// A gloomier monsoon-like climate used for stress experiments.
     pub fn monsoon() -> Self {
-        Self::new(
-            [
-                [0.35, 0.30, 0.22, 0.13],
-                [0.18, 0.32, 0.30, 0.20],
-                [0.08, 0.22, 0.40, 0.30],
-                [0.05, 0.15, 0.35, 0.45],
-            ],
-            [0.15, 0.25, 0.35, 0.25],
-        )
+        Self {
+            transition: MONSOON_TRANSITION,
+            initial: MONSOON_INITIAL,
+        }
     }
 
     /// Samples the archetype sequence for `days` consecutive days.
@@ -216,11 +211,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sums to")]
+    fn in_tree_climates_are_valid() {
+        for (t, i, w) in [
+            (
+                TEMPERATE_TRANSITION,
+                TEMPERATE_INITIAL,
+                WeatherProcess::temperate(),
+            ),
+            (
+                MONSOON_TRANSITION,
+                MONSOON_INITIAL,
+                WeatherProcess::monsoon(),
+            ),
+        ] {
+            assert_eq!(WeatherProcess::try_new(t, i).unwrap(), w);
+        }
+    }
+
+    #[test]
     fn rejects_unnormalised_rows() {
         let mut t = [[0.25; 4]; 4];
         t[0][0] = 0.5;
-        WeatherProcess::new(t, [0.25; 4]);
+        let err = WeatherProcess::try_new(t, [0.25; 4]).unwrap_err();
+        assert!(err.to_string().contains("sums to"), "{err}");
     }
 
     #[test]

@@ -14,6 +14,7 @@ use helio_common::units::{Seconds, Watts};
 
 use crate::graph::TaskGraph;
 use crate::random::{random_graph, RandomGraphConfig};
+use crate::task::TaskId;
 
 /// The standard period length all benchmarks target (10 minutes).
 pub fn standard_period() -> Seconds {
@@ -27,7 +28,7 @@ fn t(
     deadline_s: f64,
     power_mw: f64,
     nvp: usize,
-) -> crate::task::TaskId {
+) -> TaskId {
     g.add_task(crate::task::Task::new(
         name,
         Seconds::new(exec_s),
@@ -35,6 +36,17 @@ fn t(
         Watts::from_milliwatts(power_mw),
         nvp,
     ))
+}
+
+/// Adds a benchmark's literal edge list. `add_edge` only rejects
+/// unknown ids, self-loops and duplicates, none of which a literal list
+/// between freshly added tasks holds; the tests pin every benchmark's
+/// edge count.
+fn link(g: &mut TaskGraph, edges: &[(TaskId, TaskId)]) {
+    for &(from, to) in edges {
+        let added = g.add_edge(from, to);
+        debug_assert!(added.is_ok(), "static benchmark edge {from} -> {to}");
+    }
 }
 
 /// Wild-animal monitoring: the paper's eight tasks — periodic locating,
@@ -51,11 +63,16 @@ pub fn wam() -> TaskGraph {
     let storage = t(&mut g, "local_storage", 60.0, 540.0, 12.0, 2);
     let transmit = t(&mut g, "data_transmission", 60.0, 600.0, 45.0, 0);
     let _ = locating;
-    g.add_edge(voice, audio).expect("static benchmark");
-    g.add_edge(heart, emergency).expect("static benchmark");
-    g.add_edge(audio, compress).expect("static benchmark");
-    g.add_edge(compress, storage).expect("static benchmark");
-    g.add_edge(storage, transmit).expect("static benchmark");
+    link(
+        &mut g,
+        &[
+            (voice, audio),
+            (heart, emergency),
+            (audio, compress),
+            (compress, storage),
+            (storage, transmit),
+        ],
+    );
     g
 }
 
@@ -69,11 +86,16 @@ pub fn ecg() -> TaskGraph {
     let qrs = t(&mut g, "qrs_detection", 120.0, 480.0, 28.0, 1);
     let fft = t(&mut g, "fft", 120.0, 540.0, 32.0, 1);
     let aes = t(&mut g, "aes_encoder", 60.0, 600.0, 30.0, 0);
-    g.add_edge(lpf, hpf1).expect("static benchmark");
-    g.add_edge(hpf1, hpf2).expect("static benchmark");
-    g.add_edge(hpf2, qrs).expect("static benchmark");
-    g.add_edge(hpf2, fft).expect("static benchmark");
-    g.add_edge(qrs, aes).expect("static benchmark");
+    link(
+        &mut g,
+        &[
+            (lpf, hpf1),
+            (hpf1, hpf2),
+            (hpf2, qrs),
+            (hpf2, fft),
+            (qrs, aes),
+        ],
+    );
     g
 }
 
@@ -87,8 +109,7 @@ pub fn shm() -> TaskGraph {
     let recv = t(&mut g, "data_receiving", 60.0, 300.0, 38.0, 1);
     let tx = t(&mut g, "data_transmitting", 120.0, 600.0, 45.0, 0);
     let _ = (temp, recv);
-    g.add_edge(accel, fft).expect("static benchmark");
-    g.add_edge(fft, tx).expect("static benchmark");
+    link(&mut g, &[(accel, fft), (fft, tx)]);
     g
 }
 
@@ -144,6 +165,13 @@ mod tests {
         assert!(names.contains(&"voice_recordation"));
         assert!(names.contains(&"data_transmission"));
         assert_eq!(g.edge_count(), 5);
+    }
+
+    #[test]
+    fn static_benchmarks_keep_every_edge() {
+        assert_eq!(wam().edge_count(), 5);
+        assert_eq!(ecg().edge_count(), 5);
+        assert_eq!(shm().edge_count(), 2);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn scale_graph(
         ));
     }
     for &(from, to) in graph.edges() {
-        scaled.add_edge(from, to).expect("copying a valid edge set");
+        scaled.add_edge(from, to)?;
     }
     scaled.validate(period)?;
     Ok(scaled)

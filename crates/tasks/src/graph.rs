@@ -210,36 +210,16 @@ impl TaskGraph {
     ///
     /// Returns [`TaskError::DependencyCycle`] naming a task on a cycle.
     pub fn topological_order(&self) -> Result<Vec<TaskId>, TaskError> {
-        let mut indegree = Vec::new();
-        let mut stack = Vec::new();
-        let mut order = Vec::with_capacity(self.tasks.len());
-        self.topological_order_into(&mut indegree, &mut stack, &mut order)?;
-        Ok(order)
-    }
-
-    /// [`TaskGraph::topological_order`] writing into caller-owned
-    /// scratch (all three buffers are cleared first), so per-period
-    /// callers can recompute the order without allocating. The emitted
-    /// order is identical to [`TaskGraph::topological_order`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskError::DependencyCycle`] naming a task on a cycle.
-    pub fn topological_order_into(
-        &self,
-        indegree: &mut Vec<usize>,
-        stack: &mut Vec<TaskId>,
-        out: &mut Vec<TaskId>,
-    ) -> Result<(), TaskError> {
         let n = self.tasks.len();
-        indegree.clear();
-        indegree.resize(n, 0);
+        let mut indegree = vec![0usize; n];
         for (_, to) in &self.edges {
             indegree[to.index()] += 1;
         }
-        stack.clear();
-        stack.extend((0..n).map(TaskId).filter(|t| indegree[t.index()] == 0));
-        out.clear();
+        let mut stack: Vec<TaskId> = (0..n)
+            .map(TaskId)
+            .filter(|t| indegree[t.index()] == 0)
+            .collect();
+        let mut out = Vec::with_capacity(n);
         while let Some(id) = stack.pop() {
             out.push(id);
             for (from, to) in &self.edges {
@@ -255,7 +235,7 @@ impl TaskGraph {
             let stuck = (0..n).map(TaskId).find(|t| indegree[t.index()] > 0);
             return Err(TaskError::DependencyCycle(stuck.unwrap_or(TaskId(0))));
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Earliest finish time of every task under deadline-ordered
@@ -284,8 +264,12 @@ impl TaskGraph {
                     let da = self.task(a).deadline.value();
                     let db = self.task(b).deadline.value();
                     da.total_cmp(&db)
-                })
-                .expect("acyclic graph always has a ready task");
+                });
+            // An acyclic graph always has a ready task.
+            let Some(next) = next else {
+                let stuck = self.ids().find(|id| !scheduled[id.index()]);
+                return Err(TaskError::DependencyCycle(stuck.unwrap_or(TaskId(0))));
+            };
             let t = self.task(next);
             let ready = self
                 .predecessors(next)
