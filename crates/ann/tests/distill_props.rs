@@ -11,6 +11,10 @@
 //! * **Fold-table LRU** — `FoldTable` makes exactly the lazy-schedule
 //!   and eviction decisions of a naive min-stamp LRU on random prefix
 //!   streams.
+//! * **Fleet-shared fold table** — B lanes sharing one `FoldTable` and
+//!   deciding through the batched leaf kernel reproduce, over a
+//!   multi-period stream, the bits of B private tables deciding lane by
+//!   lane.
 //! * **Presorted split search** — the fitter, which sorts each feature
 //!   once per fit, grows bit-for-bit the tree and leaves of a
 //!   per-node-sort oracle on tie-heavy training sets.
@@ -263,6 +267,97 @@ proptest! {
             }
             prop_assert_eq!(table.len(), model.slots.len());
         }
+    }
+}
+
+/// The fleet's decision stream, indexed `[period][lane]`: every lane
+/// of a trace group (`lane % groups`) shares its period's constant
+/// prefix, drawn from `period_prefix`, and the varying tail differs per
+/// lane. Prefixes recur across periods, so a table sees first
+/// sightings, fold builds and ready hits.
+fn fleet_stream(period_prefix: &[usize], lanes: usize, groups: usize) -> Vec<Vec<Vec<f64>>> {
+    period_prefix
+        .iter()
+        .enumerate()
+        .map(|(p, &prefix)| {
+            (0..lanes)
+                .map(|lane| prefixed(prefix * groups + lane % groups, (p * 13 + lane * 29) % 83))
+                .collect()
+        })
+        .collect()
+}
+
+/// Output bits of B scenarios each owning a private fold table and
+/// deciding one lane at a time (what `from_distilled` builds).
+#[allow(clippy::disallowed_methods)] // the sequential single-decision path is the reference
+fn private_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) -> Vec<u64> {
+    let lanes = stream.first().map_or(0, Vec::len);
+    let tables: Vec<FoldTable> = (0..lanes)
+        .map(|_| FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY))
+        .collect();
+    let mut bits = Vec::new();
+    let mut out = Vec::new();
+    for period in stream {
+        for (x, table) in period.iter().zip(&tables) {
+            match table.lookup(x).expect("private lookup") {
+                Some(e) => policy
+                    .predict_folded(e.cursor(), e.folded(), x, &mut out)
+                    .expect("folded predict"),
+                None => policy.predict_into(x, &mut out).expect("flat predict"),
+            }
+            bits.extend(out.iter().map(|v| v.to_bits()));
+        }
+    }
+    bits
+}
+
+/// Output bits of the same lanes sharing one fleet-wide fold table and
+/// deciding each period in one batched kernel call.
+fn shared_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) -> Vec<u64> {
+    let table = FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY);
+    let mut bits = Vec::new();
+    let mut out = Vec::new();
+    for period in stream {
+        let entries: Vec<Option<Arc<FoldEntry>>> = period
+            .iter()
+            .map(|x| table.lookup(x).expect("shared lookup"))
+            .collect();
+        let block: Vec<f64> = period.concat();
+        policy
+            .predict_batch_folded(&entries, &block, &mut out)
+            .expect("batched kernel");
+        bits.extend(out.iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One fleet-wide `FoldTable` plus `predict_batch_folded` is
+    /// bit-identical to B private tables with per-lane
+    /// `predict_folded`/`predict_into`, over streams of at least eight
+    /// periods. With more than one trace group, neighbouring lanes of a
+    /// kernel call carry different fold entries, so a kernel that read
+    /// the wrong lane's entry would diverge.
+    #[test]
+    fn fleet_shared_fold_table_matches_private_tables(
+        lanes in 1usize..=64,
+        groups in 1usize..=4,
+        period_prefix in prop::collection::vec(0usize..6, 8..=24),
+    ) {
+        let (_, policy) = fixture();
+        let policy = Arc::new(policy.clone());
+        let stream = fleet_stream(&period_prefix, lanes, groups);
+        let private = private_table_bits(&policy, &stream);
+        let shared = shared_table_bits(&policy, &stream);
+        prop_assert_eq!(private.len(), lanes * period_prefix.len() * policy.output_dim());
+        prop_assert!(
+            private == shared,
+            "shared fold table + batched kernel diverged from private tables \
+             (B = {lanes}, groups = {groups}, {} periods)",
+            period_prefix.len()
+        );
     }
 }
 

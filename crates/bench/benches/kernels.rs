@@ -1,18 +1,17 @@
 //! Criterion benchmarks of the computational kernels behind every
 //! table and figure. The full experiment *results* come from the
 //! `src/bin/*` binaries; these benches time the building blocks so
-//! regressions in the simulator/optimiser show up in CI.
+//! regressions in the simulator/optimiser show up in CI. End-to-end
+//! timings come from the `benchmark` binary.
 //!
 //! Group names map to paper artifacts:
 //! * `fig5_regulator` — efficiency-curve evaluation
 //! * `fig7_solar` — synthetic trace generation
 //! * `table2_migration` — migration experiment (model + reference)
 //! * `fig8_engine` — one simulated day per scheduler pattern
-//! * `slot_loop` — the online hot path over a four-day run (the loop
-//!   `bench_online` reports in results/BENCH_online.json)
+//! * `slot_loop` — the online hot path over a four-day run
 //! * `batch_loop` — B = 16 DBN scenarios through `BatchEngine` vs a
-//!   sequential `Engine::run` loop (the comparison `bench_batch`
-//!   reports in results/BENCH_batch.json)
+//!   sequential `Engine::run` loop
 //! * `fig8_fig9_dp` — the long-term DP over one day
 //! * `fig10a_mpc` — an MPC replan at several horizons
 //! * `fig10b_sizing` — per-day capacitor sizing
@@ -110,9 +109,7 @@ fn fig8_engine(c: &mut Criterion) {
 fn slot_loop(c: &mut Criterion) {
     // The online hot path under Criterion's sampling: a four-day run
     // (4 × 24 × 10 = 960 slots) per scheduler pattern on the ecg graph.
-    // This is the same loop `bench_online` times for
-    // results/BENCH_online.json; here it guards against slot-path
-    // regressions in CI without the JSON machinery.
+    // This group guards against slot-path regressions.
     let grid = paper_grid(4, 24);
     let trace = TraceBuilder::new(grid, SolarPanel::paper_panel())
         .seed(11)
@@ -145,8 +142,7 @@ fn batch_loop(c: &mut Criterion) {
     // The batched engine against the sequential loop it replaces: 16
     // DBN-planned scenarios (distinct weather-seeded traces, shared
     // task set and bank shape) on a decision-dominated grid (two 300 s
-    // slots per period), the same comparison `bench_batch` reports in
-    // results/BENCH_batch.json. Byte-identity of the two modes is
+    // slots per period). Byte-identity of the two modes is
     // CI-gated by `tests/golden_online.rs`; this group guards the
     // throughput edge.
     const B: usize = 16;
@@ -226,8 +222,8 @@ fn batch_loop(c: &mut Criterion) {
 fn fleet_loop(c: &mut Criterion) {
     // The sharded fleet path against the single-shard batch it
     // partitions: 64 DBN-planned scenarios split over 1, 2 and 4
-    // shards via `run_sharded` — the dispatch `helio-fleet` and
-    // `bench_fleet` drive. Byte-identity across shard counts is
+    // shards via `run_sharded` — the dispatch `helio-fleet`
+    // drives. Byte-identity across shard counts is
     // CI-gated by `tests/golden_online.rs` and `tests/shard_props.rs`;
     // this group guards the partition-and-join overhead.
     const B: usize = 64;
@@ -376,8 +372,8 @@ fn matmul_kernels(c: &mut Criterion) {
 }
 
 fn dp_memoization(c: &mut Criterion) {
-    // Serial reference vs memoized+parallel DP on identical inputs —
-    // the speedup `bench_offline` reports, under Criterion's sampling.
+    // Serial reference vs memoized+parallel DP on identical inputs,
+    // under Criterion's sampling.
     let storage = StorageModelParams::default();
     let pmu = Pmu::default();
     let graph = benchmarks::ecg();
@@ -598,8 +594,7 @@ fn distill_loop(c: &mut Criterion) {
     // The distilled branch-free artifact against the paths it
     // outranks, plus its own setup stages: `prewalk`/`fold` run once
     // per period (constant-prefix work), `predict_folded` is the
-    // per-decision hot path the BENCH_online `distilled` row times
-    // end-to-end through the planner.
+    // per-decision hot path.
     let inputs: Vec<Vec<f64>> = (0..96)
         .map(|i| {
             (0..13)
@@ -659,7 +654,7 @@ fn distill_loop(c: &mut Criterion) {
 }
 
 fn train_loop(c: &mut Criterion) {
-    // The training hot loops behind `bench_train`'s stage timings:
+    // The training hot loops:
     // scratch-based CD-1 and back-propagation epochs on packed sample
     // matrices, against the per-sample-step loops they replaced (one
     // fresh scratch per step — the pre-refactor allocation pattern).

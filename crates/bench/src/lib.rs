@@ -14,24 +14,25 @@
 //! | `fig10a` | DMR & complexity vs prediction length |
 //! | `fig10b` | migration efficiency & DMR vs capacitor count |
 //! | `overhead` | Section 6.5 algorithm overhead |
+//! | `robustness` | DMR and fallbacks under injected faults (`results/ROBUSTNESS.json`) |
 //!
 //! Run with `cargo run --release -p helio-bench --bin <name>`. The
 //! library half holds the shared experiment plumbing; the Criterion
 //! benches in `benches/` time the underlying kernels.
 
 pub mod golden;
+pub mod robustness;
 
 use std::time::Instant;
 
 use helio_common::time::TimeGrid;
-use helio_common::units::{Farads, Seconds};
+use helio_common::units::Seconds;
 use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder, WeatherProcess};
 use helio_tasks::TaskGraph;
 use heliosched::{
-    size_capacitors, BatchEngine, BatchScenario, CoreError, DpConfig, Engine, FixedPlanner,
-    NodeConfig, OfflineConfig, OptimalPlanner, Pattern, PeriodPlanner, SimReport,
+    size_capacitors, BatchEngine, BatchScenario, CoreError, DpConfig, NodeConfig, OfflineConfig,
+    PeriodPlanner, SimReport,
 };
-use serde::{Deserialize, Serialize};
 
 /// The paper's experiment grid: 10-minute periods of ten 60 s slots.
 /// `periods_per_day` defaults to 144 (a full day); experiments that
@@ -118,19 +119,6 @@ pub fn node_for_eval(node_train: &NodeConfig, eval: &SolarTrace) -> NodeConfig {
     }
 }
 
-/// DMR comparison row: the four schedulers of Fig. 8.
-#[derive(Debug, Clone, Copy)]
-pub struct DmrRow {
-    /// Inter-task WCMA-based LSA baseline \[3\].
-    pub inter: f64,
-    /// Intra-task load-matching baseline \[9\].
-    pub intra: f64,
-    /// The proposed long-term scheduler.
-    pub proposed: f64,
-    /// The static optimal upper bound.
-    pub optimal: f64,
-}
-
 /// Runs several planners against one `(node, graph, trace)` as a
 /// single lockstep [`BatchEngine`] batch — the sweep primitive the
 /// figure binaries build on. Reports come back in planner order and
@@ -155,71 +143,11 @@ pub fn run_planner_batch<'a>(
     engine.run_parallel()
 }
 
-/// Runs the two baselines (the proposed/optimal runs are
-/// experiment-specific and supplied by the caller) as one batch; the
-/// returned order is `(inter, intra)`.
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn run_baselines(
-    node: &NodeConfig,
-    graph: &TaskGraph,
-    trace: &SolarTrace,
-    baseline_cap: usize,
-) -> Result<(SimReport, SimReport), CoreError> {
-    let mut reports = run_planner_batch(
-        node,
-        graph,
-        trace,
-        vec![
-            Box::new(FixedPlanner::new(Pattern::Inter, baseline_cap)),
-            Box::new(FixedPlanner::new(Pattern::Intra, baseline_cap)),
-        ],
-    )?;
-    let intra = reports.pop().expect("two runs");
-    let inter = reports.pop().expect("two runs");
-    Ok((inter, intra))
-}
-
 /// Maps `f` over `items` on the worker pool, preserving input order in
 /// the output — the sweep primitive of the experiment binaries. Honours
 /// `HELIO_THREADS`/`HELIO_SERIAL`.
 pub fn par_sweep<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     helio_par::par_map(items, f)
-}
-
-/// Resolves the worker count every bench binary records in its JSON
-/// output: a `--threads N` argument overrides `HELIO_THREADS` (by
-/// setting it, so the whole process — `helio-par` included — agrees),
-/// and a conflict between the two is reported on stderr rather than
-/// silently ignored. Call once at binary start-up, before any pool
-/// work.
-pub fn effective_threads() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut requested: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            requested = iter.next().cloned();
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            requested = Some(v.to_string());
-        }
-    }
-    if let Some(raw) = requested {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                if let Ok(env_raw) = std::env::var("HELIO_THREADS") {
-                    if env_raw.trim() != raw.trim() {
-                        eprintln!("warning: --threads {raw} overrides HELIO_THREADS={env_raw}");
-                    }
-                }
-                std::env::set_var("HELIO_THREADS", n.to_string());
-            }
-            _ => eprintln!("warning: ignoring invalid --threads value `{raw}`"),
-        }
-    }
-    helio_par::configured_threads()
 }
 
 /// Runs `f` and returns its result plus the wall-clock milliseconds it
@@ -228,345 +156,6 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Writes a machine-readable report under `results/` the way every
-/// bench binary does: pretty JSON, trailing newline, a `wrote <path>`
-/// line on stdout.
-pub fn write_json<T: Serialize>(path: &str, value: &T) {
-    let json = serde_json::to_string_pretty(value).expect("report serialises");
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write(path, format!("{json}\n")).expect("write json");
-    println!("wrote {path}");
-}
-
-/// One timed stage of the offline pipeline (see `bench_offline`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchStage {
-    /// Stage label, e.g. `"sizing"`.
-    pub name: String,
-    /// Wall-clock duration in milliseconds.
-    pub wall_ms: f64,
-}
-
-/// Machine-readable result of the `bench_offline` binary
-/// (`results/BENCH_offline.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchOfflineReport {
-    /// Worker threads the parallel stages used
-    /// (`HELIO_THREADS`/`HELIO_SERIAL` aware).
-    pub threads: usize,
-    /// Wall-clock per pipeline stage, in execution order.
-    pub stages: Vec<BenchStage>,
-    /// Subset-simulation cache hits during the optimal plan.
-    pub cache_hits: u64,
-    /// Subset-simulation cache misses during the optimal plan.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)` of the plan's memo cache.
-    pub cache_hit_rate: f64,
-    /// Serial reference DP wall-clock over cached+parallel DP
-    /// wall-clock (same inputs, bitwise-identical outputs).
-    pub dp_speedup_vs_serial: f64,
-    /// Whether the cached+parallel DP reproduced the serial reference
-    /// result exactly (hard failure if ever false).
-    pub dp_matches_serial: bool,
-}
-
-/// Machine-readable result of the `bench_train` binary
-/// (`results/BENCH_train.json`; the pre-refactor run is committed as
-/// `results/BENCH_train_baseline.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchTrainReport {
-    /// Worker threads configured (training itself is serial; this
-    /// records the environment for comparability).
-    pub threads: usize,
-    /// Training samples in the set.
-    pub samples: usize,
-    /// Input features per sample.
-    pub in_dim: usize,
-    /// Target features per sample.
-    pub out_dim: usize,
-    /// Back-propagation epochs timed.
-    pub bp_epochs: usize,
-    /// Wall-clock per training stage (`scaler`, `cd1`, `backprop`),
-    /// summed over all repetitions.
-    pub stages: Vec<BenchStage>,
-    /// End-to-end `Dbn::train` wall-clock over all repetitions,
-    /// milliseconds.
-    pub dbn_train_total_ms: f64,
-    /// Repetitions each measurement was summed over.
-    pub reps: usize,
-    /// `dbn_train_total_ms` of the committed pre-refactor baseline,
-    /// when present.
-    pub baseline_total_ms: Option<f64>,
-    /// `baseline_total_ms / dbn_train_total_ms`, when a baseline is
-    /// present.
-    pub speedup_vs_baseline: Option<f64>,
-}
-
-/// Slot-loop throughput of one scheduling pattern (see `bench_online`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SlotLoopStat {
-    /// Fine-grained pattern (`asap`/`inter`/`intra`).
-    pub pattern: String,
-    /// Total slots simulated across all repetitions.
-    pub slots: u64,
-    /// Wall-clock over all repetitions, milliseconds.
-    pub wall_ms: f64,
-    /// `slots / wall` in slots per second.
-    pub slots_per_sec: f64,
-}
-
-/// Per-period planner decision cost (see `bench_online`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecisionStat {
-    /// Planner label (`asap`/`inter`/`intra`/`proposed-dbn`/`optimal`).
-    pub planner: String,
-    /// Total `plan()` calls timed.
-    pub decisions: u64,
-    /// Wall-clock over all calls, milliseconds.
-    pub wall_ms: f64,
-    /// Mean microseconds per decision.
-    pub us_per_decision: f64,
-}
-
-/// Machine-readable result of the `bench_online` binary
-/// (`results/BENCH_online.json`; the pre-refactor run is committed as
-/// `results/BENCH_online_baseline.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchOnlineReport {
-    /// Worker threads configured (the slot loop itself is serial; this
-    /// records the environment for comparability).
-    pub threads: usize,
-    /// Slot-loop throughput per fine-grained pattern (ECG benchmark,
-    /// four archetype days).
-    pub slot_loop: Vec<SlotLoopStat>,
-    /// Aggregate throughput: total slots over total wall-clock.
-    pub slots_per_sec_overall: f64,
-    /// Per-period decision cost per planner.
-    pub planner_decision: Vec<DecisionStat>,
-    /// `slots_per_sec_overall` of the committed baseline, when present.
-    pub baseline_slots_per_sec: Option<f64>,
-    /// `slots_per_sec_overall / baseline`, when a baseline is present.
-    pub speedup_vs_baseline: Option<f64>,
-}
-
-/// One batch size of the `bench_batch` throughput sweep (see
-/// `bench_batch`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchSweepPoint {
-    /// Scenarios advanced in lockstep per batch.
-    pub batch: usize,
-    /// Scenario-periods simulated per mode across all repetitions.
-    pub periods: u64,
-    /// Wall-clock of the sequential mode (one `Engine::run` per
-    /// scenario), milliseconds.
-    pub sequential_wall_ms: f64,
-    /// Wall-clock of the batched mode (one `BatchEngine::run` over all
-    /// scenarios), milliseconds.
-    pub batched_wall_ms: f64,
-    /// Sequential throughput in scenario-periods per second.
-    pub sequential_periods_per_sec: f64,
-    /// Batched throughput in scenario-periods per second.
-    pub batched_periods_per_sec: f64,
-    /// `sequential_wall_ms / batched_wall_ms`.
-    pub speedup: f64,
-}
-
-/// Machine-readable result of the `bench_batch` binary
-/// (`results/BENCH_batch.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchBatchReport {
-    /// Worker threads configured (both modes here are single-threaded;
-    /// this records the environment for comparability).
-    pub threads: usize,
-    /// Grid description (days × periods × slots).
-    pub grid: String,
-    /// Planner backend the sweep batches (`proposed-dbn`).
-    pub backend: String,
-    /// Whether every batched run was byte-identical to its sequential
-    /// counterpart (hard failure if ever false).
-    pub identical: bool,
-    /// One point per batch size, ascending.
-    pub points: Vec<BatchSweepPoint>,
-}
-
-/// One point of the `bench_faults` robustness sweep: a (planner
-/// backend × blackout duration × aging severity) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessPoint {
-    /// Planner backend (`inter`, `dbn`, `mpc`).
-    pub backend: String,
-    /// Midday blackout length in periods (0 = no blackout).
-    pub blackout_periods: usize,
-    /// Aging severity label (`none`, `moderate`, `severe`).
-    pub aging: String,
-    /// Long-term DMR of the faulted run.
-    pub dmr: f64,
-    /// Long-term DMR of the same backend's clean run.
-    pub clean_dmr: f64,
-    /// `dmr - clean_dmr` in DMR points (robustness cost of the faults).
-    pub dmr_degradation: f64,
-    /// Periods the (resilient) planner served from its fallback.
-    pub fallbacks: usize,
-    /// Slots whose harvest a solar fault modified.
-    pub faulted_slots: usize,
-    /// Sum of all degraded-mode counters.
-    pub degraded_total: usize,
-    /// Fault-log length of the run.
-    pub fault_events: usize,
-    /// Periods after the blackout window until the per-period miss
-    /// count first returned to the clean run's level (`null` when no
-    /// blackout was injected or the run never recovered within the
-    /// horizon).
-    pub recovery_periods: Option<usize>,
-}
-
-/// Machine-readable result of the `bench_faults` binary
-/// (`results/ROBUSTNESS.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessReport {
-    /// Worker threads the sharded batch runs used
-    /// (`--threads`/`HELIO_THREADS`/`HELIO_SERIAL` aware).
-    pub threads: usize,
-    /// Grid description (days × periods × slots).
-    pub grid: String,
-    /// Flat period the injected blackout starts at.
-    pub blackout_start: usize,
-    /// DBN-outage window injected into every faulted cell, as
-    /// `[start, len]` flat periods.
-    pub dbn_outage: [usize; 2],
-    /// Wall-clock of the whole sweep (clean + faulted batches),
-    /// milliseconds.
-    pub wall_ms: f64,
-    /// The sweep, ordered backend-major.
-    pub sweep: Vec<RobustnessPoint>,
-}
-
-/// One (thread count × batch width) cell of the `bench_fleet` sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetSweepPoint {
-    /// Worker threads the sharded run was pinned to.
-    pub threads: usize,
-    /// Scenarios advanced in lockstep per run.
-    pub batch: usize,
-    /// Scenario-periods simulated across all repetitions.
-    pub periods: u64,
-    /// Wall-clock across all repetitions, milliseconds.
-    pub wall_ms: f64,
-    /// Throughput in scenario-periods per second.
-    pub periods_per_sec: f64,
-    /// Throughput in completed scenarios per second.
-    pub scenarios_per_sec: f64,
-    /// `scenarios_per_sec` over the sequential B=16 baseline.
-    pub speedup_vs_sequential: f64,
-}
-
-/// One batch-width cell of the `bench_fleet` distilled decision-path
-/// comparison: the fleet-shared fold table + batched leaf kernel
-/// against the sequential per-scenario distilled path, bit-identical
-/// outputs asserted before timing, both on one core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DistilledSweepPoint {
-    /// Scenarios (kernel lanes) per decision period.
-    pub batch: usize,
-    /// Decisions timed per path across all repetitions.
-    pub decisions: u64,
-    /// Sequential baseline: one private fold table per scenario (what
-    /// `from_distilled` builds), scalar decisions, decisions/second.
-    pub per_scenario_decisions_per_sec: f64,
-    /// Fleet-shared fold table + multi-lane leaf kernel,
-    /// decisions/second.
-    pub shared_batched_decisions_per_sec: f64,
-    /// `shared_batched / per_scenario` — the fold-sharing win.
-    pub speedup: f64,
-}
-
-/// Machine-readable result of the `bench_fleet` binary
-/// (`results/BENCH_fleet.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchFleetReport {
-    /// CPU cores the host exposed (`available_parallelism`).
-    pub host_cores: usize,
-    /// Grid description (days × periods × slots).
-    pub grid: String,
-    /// Planner backend the sweep shards (`proposed-dbn`).
-    pub backend: String,
-    /// Whether every sharded run was byte-identical to the sequential
-    /// engine (hard failure if ever false).
-    pub identical: bool,
-    /// Sequential baseline: one `Engine::run` per scenario over the
-    /// B=16 workload, scenarios per second.
-    pub sequential_scenarios_per_sec: f64,
-    /// Sequential baseline wall-clock, milliseconds.
-    pub sequential_wall_ms: f64,
-    /// Best `scenarios_per_sec / sequential_scenarios_per_sec` over the
-    /// sweep — the headline number.
-    pub best_speedup: f64,
-    /// One point per (threads × batch) cell, threads-major.
-    pub points: Vec<FleetSweepPoint>,
-    /// Whether the batched shared-table distilled decision path
-    /// produced bit-identical outputs to the sequential per-scenario
-    /// path at every batch width (hard failure if ever false).
-    pub distilled_identical: bool,
-    /// Distilled decision-path comparison, one point per batch width.
-    pub distilled: Vec<DistilledSweepPoint>,
-}
-
-/// One check of the `bench_chaos` service-level chaos sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosCheck {
-    /// Check label, e.g. `"kill-resume@12"`.
-    pub name: String,
-    /// Whether the service behaved as contracted.
-    pub passed: bool,
-    /// What was observed (line counts, divergence, error text).
-    pub detail: String,
-    /// Wall-clock of the check, milliseconds.
-    pub wall_ms: f64,
-}
-
-/// Machine-readable result of the `bench_chaos` binary
-/// (`results/ROBUSTNESS_fleet.json`): the fleet *service* under chaos
-/// — kill/resume, corrupted protocol lines, worker panics, deadlines
-/// and a stalling client — complementing `ROBUSTNESS.json`, which
-/// perturbs the simulated node instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetChaosReport {
-    /// Grid description (days × periods × slots).
-    pub grid: String,
-    /// Request lines in the chaos session.
-    pub requests: usize,
-    /// Flat periods the kill/resume checks killed the service at.
-    pub kill_points: Vec<usize>,
-    /// Wall-clock of the slowest resumed session (recovery latency),
-    /// milliseconds.
-    pub recovery_ms: f64,
-    /// Response lines lost across every kill/resume check (must be 0).
-    pub lost_lines: usize,
-    /// Response lines duplicated across every kill/resume check (must
-    /// be 0).
-    pub duplicated_lines: usize,
-    /// Every individual check.
-    pub checks: Vec<ChaosCheck>,
-    /// Whether every check passed (the binary exits nonzero otherwise).
-    pub all_passed: bool,
-}
-
-/// Convenience: run the static optimal planner.
-///
-/// # Errors
-///
-/// Propagates planning/engine failures.
-pub fn run_optimal(
-    node: &NodeConfig,
-    graph: &TaskGraph,
-    trace: &SolarTrace,
-    dp: &heliosched::DpConfig,
-    delta: f64,
-) -> Result<SimReport, CoreError> {
-    let mut planner = OptimalPlanner::compute(node, graph, trace, dp, delta)?;
-    Engine::new(node, graph, trace)?.run(&mut planner)
 }
 
 /// Formats a fraction as a percentage with one decimal.
@@ -578,12 +167,6 @@ pub fn pct(x: f64) -> String {
 /// (`HELIO_FAST=1`).
 pub fn fast_mode() -> bool {
     std::env::var("HELIO_FAST").is_ok_and(|v| v == "1")
-}
-
-/// Standard capacitance ladder used when an experiment needs explicit
-/// sizes instead of the sizing pipeline.
-pub fn standard_sizes() -> Vec<Farads> {
-    [1.0, 10.0, 50.0, 100.0].map(Farads::new).to_vec()
 }
 
 #[cfg(test)]

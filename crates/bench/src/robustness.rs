@@ -1,11 +1,13 @@
-//! Robustness sweep: how gracefully does each planner backend degrade
-//! under injected faults? Emits `results/ROBUSTNESS.json`.
+//! The robustness table: how gracefully does each planner backend
+//! degrade under injected faults? `src/bin/robustness.rs` writes it to
+//! `results/ROBUSTNESS.json` and `tests/robustness.rs` holds the
+//! committed file byte for byte.
 //!
 //! The sweep crosses three axes on the golden configuration (ECG
 //! benchmark, four archetype days, two-capacitor node):
 //!
 //! * **Blackout duration** — a midday solar outage on day 1 of 0, 4 or
-//!   8 periods (`HELIO_FAST=1` drops the 8-period point).
+//!   8 periods.
 //! * **Capacitor aging** — none, moderate (3 %/day fade, 1.3×/day
 //!   leakage growth) or severe (10 %/day fade, 2×/day growth).
 //! * **Planner backend** — the inter-task baseline, the DBN planner,
@@ -15,47 +17,97 @@
 //! Every faulted cell additionally injects a DBN-unavailability window
 //! (flat periods 24..28), so the resilient wrapper around the
 //! inference-driven backends must engage its fallback at least once per
-//! cell — the engagement count is part of the report. The distilled
+//! cell — the engagement count is part of the table. The distilled
 //! backend exercises the full tier chain: the artifact steps down to
 //! its compiled fallback inside the outage window (counted in the same
 //! `fallbacks` column) and the resilient wrapper's inter-task baseline
-//! remains behind both. Per cell the
-//! sweep records the DMR, its degradation against the same backend's
-//! clean run, the degraded-mode counters, and how many periods after
-//! the blackout window the per-period miss count first returned to the
-//! clean run's level.
+//! remains behind both. Per cell the table records the DMR, its
+//! degradation against the same backend's clean run, the degraded-mode
+//! counters, and how many periods after the blackout window the
+//! per-period miss count first returned to the clean run's level.
 
 use std::sync::Arc;
 
 use helio_ann::{CompiledDbn, CompiledTier, Dbn, DistilledPolicy};
-use helio_bench::golden::{
-    golden_dbn, golden_distilled_policy, golden_dp, golden_node, golden_trace, GOLDEN_DELTA,
-};
-use helio_bench::{
-    effective_threads, fast_mode, pct, write_json, RobustnessPoint, RobustnessReport,
-};
 use helio_faults::{
     AgingFault, DbnFault, DbnFaultMode, FaultHarness, FaultPlan, PeriodWindow, SolarFault,
 };
 use helio_solar::NoisyOracle;
 use helio_tasks::benchmarks;
 use heliosched::{
-    BatchEngine, BatchScenario, FixedPlanner, Pattern, PeriodPlanner, ProposedPlanner,
-    ResilientPlanner, SimReport, SwitchRule,
+    BatchEngine, BatchScenario, FixedPlanner, OptimalPlanner, Pattern, PeriodPlanner,
+    ProposedPlanner, ResilientPlanner, SimReport, SwitchRule,
+};
+use serde::Serialize;
+
+use crate::golden::{
+    golden_dbn, golden_distilled_policy, golden_dp, golden_node, golden_trace, GOLDEN_DELTA,
 };
 
-const REPORT_PATH: &str = "results/ROBUSTNESS.json";
+/// Where the committed table lives, relative to the workspace root.
+pub const REPORT_PATH: &str = "results/ROBUSTNESS.json";
 
 /// Midday of day 1 on the golden 24-period day.
-const BLACKOUT_START: usize = 34;
+pub const BLACKOUT_START: usize = 34;
 
 /// The DBN-unavailability window every faulted cell carries.
-const DBN_OUTAGE: PeriodWindow = PeriodWindow {
+pub const DBN_OUTAGE: PeriodWindow = PeriodWindow {
     start: 24,
     periods: 4,
 };
 
-const BACKENDS: [&str; 4] = ["inter", "dbn", "mpc", "distilled"];
+/// Planner backends, in table order.
+pub const BACKENDS: [&str; 4] = ["inter", "dbn", "mpc", "distilled"];
+
+/// Midday blackout lengths in periods (0 = no blackout).
+pub const BLACKOUTS: [usize; 3] = [0, 4, 8];
+
+/// Aging severities.
+pub const AGINGS: [&str; 3] = ["none", "moderate", "severe"];
+
+/// One (planner backend × blackout duration × aging severity) cell.
+#[derive(Debug, Clone, Serialize)]
+pub struct RobustnessPoint {
+    /// Planner backend (`inter`, `dbn`, `mpc`, `distilled`).
+    pub backend: String,
+    /// Midday blackout length in periods (0 = no blackout).
+    pub blackout_periods: usize,
+    /// Aging severity label (`none`, `moderate`, `severe`).
+    pub aging: String,
+    /// Long-term DMR of the faulted run.
+    pub dmr: f64,
+    /// Long-term DMR of the same backend's clean run.
+    pub clean_dmr: f64,
+    /// `dmr - clean_dmr` in DMR points (robustness cost of the faults).
+    pub dmr_degradation: f64,
+    /// Periods the (resilient) planner served from its fallback.
+    pub fallbacks: usize,
+    /// Slots whose harvest a solar fault modified.
+    pub faulted_slots: usize,
+    /// Sum of all degraded-mode counters.
+    pub degraded_total: usize,
+    /// Fault-log length of the run.
+    pub fault_events: usize,
+    /// Periods after the blackout window until the per-period miss
+    /// count first returned to the clean run's level (`null` when no
+    /// blackout was injected or the run never recovered within the
+    /// horizon).
+    pub recovery_periods: Option<usize>,
+}
+
+/// The whole table, as committed to [`REPORT_PATH`].
+#[derive(Debug, Clone, Serialize)]
+pub struct RobustnessReport {
+    /// Grid description (days × periods × slots).
+    pub grid: String,
+    /// Flat period the injected blackout starts at.
+    pub blackout_start: usize,
+    /// DBN-outage window injected into every faulted cell, as
+    /// `[start, len]` flat periods.
+    pub dbn_outage: [usize; 2],
+    /// The sweep, ordered backend-major.
+    pub sweep: Vec<RobustnessPoint>,
+}
 
 /// The shared inference assets every cell's planner is built from: the
 /// trained teacher, its compiled form and the distilled artifact.
@@ -66,11 +118,9 @@ struct Assets {
 }
 
 fn make_planner<'a>(backend: &str, assets: &Assets) -> ResilientPlanner<'a> {
-    let dbn = &assets.dbn;
     let inner: Box<dyn PeriodPlanner> = match backend {
-        "inter" => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
         "dbn" => Box::new(ProposedPlanner::from_shared_dbn(
-            Arc::clone(dbn),
+            Arc::clone(&assets.dbn),
             GOLDEN_DELTA,
             SwitchRule::default(),
         )),
@@ -87,14 +137,13 @@ fn make_planner<'a>(backend: &str, assets: &Assets) -> ResilientPlanner<'a> {
             GOLDEN_DELTA,
             SwitchRule::default(),
         )),
-        other => unreachable!("unknown backend {other}"),
+        _ => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
     };
     ResilientPlanner::new(inner)
 }
 
 fn aging_fault(label: &str) -> Option<AgingFault> {
     match label {
-        "none" => None,
         "moderate" => Some(AgingFault {
             capacitance_fade_per_day: 0.97,
             leakage_growth_per_day: 1.3,
@@ -103,7 +152,26 @@ fn aging_fault(label: &str) -> Option<AgingFault> {
             capacitance_fade_per_day: 0.90,
             leakage_growth_per_day: 2.0,
         }),
-        other => unreachable!("unknown aging label {other}"),
+        _ => None,
+    }
+}
+
+fn fault_plan(blackout: usize, aging: &str) -> FaultPlan {
+    FaultPlan {
+        solar: if blackout > 0 {
+            vec![SolarFault {
+                window: PeriodWindow::new(BLACKOUT_START, blackout),
+                factor: 0.0,
+            }]
+        } else {
+            Vec::new()
+        },
+        aging: aging_fault(aging),
+        dbn: vec![DbnFault {
+            window: DBN_OUTAGE,
+            mode: DbnFaultMode::Unavailable,
+        }],
+        ..FaultPlan::default()
     }
 }
 
@@ -123,24 +191,24 @@ fn recovery_periods(
         .map(|p| p - window_end)
 }
 
-fn main() {
-    let threads = effective_threads();
-    let blackouts: &[usize] = if fast_mode() { &[0, 4] } else { &[0, 4, 8] };
-    let agings = ["none", "moderate", "severe"];
-
+/// Computes the full table: one clean run per backend, then every
+/// (backend × blackout × aging) cell as one sharded batch.
+///
+/// # Panics
+///
+/// If the golden configuration fails to plan, train or simulate.
+pub fn robustness_report() -> RobustnessReport {
     let node = golden_node();
     let trace = golden_trace();
     let graph = benchmarks::ecg();
     let grid = &node.grid;
-    let total_periods = grid.total_periods();
 
     // Train the DBN once from the optimal planner's samples (the same
     // weights the golden suite pins); one shared network means the
     // batch engine fuses the DBN cells' inference into one forward per
     // period.
-    let optimal =
-        heliosched::OptimalPlanner::compute(&node, &graph, &trace, &golden_dp(), GOLDEN_DELTA)
-            .expect("optimal for DBN training");
+    let optimal = OptimalPlanner::compute(&node, &graph, &trace, &golden_dp(), GOLDEN_DELTA)
+        .expect("optimal for DBN training");
     let dbn = Arc::new(golden_dbn(&optimal));
     let assets = Assets {
         compiled: Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).expect("DBN compiles")),
@@ -148,20 +216,11 @@ fn main() {
         dbn,
     };
 
-    println!(
-        "# robustness sweep (threads = {threads}, {} backends x {} blackouts x {} agings)",
-        BACKENDS.len(),
-        blackouts.len(),
-        agings.len()
-    );
-
-    let sweep_start = std::time::Instant::now();
-
     // Clean baselines: one un-faulted run per backend, as one sharded
     // batch (byte-identical to `run()` at any shard count).
     let clean: Vec<SimReport> = {
         let mut engine = BatchEngine::new(&node, &graph).expect("robustness engine");
-        for backend in &BACKENDS {
+        for backend in BACKENDS {
             engine
                 .push(BatchScenario::new(
                     &trace,
@@ -172,14 +231,13 @@ fn main() {
         engine.run_parallel().expect("clean runs")
     };
 
-    let mut cells: Vec<(usize, usize, usize)> = Vec::new();
-    for (b, _) in BACKENDS.iter().enumerate() {
-        for (k, _) in blackouts.iter().enumerate() {
-            for (a, _) in agings.iter().enumerate() {
-                cells.push((b, k, a));
-            }
-        }
-    }
+    let cells: Vec<(usize, usize, &str)> = (0..BACKENDS.len())
+        .flat_map(|b| {
+            BLACKOUTS
+                .iter()
+                .flat_map(move |&k| AGINGS.iter().map(move |&a| (b, k, a)))
+        })
+        .collect();
 
     // Every cell shares the node, graph and trace and differs only in
     // planner and fault plan — exactly the shape `BatchEngine` batches:
@@ -189,24 +247,11 @@ fn main() {
     let harnesses: Vec<FaultHarness> = cells
         .iter()
         .map(|&(_, k, a)| {
-            let blackout = blackouts[k];
-            let plan = FaultPlan {
-                solar: if blackout > 0 {
-                    vec![SolarFault {
-                        window: PeriodWindow::new(BLACKOUT_START, blackout),
-                        factor: 0.0,
-                    }]
-                } else {
-                    Vec::new()
-                },
-                aging: aging_fault(agings[a]),
-                dbn: vec![DbnFault {
-                    window: DBN_OUTAGE,
-                    mode: DbnFaultMode::Unavailable,
-                }],
-                ..FaultPlan::default()
-            };
-            FaultHarness::new(&plan, total_periods, grid.periods_per_day())
+            FaultHarness::new(
+                &fault_plan(k, a),
+                grid.total_periods(),
+                grid.periods_per_day(),
+            )
         })
         .collect();
     let faulted: Vec<SimReport> = {
@@ -221,21 +266,18 @@ fn main() {
         }
         engine.run_parallel().expect("faulted runs")
     };
-    let wall_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
 
-    let sweep: Vec<RobustnessPoint> = cells
+    let sweep = cells
         .iter()
         .zip(&faulted)
-        .map(|(&(b, k, a), report)| {
-            let backend = BACKENDS[b];
-            let blackout = blackouts[k];
+        .map(|(&(b, blackout, aging), report)| {
             let clean_report = &clean[b];
             let dmr = report.overall_dmr();
             let clean_dmr = clean_report.overall_dmr();
             RobustnessPoint {
-                backend: backend.to_string(),
+                backend: BACKENDS[b].to_string(),
                 blackout_periods: blackout,
-                aging: agings[a].to_string(),
+                aging: aging.to_string(),
                 dmr,
                 clean_dmr,
                 dmr_degradation: dmr - clean_dmr,
@@ -248,36 +290,7 @@ fn main() {
         })
         .collect();
 
-    println!("backend  blackout  aging      DMR     clean   +degr   fallbacks  recovery");
-    for p in &sweep {
-        println!(
-            "{:<8} {:>8} {:>9} {} {} {} {:>9}  {}",
-            p.backend,
-            p.blackout_periods,
-            p.aging,
-            pct(p.dmr),
-            pct(p.clean_dmr),
-            pct(p.dmr_degradation),
-            p.fallbacks,
-            p.recovery_periods
-                .map_or_else(|| "-".to_string(), |r| r.to_string()),
-        );
-    }
-
-    // The DBN-outage window must have engaged the resilient fallback on
-    // the inference-driven backends in every cell.
-    for p in &sweep {
-        if p.backend != "inter" && p.fallbacks == 0 {
-            eprintln!(
-                "WARNING: {} cell (blackout {}, aging {}) recorded no fallbacks \
-                 despite the DBN outage",
-                p.backend, p.blackout_periods, p.aging
-            );
-        }
-    }
-
-    let report = RobustnessReport {
-        threads,
+    RobustnessReport {
         grid: format!(
             "{}d x {}p x {}s",
             grid.days(),
@@ -286,10 +299,16 @@ fn main() {
         ),
         blackout_start: BLACKOUT_START,
         dbn_outage: [DBN_OUTAGE.start, DBN_OUTAGE.periods],
-        wall_ms,
         sweep,
-    };
-    println!("sweep wall-clock: {wall_ms:.1} ms on {threads} thread(s)");
-    println!();
-    write_json(REPORT_PATH, &report);
+    }
+}
+
+/// The committed file's bytes: pretty JSON with a trailing newline.
+///
+/// # Panics
+///
+/// If the report fails to serialise.
+pub fn render(report: &RobustnessReport) -> String {
+    let json = serde_json::to_string_pretty(report).expect("robustness report serialises");
+    format!("{json}\n")
 }

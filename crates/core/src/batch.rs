@@ -537,22 +537,8 @@ impl<'a> BatchEngine<'a> {
     ///
     /// Returns the first [`CoreError`] any scenario produces (the same
     /// errors the sequential engine can return).
-    pub fn run(self) -> Result<Vec<SimReport>, CoreError> {
-        self.run_with_scratch(&mut BatchScratch::default())
-    }
-
-    /// [`BatchEngine::run`] with a caller-owned [`BatchScratch`], so a
-    /// long-lived caller (the fleet service, a sweep loop) pays the
-    /// buffer warm-up once and runs allocation-free thereafter.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError`] any scenario produces.
-    pub fn run_with_scratch(
-        mut self,
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<SimReport>, CoreError> {
-        match self.run_span_with(None, None, std::slice::from_mut(scratch))? {
+    pub fn run(mut self) -> Result<Vec<SimReport>, CoreError> {
+        match self.run_span_with(None, None, &mut [BatchScratch::default()])? {
             BatchRunState::Done(reports) => Ok(reports),
             BatchRunState::Paused(_) => Err(CoreError::Config(
                 "full run paused without a stop period".into(),
@@ -738,51 +724,11 @@ impl<'a> BatchEngine<'a> {
         }
     }
 
-    /// Continues a frozen batch up to (not including) period `stop`,
-    /// returning the new checkpoint. Restoring is idempotent: resuming
-    /// from a just-taken checkpoint and stopping immediately hands the
-    /// same state back.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchEngine::run_span_with`].
-    pub fn resume_until(
-        &mut self,
-        ckpt: &BatchCheckpoint,
-        stop: usize,
-    ) -> Result<BatchCheckpoint, CoreError> {
-        let mut scratch = BatchScratch::default();
-        match self.run_span_with(Some(ckpt), Some(stop), std::slice::from_mut(&mut scratch))? {
-            BatchRunState::Paused(next) => Ok(next),
-            BatchRunState::Done(_) => Err(CoreError::Config(
-                "bounded run completed without pausing".into(),
-            )),
-        }
-    }
-
     /// Restores every scenario from `ckpt` and runs the rest of the
-    /// horizon to completion — byte-identical to the reports an
+    /// horizon to completion, sharded across caller-owned scratches,
+    /// one shard per scratch (the fleet service resumes with its
+    /// long-lived worker scratches) — byte-identical to the reports an
     /// uninterrupted [`BatchEngine::run`] would have produced.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchEngine::run_span_with`].
-    pub fn run_from_checkpoint(
-        mut self,
-        ckpt: &BatchCheckpoint,
-    ) -> Result<Vec<SimReport>, CoreError> {
-        let mut scratch = BatchScratch::default();
-        match self.run_span_with(Some(ckpt), None, std::slice::from_mut(&mut scratch))? {
-            BatchRunState::Done(reports) => Ok(reports),
-            BatchRunState::Paused(_) => Err(CoreError::Config(
-                "full run paused without a stop period".into(),
-            )),
-        }
-    }
-
-    /// [`BatchEngine::run_from_checkpoint`] sharded across caller-owned
-    /// scratches, one shard per scratch (the fleet service resumes with
-    /// its long-lived worker scratches).
     ///
     /// # Errors
     ///
@@ -809,38 +755,6 @@ impl<'a> BatchEngine<'a> {
     pub fn run_parallel(self) -> Result<Vec<SimReport>, CoreError> {
         let shards = helio_par::configured_threads();
         self.run_sharded(shards)
-    }
-
-    /// Builds and runs batches of at most `chunk` scenarios over
-    /// `0..count`, fanning the batches out across `helio-par` workers;
-    /// results come back in scenario order. `make(i)` constructs the
-    /// `i`-th scenario (it is called from worker threads).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError`] any batch produces.
-    pub fn run_chunked<F>(
-        node: &'a NodeConfig,
-        graph: &'a TaskGraph,
-        count: usize,
-        chunk: usize,
-        make: F,
-    ) -> Result<Vec<SimReport>, CoreError>
-    where
-        F: Fn(usize) -> BatchScenario<'a> + Sync,
-    {
-        let batches = helio_par::par_map_ranges(count, chunk, |range| {
-            let mut engine = BatchEngine::new(node, graph)?;
-            for i in range {
-                engine.push(make(i))?;
-            }
-            engine.run()
-        });
-        let mut all = Vec::with_capacity(count);
-        for batch in batches {
-            all.extend(batch?);
-        }
-        Ok(all)
     }
 }
 
@@ -1180,24 +1094,6 @@ mod tests {
     }
 
     #[test]
-    fn run_chunked_matches_single_batch() {
-        let node = node();
-        let g = benchmarks::ecg();
-        let dbn = tiny_dbn(&g);
-        let traces: Vec<SolarTrace> = (0..6).map(|s| trace(100 + s)).collect();
-        let make = |i: usize| BatchScenario::new(&traces[i], Box::new(dbn_planner(&dbn)));
-        let chunked = BatchEngine::run_chunked(&node, &g, traces.len(), 2, make).unwrap();
-        let mut engine = BatchEngine::new(&node, &g).unwrap();
-        for t in &traces {
-            engine
-                .push(BatchScenario::new(t, Box::new(dbn_planner(&dbn))))
-                .unwrap();
-        }
-        let whole = engine.run().unwrap();
-        assert_eq!(chunked, whole);
-    }
-
-    #[test]
     fn sharded_matches_run_for_every_shard_count() {
         let node = node();
         let g = benchmarks::ecg();
@@ -1385,7 +1281,13 @@ mod tests {
         let mut at = 7;
         while at < total {
             at = (at + 13).min(total);
-            ckpt = engine.resume_until(&ckpt, at).unwrap();
+            let state = engine
+                .run_span_with(Some(&ckpt), Some(at), &mut [BatchScratch::default()])
+                .unwrap();
+            let BatchRunState::Paused(next) = state else {
+                panic!("bounded run completed without pausing");
+            };
+            ckpt = next;
             assert_eq!(ckpt.next_period, at);
         }
         let resumed = engine
@@ -1417,7 +1319,7 @@ mod tests {
         short.scenarios.pop();
         short.planners.pop();
         let err = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-            .run_from_checkpoint(&short);
+            .run_span_with(Some(&short), None, &mut [BatchScratch::default()]);
         assert!(matches!(err, Err(CoreError::Config(_))));
 
         // Planner shape mismatch: rotate the planner checkpoints so a
@@ -1425,13 +1327,13 @@ mod tests {
         let mut rotated = ckpt.clone();
         rotated.planners.rotate_left(1);
         let err = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-            .run_from_checkpoint(&rotated);
+            .run_span_with(Some(&rotated), None, &mut [BatchScratch::default()]);
         assert!(matches!(err, Err(CoreError::Config(_))));
 
         // Period past the horizon.
         ckpt.next_period = node.grid.total_periods() + 1;
         let err = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-            .run_from_checkpoint(&ckpt);
+            .run_span_with(Some(&ckpt), None, &mut [BatchScratch::default()]);
         assert!(matches!(err, Err(CoreError::Config(_))));
     }
 

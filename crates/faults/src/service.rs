@@ -3,31 +3,23 @@
 //!
 //! The node-level [`FaultPlan`](crate::FaultPlan) perturbs harvest,
 //! storage and inference inside one simulation; a [`ServiceFaultPlan`]
-//! perturbs the long-running `helio-fleet` process around it — killing
-//! it at a period boundary mid-request, corrupting protocol lines,
-//! stalling the response writer, or panicking a worker. The service
-//! and `bench_chaos` consume these descriptions; this crate stays a
-//! pure data + helper layer with no dependency on the engine.
+//! perturbs the long-running `helio-fleet` process around it by
+//! killing it at a period boundary mid-request. [`corrupt_line`] and
+//! [`SlowWriter`] mangle protocol lines and stall the response writer.
+//! The service and its robustness tests consume these; this crate
+//! stays a pure data + helper layer with no dependency on the engine.
 
 use std::io::Write;
 
-use serde::{Deserialize, Serialize};
-
 /// Chaos to inflict on a fleet-service session. All fields are
 /// optional; the default plan is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceFaultPlan {
     /// 1-based ordinal of the request line to kill the service in.
     pub kill_request: Option<u64>,
     /// Flat period boundary to "crash" at while running that request:
     /// the service flushes its checkpoint and exits as if power-failed.
     pub kill_at_period: Option<usize>,
-    /// Milliseconds a [`SlowWriter`] stalls on every flush (slow or
-    /// wedged downstream client).
-    pub stall_writer_ms: Option<u64>,
-    /// Flat period at which a `chaos-panic` planner shim panics inside
-    /// a worker (exercises shard quarantine).
-    pub panic_planner_period: Option<usize>,
 }
 
 impl ServiceFaultPlan {
@@ -43,26 +35,6 @@ impl ServiceFaultPlan {
             (Some(r), Some(p)) => Some((r, p)),
             _ => None,
         }
-    }
-}
-
-// Hand-written so every field is optional in config files (the derive
-// requires fields to be present).
-impl Deserialize for ServiceFaultPlan {
-    fn deserialize_json(v: &serde::Value) -> Result<Self, serde::DeError> {
-        fn opt<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Option<T>, serde::DeError> {
-            match v.field(name) {
-                Ok(serde::Value::Null) => Ok(None),
-                Ok(f) => Ok(Some(T::deserialize_json(f)?)),
-                Err(_) => Ok(None),
-            }
-        }
-        Ok(Self {
-            kill_request: opt(v, "kill_request")?,
-            kill_at_period: opt(v, "kill_at_period")?,
-            stall_writer_ms: opt(v, "stall_writer_ms")?,
-            panic_planner_period: opt(v, "panic_planner_period")?,
-        })
     }
 }
 
@@ -177,26 +149,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_plan_is_empty_and_round_trips() {
+    fn default_plan_is_empty() {
         let plan = ServiceFaultPlan::default();
         assert!(plan.is_empty());
         assert_eq!(plan.kill_point(), None);
-        let json = serde_json::to_string(&plan).expect("serialises");
-        let back: ServiceFaultPlan = serde_json::from_str(&json).expect("deserialises");
-        assert_eq!(back, plan);
-        // Fields are individually optional.
-        let sparse: ServiceFaultPlan =
-            serde_json::from_str(r#"{"kill_request":2}"#).expect("deserialises");
-        assert_eq!(sparse.kill_request, Some(2));
-        assert_eq!(sparse.kill_at_period, None);
     }
 
     #[test]
     fn kill_point_needs_both_halves() {
+        let half = ServiceFaultPlan {
+            kill_request: Some(1),
+            kill_at_period: None,
+        };
+        assert_eq!(half.kill_point(), None);
+        assert!(!half.is_empty());
         let plan = ServiceFaultPlan {
             kill_request: Some(1),
             kill_at_period: Some(12),
-            ..ServiceFaultPlan::default()
         };
         assert_eq!(plan.kill_point(), Some((1, 12)));
         assert!(!plan.is_empty());

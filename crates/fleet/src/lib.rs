@@ -118,8 +118,7 @@ pub struct ServeOptions {
     /// Chaos injection: [`serve_with`] honours the plan's
     /// [`kill_point`](ServiceFaultPlan::kill_point) by checkpointing
     /// and returning [`SessionOutcome::ChaosKill`] at that period
-    /// boundary, as if the process had lost power. The other fields
-    /// drive `bench_chaos` (writer stalls, line corruption).
+    /// boundary, as if the process had lost power.
     pub chaos: ServiceFaultPlan,
     /// Cooperative shutdown flag, typically raised by a SIGTERM/SIGINT
     /// handler: the service finishes the segment in flight, persists a

@@ -154,7 +154,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                             .parse()
                             .map_err(|_| format!("bad --chaos-kill period `{period}`"))?,
                     ),
-                    ..ServiceFaultPlan::default()
                 };
             }
             other => return Err(format!("unknown flag {other}")),

@@ -1,25 +1,58 @@
 //! Service-level robustness: deadlines, request caps, chaos
-//! kill/resume with zero lost or duplicated lines, panic quarantine
-//! and graceful shutdown — all in-process through [`serve_with`].
+//! kill/resume with zero lost or duplicated lines, corrupted protocol
+//! lines, panic quarantine, a stalling client and graceful shutdown —
+//! all in-process through [`serve_with`].
 
 use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use helio_faults::{corrupt_line, LineCorruption, ServiceFaultPlan, SlowWriter};
 use helio_fleet::{serve, serve_with, ServeOptions, SessionOutcome};
 
 const CONFIG: &str =
     r#"{"grid":{"days":1,"periods":8,"slots":10},"capacitors_farads":[2.0,15.0],"threads":2}"#;
 
+/// A full 24-period day, for the chaos request mix below.
+const DAY_CONFIG: &str =
+    r#"{"grid":{"days":1,"periods":24,"slots":10},"capacitors_farads":[2.0,15.0],"threads":2}"#;
+
+/// The chaos request mix: fixed patterns, MPC next to a resilient
+/// wrapper, and a seeded random-blackout fault plan.
+const CHAOS_REQUESTS: [&str; 3] = [
+    r#"{"id":1,"scenarios":[{"planner":"inter"},{"planner":"asap","seed":3},{"planner":"intra","seed":4}]}"#,
+    r#"{"id":2,"scenarios":[{"planner":"mpc","seed":5},{"planner":"inter","seed":6,"resilient":true}]}"#,
+    r#"{"id":3,"scenarios":[{"planner":"inter","seed":7,"faults":{"seed":7,"random_blackouts":{"per_period_probability":0.2,"min_periods":1,"max_periods":2}}}]}"#,
+];
+
 fn session(requests: &[&str]) -> Vec<u8> {
-    let mut bytes = CONFIG.as_bytes().to_vec();
+    session_with(CONFIG, requests)
+}
+
+fn session_with(config: &str, requests: &[&str]) -> Vec<u8> {
+    let mut bytes = config.as_bytes().to_vec();
     bytes.push(b'\n');
     for r in requests {
         bytes.extend_from_slice(r.as_bytes());
         bytes.push(b'\n');
     }
     bytes
+}
+
+/// Runs one in-process session to completion and returns its output.
+fn serve_bytes(input: Vec<u8>, opts: &ServeOptions) -> Vec<u8> {
+    let mut out = Vec::new();
+    let summary = serve_with(Cursor::new(input), &mut out, opts).expect("session serves");
+    assert_eq!(summary.outcome, SessionOutcome::Eof);
+    out
+}
+
+fn lines(bytes: &[u8]) -> Vec<&[u8]> {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .collect()
 }
 
 /// A scratch directory unique per test, wiped on entry so reruns
@@ -84,40 +117,43 @@ fn max_batch_rejects_oversized_requests_inline() {
     assert!(lines[1].starts_with(r#"{"id":2,"index":0,"report":"#));
 }
 
-#[test]
-fn chaos_kill_then_resume_loses_and_duplicates_nothing() {
-    let requests = [
-        r#"{"id":1,"scenarios":[{"planner":"inter"},{"planner":"asap","seed":3}]}"#,
-        r#"{"id":2,"scenarios":[{"planner":"intra","seed":5}]}"#,
-        r#"{"id":3,"scenarios":[{"planner":"inter","seed":9,"resilient":true}]}"#,
-    ];
-    let input = session(&requests);
-
-    // The uninterrupted session is the reference output.
+/// Kills request 2 of `input` at each period boundary in
+/// `kill_periods`, restarts against the same checkpoint directory and
+/// requires the concatenated output to be byte-identical to an
+/// uninterrupted session: zero lines lost, zero duplicated.
+fn assert_kill_resume(tag: &str, input: &[u8], kill_periods: &[usize], checkpoint_every: usize) {
+    // The uninterrupted session is the reference output; a second
+    // clean session must reproduce it.
     let mut reference = Vec::new();
-    serve(Cursor::new(input.clone()), &mut reference).expect("reference session");
+    serve(Cursor::new(input.to_vec()), &mut reference).expect("reference session");
+    assert!(!reference.is_empty(), "{tag}: empty reference session");
+    assert_eq!(
+        serve_bytes(input.to_vec(), &ServeOptions::default()),
+        reference,
+        "{tag}: two clean sessions differ"
+    );
 
-    for kill_period in [0, 3, 8] {
-        let dir = scratch_dir(&format!("killresume{kill_period}"));
+    for &kill_period in kill_periods {
+        let dir = scratch_dir(&format!("killresume-{tag}-{kill_period}"));
         let opts = ServeOptions {
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: Some(2),
-            chaos: helio_faults::ServiceFaultPlan {
+            checkpoint_every: Some(checkpoint_every),
+            chaos: ServiceFaultPlan {
                 kill_request: Some(2),
                 kill_at_period: Some(kill_period),
-                ..Default::default()
             },
             ..ServeOptions::default()
         };
         let mut part1 = Vec::new();
         let summary =
-            serve_with(Cursor::new(input.clone()), &mut part1, &opts).expect("killed session");
+            serve_with(Cursor::new(input.to_vec()), &mut part1, &opts).expect("killed session");
         assert_eq!(
             summary.outcome,
             SessionOutcome::ChaosKill {
                 request: 2,
                 period: kill_period
-            }
+            },
+            "{tag}"
         );
 
         // Restart against the same directory, no chaos: the service
@@ -125,23 +161,87 @@ fn chaos_kill_then_resume_loses_and_duplicates_nothing() {
         // finish request 3.
         let opts = ServeOptions {
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: Some(2),
+            checkpoint_every: Some(checkpoint_every),
             ..ServeOptions::default()
         };
-        let mut part2 = Vec::new();
-        let summary =
-            serve_with(Cursor::new(input.clone()), &mut part2, &opts).expect("resumed session");
-        assert_eq!(summary.outcome, SessionOutcome::Eof);
-
-        let mut joined = part1.clone();
-        joined.extend_from_slice(&part2);
+        let mut joined = part1;
+        joined.extend(serve_bytes(input.to_vec(), &opts));
         assert_eq!(
             String::from_utf8(joined).expect("utf-8"),
             String::from_utf8(reference.clone()).expect("utf-8"),
-            "kill at period {kill_period}: concatenated output diverged"
+            "{tag}: kill at period {kill_period}: concatenated output diverged"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn chaos_kill_then_resume_loses_and_duplicates_nothing() {
+    let requests = [
+        r#"{"id":1,"scenarios":[{"planner":"inter"},{"planner":"asap","seed":3}]}"#,
+        r#"{"id":2,"scenarios":[{"planner":"intra","seed":5}]}"#,
+        r#"{"id":3,"scenarios":[{"planner":"inter","seed":9,"resilient":true}]}"#,
+    ];
+    assert_kill_resume("fixed", &session(&requests), &[0, 3, 8], 2);
+    // MPC, a resilient wrapper and a random-blackout fault plan on a
+    // 24-period day, killed at its first, middle and last boundary.
+    assert_kill_resume(
+        "mixed",
+        &session_with(DAY_CONFIG, &CHAOS_REQUESTS),
+        &[0, 12, 24],
+        6,
+    );
+}
+
+#[test]
+fn corrupted_lines_answer_one_error_and_the_session_serves_on() {
+    let healthy = serve_bytes(
+        session_with(DAY_CONFIG, &CHAOS_REQUESTS[2..]),
+        &ServeOptions::default(),
+    );
+    let healthy_lines = lines(&healthy).len();
+    assert!(healthy_lines > 0);
+    let opts = ServeOptions {
+        max_line_bytes: Some(1 << 16),
+        ..ServeOptions::default()
+    };
+    for kind in LineCorruption::ALL {
+        let mut input = DAY_CONFIG.as_bytes().to_vec();
+        input.push(b'\n');
+        input.extend(corrupt_line(CHAOS_REQUESTS[0], kind, 9));
+        input.push(b'\n');
+        input.extend_from_slice(CHAOS_REQUESTS[2].as_bytes());
+        input.push(b'\n');
+        let out = serve_bytes(input, &opts);
+        let got = lines(&out);
+        assert_eq!(
+            got.len(),
+            1 + healthy_lines,
+            "{kind:?}: expected one error line plus the healthy answer"
+        );
+        assert!(
+            (got[0].starts_with(b"{\"error\":") || got[0].starts_with(b"{\"id\":"))
+                && got[0].windows(8).any(|w| w == b"\"error\":"),
+            "{kind:?}: first line is not an inline error: {}",
+            String::from_utf8_lossy(got[0])
+        );
+        assert!(
+            out.ends_with(&healthy),
+            "{kind:?}: the healthy request answered differently after the corrupted line"
+        );
+    }
+}
+
+#[test]
+fn slow_writer_changes_no_bytes() {
+    let input = session_with(DAY_CONFIG, &CHAOS_REQUESTS);
+    let clean = serve_bytes(input.clone(), &ServeOptions::default());
+    let mut writer = SlowWriter::new(Vec::new(), 1);
+    let summary = serve_with(Cursor::new(input), &mut writer, &ServeOptions::default())
+        .expect("slow-writer session serves");
+    assert_eq!(summary.outcome, SessionOutcome::Eof);
+    assert!(writer.flushes > 0, "the stalling writer was never flushed");
+    assert_eq!(writer.into_inner(), clean);
 }
 
 #[test]
