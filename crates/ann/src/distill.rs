@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::dbn::{Dbn, PredictScratch};
+use crate::dbn::{BatchPredictScratch, Dbn};
 use crate::error::AnnError;
 use crate::matrix::Matrix;
 
@@ -77,9 +77,9 @@ pub struct DistillConfig {
 
 impl DistillConfig {
     /// A compact configuration adequate for the scheduler's ~13-input
-    /// observation vectors. Distilling the offline pipeline's 13-input
-    /// teacher with it takes ~0.2 s on one core of a 2-vCPU Xeon VM
-    /// (EXPERIMENTS.md, "Distillation cost").
+    /// observation vectors. Distilling a 13-input, 8-output teacher
+    /// with it takes ~65 ms on one core of a 2-vCPU Xeon VM, ~70 ms at
+    /// 15 inputs (EXPERIMENTS.md, "Distillation cost").
     pub fn small(seed: u64) -> Self {
         Self {
             depth_const: 5,
@@ -300,12 +300,19 @@ impl DistilledPolicy {
                     .copy_from_slice(s);
             }
         }
-        let mut ys = Matrix::zeros(n, out_dim);
-        let mut scratch = PredictScratch::default();
-        let mut out = Vec::with_capacity(out_dim);
-        for r in 0..n {
-            teacher.predict_into(xs.row(r), &mut scratch, &mut out)?;
-            ys.row_mut(r).copy_from_slice(&out);
+        // Label rows are zero-padded to the fixed-width kernels' lane
+        // count; only the first `out_dim` columns are ever read as
+        // labels.
+        let mut ys = Matrix::zeros(n, label_width(out_dim));
+        let mut labeller = Labeller::default();
+        for r0 in (0..n).step_by(LABEL_BLOCK) {
+            let r1 = (r0 + LABEL_BLOCK).min(n);
+            let (_, out) = labeller.label(teacher, r1 - r0, |r, x| {
+                x.copy_from_slice(xs.row(r0 + r));
+            })?;
+            for r in r0..r1 {
+                ys.row_mut(r)[..out_dim].copy_from_slice(out.row(r - r0));
+            }
         }
 
         // Global per-feature and per-output moments: features are
@@ -315,10 +322,11 @@ impl DistilledPolicy {
         // out the near-binary task bits.
         let (feat_mean, feat_std) = column_moments(&xs, in_dim);
         let (_, out_std) = column_moments(&ys, out_dim);
-        let out_weight: Vec<f64> = out_std
+        let mut out_weight: Vec<f64> = out_std
             .iter()
             .map(|s| if *s > 1e-9 { 1.0 / s } else { 1.0 })
             .collect();
+        out_weight.resize(label_width(out_dim), 0.0);
 
         let depth = cfg.depth_const + cfg.depth_vary;
         let internal = (1usize << depth) - 1;
@@ -361,18 +369,21 @@ impl DistilledPolicy {
         // Held-out agreement: fresh box samples, decision-level match
         // against the teacher (rounded heads, thresholded bits).
         let mut hold_rng = helio_common::rng::derive(cfg.seed, "distill-holdout");
-        let mut x = vec![0.0; in_dim];
         let mut student = Vec::with_capacity(out_dim);
         let mut matches = 0usize;
-        for _ in 0..cfg.holdout {
-            for i in 0..in_dim {
-                let u: f64 = hold_rng.gen();
-                x[i] = lo[i] + u * (hi[i] - lo[i]);
-            }
-            teacher.predict_into(&x, &mut scratch, &mut out)?;
-            policy.predict_into(&x, &mut student)?;
-            if decisions_match(&out, &student) {
-                matches += 1;
+        for h0 in (0..cfg.holdout).step_by(LABEL_BLOCK) {
+            let rows = LABEL_BLOCK.min(cfg.holdout - h0);
+            let (xs, out) = labeller.label(teacher, rows, |_, x| {
+                for ((v, l), h) in x.iter_mut().zip(&lo).zip(&hi) {
+                    let u: f64 = hold_rng.gen();
+                    *v = l + u * (h - l);
+                }
+            })?;
+            for r in 0..rows {
+                policy.predict_into(xs.row(r), &mut student)?;
+                if decisions_match(out.row(r), &student) {
+                    matches += 1;
+                }
             }
         }
         policy.agreement = matches as f64 / cfg.holdout as f64;
@@ -1526,11 +1537,68 @@ pub fn decisions_match(a: &[f64], b: &[f64]) -> bool {
         .all(|(x, y)| (*x >= 0.5) == (*y >= 0.5))
 }
 
+/// Label-row widths of the fixed-width split and leaf kernels, taken
+/// from the in-tree teachers, whose `out_dim` is 2 + tasks: ECG (6
+/// tasks), SHM (5) and random task sets of up to 6 tasks pad to
+/// [`LANES`]; WAM (8 tasks) and random sets of 7 or 8 (the generator
+/// draws 4 to 8) pad to [`WIDE_LANES`]. Wider teachers take the
+/// runtime-width path. One 10-lane width for all would cost the 8-output
+/// fits about a fifth of their time: a padded row no longer fits one
+/// 64-byte cache line.
+const LANES: usize = 8;
+const WIDE_LANES: usize = 10;
+
+/// Normal-equation width (inputs plus intercept) of the fixed-width
+/// leaf kernel; wider inputs take the runtime-width path.
+const LEAF_DIMS: usize = 16;
+
+/// Rows per batched teacher call when labelling training and holdout
+/// samples.
+const LABEL_BLOCK: usize = 256;
+
+/// Columns of the training label matrix: `out_dim` labels, zero-padded
+/// to [`LANES`] or [`WIDE_LANES`] when they fit the fixed-width kernels.
+fn label_width(out_dim: usize) -> usize {
+    [LANES, WIDE_LANES]
+        .into_iter()
+        .find(|&lanes| out_dim <= lanes)
+        .unwrap_or(out_dim)
+}
+
+/// Block-wise teacher labelling through [`Dbn::predict_batch_into`],
+/// whose rows are bitwise [`Dbn::predict_into`]'s. Its buffers are
+/// reused by every block of a fit.
+#[derive(Default)]
+struct Labeller {
+    inputs: Matrix,
+    labels: Matrix,
+    scratch: BatchPredictScratch,
+}
+
+impl Labeller {
+    /// Fills a `rows`-row input block through `fill(row, features)`
+    /// and labels it with `teacher`. Returns the inputs and the
+    /// labels.
+    fn label(
+        &mut self,
+        teacher: &Dbn,
+        rows: usize,
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) -> Result<(&Matrix, &Matrix), AnnError> {
+        self.inputs.reset(rows, teacher.input_dim());
+        for r in 0..rows {
+            fill(r, self.inputs.row_mut(r));
+        }
+        teacher.predict_batch_into(&self.inputs, &mut self.scratch, &mut self.labels)?;
+        Ok((&self.inputs, &self.labels))
+    }
+}
+
 /// Number of training rows, `samples + extras × extra_weight`, in
 /// checked arithmetic. The fitter indexes rows as `u32`, and the
-/// `n × in_dim` / `n × out_dim` sample matrices (which bound the
-/// fitter's `(in_dim + 1) × n` row lists too) must fit the address
-/// space.
+/// `n × in_dim` sample and `n × label_width(out_dim)` label matrices
+/// (which bound the fitter's `(in_dim + 1) × n` row lists too) must fit
+/// the address space.
 fn training_rows(
     cfg: &DistillConfig,
     extras: usize,
@@ -1547,7 +1615,7 @@ fn training_rows(
             .is_some_and(|bytes| isize::try_from(bytes).is_ok())
     };
     match n {
-        Some(n) if fits(in_dim) && fits(out_dim) => Ok(n),
+        Some(n) if fits(in_dim) && fits(label_width(out_dim)) => Ok(n),
         _ => Err(AnnError::BadConfig(format!(
             "{} box samples plus {extras} trajectory samples × {} exceed the \
              distillation set's limit of {} rows",
@@ -1602,6 +1670,104 @@ fn total_order_key(x: f64) -> u64 {
         !bits
     } else {
         bits | 1 << 63
+    }
+}
+
+/// Bits per radix digit: six passes cover a `u64` key, and one pass's
+/// 2048 counters stay in L1.
+const RADIX_BITS: u32 = 11;
+const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+const RADIX_PASSES: usize = u64::BITS.div_ceil(RADIX_BITS) as usize;
+
+/// Buffers of the presort's stable LSD radix sort, allocated once per
+/// fit: each key travels with its row, so a pass streams both arrays
+/// and never gathers.
+struct RadixSort {
+    keys: Vec<u64>,
+    alt_keys: Vec<u64>,
+    alt_rows: Vec<u32>,
+    /// One histogram per digit, `RADIX_PASSES × RADIX_BUCKETS`.
+    counts: Vec<u32>,
+}
+
+impl RadixSort {
+    fn new(n: usize) -> Self {
+        Self {
+            keys: vec![0; n],
+            alt_keys: vec![0; n],
+            alt_rows: vec![0; n],
+            counts: vec![0; RADIX_PASSES * RADIX_BUCKETS],
+        }
+    }
+
+    /// Fills `lane` with the row ids `0..lane.len()` sorted by
+    /// `(key(row), row)`. The passes are stable and start from
+    /// ascending ids, so equal keys stay in row order. A pass whose
+    /// digit is the same for every key is skipped.
+    fn sort(&mut self, lane: &mut [u32], key: impl Fn(usize) -> u64) {
+        let n = lane.len();
+        let Self {
+            keys,
+            alt_keys,
+            alt_rows,
+            counts,
+        } = self;
+        let (keys, alt_keys, alt_rows) = (&mut keys[..n], &mut alt_keys[..n], &mut alt_rows[..n]);
+        counts.fill(0);
+        for ((r, slot), k) in (0u32..).zip(lane.iter_mut()).zip(keys.iter_mut()) {
+            *slot = r;
+            *k = key(r as usize);
+            for (pass, hist) in counts.chunks_exact_mut(RADIX_BUCKETS).enumerate() {
+                hist[digit(*k, pass)] += 1;
+            }
+        }
+        let mut in_lane = true;
+        for (pass, hist) in counts.chunks_exact_mut(RADIX_BUCKETS).enumerate() {
+            let Some(&first) = keys.first() else { return };
+            if hist[digit(first, pass)] as usize == n {
+                continue;
+            }
+            let mut at = 0;
+            for c in hist.iter_mut() {
+                let count = *c;
+                *c = at;
+                at += count;
+            }
+            if in_lane {
+                scatter(keys, lane, alt_keys, alt_rows, hist, pass);
+            } else {
+                scatter(alt_keys, alt_rows, keys, lane, hist, pass);
+            }
+            in_lane = !in_lane;
+        }
+        if !in_lane {
+            lane.copy_from_slice(alt_rows);
+        }
+    }
+}
+
+/// Digit `pass` (least significant first) of a radix key.
+fn digit(key: u64, pass: usize) -> usize {
+    (key >> (pass as u32 * RADIX_BITS)) as usize & (RADIX_BUCKETS - 1)
+}
+
+/// One stable counting-sort pass: moves every `(key, row)` pair to the
+/// next free slot of its digit's bucket, `starts` holding each bucket's
+/// first free slot.
+fn scatter(
+    keys: &[u64],
+    rows: &[u32],
+    to_keys: &mut [u64],
+    to_rows: &mut [u32],
+    starts: &mut [u32],
+    pass: usize,
+) {
+    for (&k, &r) in keys.iter().zip(rows) {
+        let slot = &mut starts[digit(k, pass)];
+        let at = *slot as usize;
+        *slot += 1;
+        to_keys[at] = k;
+        to_rows[at] = r;
     }
 }
 
@@ -1699,7 +1865,8 @@ struct Fit<'a> {
     ridge: f64,
     /// Per-output weights in the split criterion: `1 / std`, so a
     /// wide head (α spans 0..10) cannot crowd out the near-binary task
-    /// bits when scoring variance reduction.
+    /// bits when scoring variance reduction. Zero-padded to the label
+    /// rows' width.
     out_weight: Vec<f64>,
     /// Global feature moments for standardised ridge fits.
     feat_mean: Vec<f64>,
@@ -1725,9 +1892,8 @@ impl Fit<'_> {
         lo..hi
     }
 
-    /// Sorts every lane the root's subtree reads, once. The
-    /// `(key, row)` pairs are distinct, so an unstable sort yields the
-    /// one `(value, row)` order.
+    /// Sorts every lane the root's subtree reads, once, by
+    /// `(value, row)` in IEEE total order.
     fn presort(&self) -> Presort {
         let n = self.xs.rows();
         let row_lane = self.in_dim;
@@ -1735,18 +1901,14 @@ impl Fit<'_> {
         for (slot, r) in lanes[row_lane * n..].iter_mut().zip(0u32..) {
             *slot = r;
         }
-        // One feature's keys at a time, dropped before the tree grows.
-        let mut keys = vec![0u64; n];
+        // Dropped before the tree grows.
+        let mut radix = RadixSort::new(n);
         for f in self.lanes_below(0) {
-            for (key, r) in keys.iter_mut().zip(0..n) {
-                *key = total_order_key(self.xs.row(r)[f]);
-            }
-            let lane = &mut lanes[f * n..(f + 1) * n];
-            for (slot, r) in lane.iter_mut().zip(0u32..) {
-                *slot = r;
-            }
-            lane.sort_unstable_by_key(|&r| (keys[r as usize], r));
+            radix.sort(&mut lanes[f * n..(f + 1) * n], |r| {
+                total_order_key(self.xs.row(r)[f])
+            });
         }
+        drop(radix);
         Presort {
             n,
             lanes,
@@ -1754,6 +1916,11 @@ impl Fit<'_> {
             goes_right: vec![false; n],
             spill: vec![0; n],
         }
+    }
+
+    /// The label rows as `L`-wide arrays; the rows must be `L` wide.
+    fn label_lanes<const L: usize>(&self) -> &[[f64; L]] {
+        self.ys.as_slice().as_chunks::<L>().0
     }
 
     /// Grows the subtree of `node`, whose rows are `[start, end)` of
@@ -1805,29 +1972,94 @@ impl Fit<'_> {
     /// to raw space. Under-populated leaves keep the (ancestor) mean
     /// with zero slope.
     fn fit_leaf(&mut self, leaf: usize, idx: &[u32], mean: &[f64]) {
-        let bias_base = leaf * self.out_dim;
-        let p = self.in_dim;
-        let dims = p + 1; // intercept last
-        let nl = idx.len();
+        // Model dims: the inputs, then the intercept.
+        let dims = self.in_dim + 1;
         // Fewer samples than model dims: fall back to the mean.
-        if nl < dims + 2 {
-            self.set_mean(bias_base, mean);
+        if idx.len() < dims + 2 {
+            self.set_mean(leaf * self.out_dim, mean);
             return;
         }
-        // Normal equations in z-space: G = Zᵀ Z + λ n I, b_d = Zᵀ y_d.
+        match self.ys.cols() {
+            LANES if dims <= LEAF_DIMS => self.fit_leaf_lanes::<LANES>(leaf, idx, mean),
+            WIDE_LANES if dims <= LEAF_DIMS => self.fit_leaf_lanes::<WIDE_LANES>(leaf, idx, mean),
+            _ => {
+                let (mut g, b) = self.normal_equations_wide(idx);
+                self.solve_leaf(leaf, &mut g, dims, idx.len(), mean, |d, rhs| {
+                    rhs.copy_from_slice(&b[d * dims..(d + 1) * dims]);
+                });
+            }
+        }
+    }
+
+    /// [`Fit::fit_leaf`] through [`Fit::normal_equations_fixed`]; the
+    /// label rows must be `L` wide.
+    fn fit_leaf_lanes<const L: usize>(&mut self, leaf: usize, idx: &[u32], mean: &[f64]) {
+        let (mut g, bt) = self.normal_equations_fixed(self.label_lanes::<L>(), idx);
+        self.solve_leaf(leaf, &mut g, LEAF_DIMS, idx.len(), mean, |d, rhs| {
+            for (v, b) in rhs.iter_mut().zip(&bt) {
+                *v = b[d];
+            }
+        });
+    }
+
+    /// The leaf's standardised features, `z[i] = (x[i] − μ_i)/σ_i`
+    /// (0 for a constant feature), then the intercept's 1, written to
+    /// the front of `z`.
+    fn standardise(&self, x: &[f64], z: &mut [f64]) {
+        for (((zi, v), mu), sd) in z.iter_mut().zip(x).zip(&self.feat_mean).zip(&self.feat_std) {
+            *zi = if *sd > 1e-12 { (v - mu) / sd } else { 0.0 };
+        }
+        z[self.in_dim] = 1.0;
+    }
+
+    /// Normal equations `Zᵀ Z` and `Zᵀ Y` of the leaf's rows, with
+    /// every width fixed: the dims are zero-padded past the intercept
+    /// to [`LEAF_DIMS`] and the outputs to the `L` label lanes, so the
+    /// buffers live on the stack and the inner loops have constant trip
+    /// counts. Each entry of the upper triangle and of `Zᵀ Y` takes
+    /// the same additions in the same row order as the runtime-width
+    /// path; a zero `z[i]` skips row `i` in both, so padding adds
+    /// nothing, and the rows below the diagonal, which take extra
+    /// terms here, are overwritten from the upper triangle.
+    /// Returns `Zᵀ Z` (row stride [`LEAF_DIMS`]) and `(Zᵀ Y)ᵀ`, one
+    /// `L`-wide row per dim.
+    fn normal_equations_fixed<const L: usize>(
+        &self,
+        ys: &[[f64; L]],
+        idx: &[u32],
+    ) -> ([f64; LEAF_DIMS * LEAF_DIMS], [[f64; L]; LEAF_DIMS]) {
+        let mut g = [0.0; LEAF_DIMS * LEAF_DIMS];
+        let mut bt = [[0.0; L]; LEAF_DIMS];
+        let mut z = [0.0; LEAF_DIMS];
+        for &r in idx {
+            self.standardise(self.xs.row(r as usize), &mut z);
+            let y = &ys[r as usize];
+            for ((&zi, gi), bi) in z.iter().zip(g.as_chunks_mut::<LEAF_DIMS>().0).zip(&mut bt) {
+                if zi == 0.0 {
+                    continue;
+                }
+                for (a, zj) in gi.iter_mut().zip(&z) {
+                    *a += zi * zj;
+                }
+                for (a, v) in bi.iter_mut().zip(y) {
+                    *a += zi * v;
+                }
+            }
+        }
+        (g, bt)
+    }
+
+    /// [`Fit::normal_equations_fixed`] at the fit's own widths, on the
+    /// heap: `Zᵀ Z` with row stride `in_dim + 1` and `Zᵀ Y` one row per
+    /// output.
+    fn normal_equations_wide(&self, idx: &[u32]) -> (Vec<f64>, Vec<f64>) {
+        let dims = self.in_dim + 1;
         let mut g = vec![0.0; dims * dims];
         let mut b = vec![0.0; dims * self.out_dim];
         let mut z = vec![0.0; dims];
         for &r in idx {
-            let xr = self.xs.row(r as usize);
-            for i in 0..p {
-                z[i] = if self.feat_std[i] > 1e-12 {
-                    (xr[i] - self.feat_mean[i]) / self.feat_std[i]
-                } else {
-                    0.0
-                };
-            }
-            z[p] = 1.0;
+            self.standardise(self.xs.row(r as usize), &mut z);
+            let y = &self.ys.row(r as usize)[..self.out_dim];
             for i in 0..dims {
                 let zi = z[i];
                 if zi == 0.0 {
@@ -1836,27 +2068,55 @@ impl Fit<'_> {
                 for j in i..dims {
                     g[i * dims + j] += zi * z[j];
                 }
-                for (d, v) in self.ys.row(r as usize).iter().enumerate() {
+                for (d, v) in y.iter().enumerate() {
                     b[d * dims + i] += zi * v;
                 }
             }
         }
+        (g, b)
+    }
+
+    /// Solves the ridge system `(G + λ n I) w_d = b_d` of a leaf's
+    /// `nl` rows for every output `d` and stores the raw-space model.
+    /// `g` holds `Zᵀ Z` in its upper triangle, `stride` apart by row;
+    /// `rhs(d, out)` writes `b_d` into `out`.
+    fn solve_leaf(
+        &mut self,
+        leaf: usize,
+        g: &mut [f64],
+        stride: usize,
+        nl: usize,
+        mean: &[f64],
+        rhs: impl Fn(usize, &mut [f64]),
+    ) {
+        let p = self.in_dim;
+        let dims = p + 1;
+        let bias_base = leaf * self.out_dim;
         for i in 0..dims {
             for j in 0..i {
-                g[i * dims + j] = g[j * dims + i];
+                g[i * stride + j] = g[j * stride + i];
             }
-            g[i * dims + i] += self.ridge * nl as f64;
+            g[i * stride + i] += self.ridge * nl as f64;
         }
-        let Some(chol) = cholesky(&g, dims) else {
+        if !cholesky_in_place(g, stride, dims) {
             self.set_mean(bias_base, mean);
             return;
+        }
+        let mut fixed = [0.0; LEAF_DIMS];
+        let mut wide = Vec::new();
+        let w = if dims <= LEAF_DIMS {
+            &mut fixed[..dims]
+        } else {
+            wide.resize(dims, 0.0);
+            &mut wide[..]
         };
-        for d in 0..self.out_dim {
-            let w = chol_solve(&chol, dims, &b[d * dims..(d + 1) * dims]);
+        let lc = leaf * self.in_dim * self.out_dim;
+        for (d, &m) in mean.iter().enumerate().take(self.out_dim) {
+            rhs(d, w);
+            chol_solve_in_place(g, stride, w);
             // Unfold z-space weights to raw space:
             //   y = w_p + Σ_i w_i (x_i - μ_i)/σ_i
             //     = (w_p - Σ_i w_i μ_i/σ_i) + Σ_i (w_i/σ_i) x_i.
-            let lc = leaf * self.in_dim * self.out_dim;
             let mut bias = w[p];
             let mut ok = bias.is_finite();
             for (i, wi) in w.iter().enumerate().take(p) {
@@ -1872,7 +2132,7 @@ impl Fit<'_> {
             if ok && bias.is_finite() {
                 self.leaf_bias[bias_base + d] = bias as f32;
             } else {
-                self.leaf_bias[bias_base + d] = mean[d] as f32;
+                self.leaf_bias[bias_base + d] = m as f32;
                 for i in 0..p {
                     self.leaf_coef[lc + i * self.out_dim + d] = 0.0;
                 }
@@ -1900,58 +2160,96 @@ impl Fit<'_> {
         fl: usize,
         fh: usize,
     ) -> Option<(usize, f64)> {
-        let n = end - start;
-        if n < 2 || fl >= fh {
+        if end - start < 2 || fl >= fh {
             return None;
         }
-        let mut total = vec![0.0; self.out_dim];
-        for &r in rows.in_row_order(start, end) {
-            for ((t, v), w) in total
-                .iter_mut()
-                .zip(self.ys.row(r as usize))
-                .zip(&self.out_weight)
-            {
-                *t += v * w;
+        match self.ys.cols() {
+            LANES => self.sweep_lanes::<LANES>(rows, start, end, fl..fh),
+            WIDE_LANES => self.sweep_lanes::<WIDE_LANES>(rows, start, end, fl..fh),
+            _ => {
+                let od = self.out_dim;
+                self.sweep(rows, start, end, fl..fh, vec![0.0; od], |acc, r| {
+                    let y = &self.ys.row(r)[..od];
+                    for ((a, v), w) in acc.iter_mut().zip(y).zip(&self.out_weight) {
+                        *a += v * w;
+                    }
+                })
             }
         }
+    }
+
+    /// [`Fit::sweep`] with `L`-wide running sums, which stay in
+    /// registers; the label rows must be `L` wide.
+    fn sweep_lanes<const L: usize>(
+        &self,
+        rows: &Presort,
+        start: usize,
+        end: usize,
+        feats: Range<usize>,
+    ) -> Option<(usize, f64)> {
+        let ys = self.label_lanes::<L>();
+        let mut w = [0.0; L];
+        for (a, b) in w.iter_mut().zip(&self.out_weight) {
+            *a = *b;
+        }
+        self.sweep(rows, start, end, feats, [0.0; L], |acc, r| {
+            for ((a, v), w) in acc.iter_mut().zip(&ys[r]).zip(&w) {
+                *a += v * w;
+            }
+        })
+    }
+
+    /// The split sweep of [`Fit::best_split`] over running sums of type
+    /// `A`; `add(acc, row)` adds a row's weighted labels to `acc`.
+    /// Each feature's lane is summed segment by segment between the
+    /// candidate positions, which are multiples of the stride, and a
+    /// candidate is scored only at a segment end. Rows past the last
+    /// candidate are never summed: no score reads them.
+    fn sweep<A: AsRef<[f64]> + Clone>(
+        &self,
+        rows: &Presort,
+        start: usize,
+        end: usize,
+        feats: Range<usize>,
+        zero: A,
+        add: impl Fn(&mut A, usize),
+    ) -> Option<(usize, f64)> {
+        let n = end - start;
+        let mut total = zero.clone();
+        for &r in rows.in_row_order(start, end) {
+            add(&mut total, r as usize);
+        }
+        let stride = (n / (self.candidates + 1)).max(1);
         let mut best: Option<(f64, usize, f64)> = None;
-        let mut left_sum = vec![0.0; self.out_dim];
-        for f in fl..fh {
+        let mut left = zero.clone();
+        for f in feats {
             let order = rows.lane(f, start, end);
-            left_sum.fill(0.0);
-            // Candidate split positions at quantiles of this region.
-            let mut next_cand = 1usize;
-            let stride = (n / (self.candidates + 1)).max(1);
-            for (k, &r) in order.iter().enumerate() {
-                if k > 0 && k == next_cand * stride {
-                    next_cand += 1;
-                    let a = self.xs.row(order[k - 1] as usize)[f];
-                    let b = self.xs.row(r as usize)[f];
-                    if a < b {
-                        // Score = Σ_d (S_L²/n_L + S_R²/n_R); maximising
-                        // this minimises the summed within-child SSE.
-                        let nl = k as f64;
-                        let nr = (n - k) as f64;
-                        let mut score = 0.0;
-                        for (sl, st) in left_sum.iter().zip(&total) {
-                            let sr = st - sl;
-                            score += sl * sl / nl + sr * sr / nr;
-                        }
-                        let mut t = a + (b - a) / 2.0;
-                        if t >= b {
-                            t = a;
-                        }
-                        if best.is_none_or(|(bs, _, _)| score > bs) {
-                            best = Some((score, f, t));
-                        }
-                    }
+            left.clone_from(&zero);
+            let mut k = 0;
+            for cand in (stride..n).step_by(stride) {
+                for &r in &order[k..cand] {
+                    add(&mut left, r as usize);
                 }
-                for ((s, v), w) in left_sum
-                    .iter_mut()
-                    .zip(self.ys.row(r as usize))
-                    .zip(&self.out_weight)
-                {
-                    *s += v * w;
+                k = cand;
+                let a = self.xs.row(order[k - 1] as usize)[f];
+                let b = self.xs.row(order[k] as usize)[f];
+                if a < b {
+                    // Score = Σ_d (S_L²/n_L + S_R²/n_R); maximising
+                    // this minimises the summed within-child SSE.
+                    let nl = k as f64;
+                    let nr = (n - k) as f64;
+                    let mut score = 0.0;
+                    for (sl, st) in left.as_ref().iter().zip(total.as_ref()).take(self.out_dim) {
+                        let sr = st - sl;
+                        score += sl * sl / nl + sr * sr / nr;
+                    }
+                    let mut t = a + (b - a) / 2.0;
+                    if t >= b {
+                        t = a;
+                    }
+                    if best.is_none_or(|(bs, _, _)| score > bs) {
+                        best = Some((score, f, t));
+                    }
                 }
             }
         }
@@ -1959,55 +2257,55 @@ impl Fit<'_> {
     }
 }
 
-/// In-place Cholesky factorisation of a symmetric positive-definite
-/// `dims × dims` matrix (row-major). Returns the lower factor, or
-/// `None` when the matrix is not positive definite.
-fn cholesky(g: &[f64], dims: usize) -> Option<Vec<f64>> {
-    let mut l = vec![0.0; dims * dims];
+/// In-place Cholesky factorisation of the symmetric positive-definite
+/// leading `dims × dims` block of `g` (row-major, rows `stride` apart):
+/// the lower triangle is overwritten by the lower factor, the upper one
+/// is left as it was. Returns `false` when the block is not positive
+/// definite.
+fn cholesky_in_place(g: &mut [f64], stride: usize, dims: usize) -> bool {
     for i in 0..dims {
         for j in 0..=i {
-            let mut s = g[i * dims + j];
+            let mut s = g[i * stride + j];
             for k in 0..j {
-                s -= l[i * dims + k] * l[j * dims + k];
+                s -= g[i * stride + k] * g[j * stride + k];
             }
             if i == j {
                 if s <= 0.0 || !s.is_finite() {
-                    return None;
+                    return false;
                 }
-                l[i * dims + i] = s.sqrt();
+                g[i * stride + i] = s.sqrt();
             } else {
-                l[i * dims + j] = s / l[j * dims + j];
+                g[i * stride + j] = s / g[j * stride + j];
             }
         }
     }
-    Some(l)
+    true
 }
 
-/// Solves `L Lᵀ w = b` given the lower Cholesky factor.
-fn chol_solve(l: &[f64], dims: usize, b: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0; dims];
+/// Solves `L Lᵀ w = b` in place (`w` holds `b` on entry) given the
+/// lower Cholesky factor `l`, rows `stride` apart.
+fn chol_solve_in_place(l: &[f64], stride: usize, w: &mut [f64]) {
+    let dims = w.len();
     for i in 0..dims {
-        let mut s = b[i];
+        let mut s = w[i];
         for k in 0..i {
-            s -= l[i * dims + k] * y[k];
+            s -= l[i * stride + k] * w[k];
         }
-        y[i] = s / l[i * dims + i];
+        w[i] = s / l[i * stride + i];
     }
-    let mut w = vec![0.0; dims];
     for i in (0..dims).rev() {
-        let mut s = y[i];
+        let mut s = w[i];
         for k in i + 1..dims {
-            s -= l[k * dims + i] * w[k];
+            s -= l[k * stride + i] * w[k];
         }
-        w[i] = s / l[i * dims + i];
+        w[i] = s / l[i * stride + i];
     }
-    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbn::DbnConfig;
+    use crate::dbn::{DbnConfig, PredictScratch};
 
     /// A scheduler-shaped teacher: 5 "power" features + 2 "voltages" +
     /// 1 "dmr", mapping to a cap head, an α head and two bits.
@@ -2211,6 +2509,112 @@ mod tests {
         let json = policy.to_json().unwrap();
         assert_eq!(json.len(), 418_810);
         assert_eq!(fnv1a(json.as_bytes()), 0x694b_452f_951c_d209);
+    }
+
+    /// A synthetic teacher with the served artifacts' widths: `in_dim`
+    /// inputs mapping to a capacitor head, an α head and
+    /// `out_dim - 2` admission bits.
+    fn shaped_teacher(in_dim: usize, out_dim: usize) -> Dbn {
+        let xs: Vec<Vec<f64>> = (0..240)
+            .map(|i| {
+                (0..in_dim)
+                    .map(|j| ((i * in_dim + j) as f64 * 0.37).sin().abs() * 40.0)
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| {
+                let mut y = vec![(x[0] / 10.0).round(), (x[in_dim - 1] / 5.0).round()];
+                y.extend((2..out_dim).map(|d| f64::from(x[d % in_dim] > 20.0)));
+                y
+            })
+            .collect();
+        let mut cfg = DbnConfig::small(21);
+        cfg.bp_epochs = 40;
+        Dbn::train(&xs, &ys, &cfg).unwrap()
+    }
+
+    #[test]
+    fn served_shape_artifact_bytes_are_pinned() {
+        // The ECG fleet's 13-input and the offline pipeline's 15-input
+        // shape, both with 8 outputs, and the WAM fleet's 13 inputs
+        // and 10 outputs, at the default 5+5 tree. The digests were
+        // recorded before the split, leaf and presort kernels went
+        // fixed-width; any change to the fitted tree, leaves or their
+        // JSON text moves them.
+        for (in_dim, out_dim, const_prefix, len, digest) in [
+            (13, 8, 10, 1_074_540, 0xb9f7_b3e5_f0ad_e8b9),
+            (15, 8, 12, 1_185_353, 0x0282_7130_d7f5_2980),
+            (13, 10, 10, 1_328_965, 0x2f29_7a5d_74e0_573c),
+        ] {
+            let teacher = shaped_teacher(in_dim, out_dim);
+            let policy =
+                DistilledPolicy::distill(&teacher, const_prefix, &[], &DistillConfig::small(99))
+                    .unwrap();
+            let json = policy.to_json().unwrap();
+            assert_eq!(
+                (json.len(), fnv1a(json.as_bytes())),
+                (len, digest),
+                "{in_dim}/{out_dim} artifact"
+            );
+        }
+    }
+
+    /// Tie-heavy sort keys: both zeros, subnormals of both signs, the
+    /// extremes, and values one ulp apart.
+    const TIE_KEYS: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        1.0,
+        1.000_000_000_000_000_2,
+        -1.0,
+        2.5,
+        -2.5,
+        4.0,
+        1e-300,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The presort's radix sort orders rows exactly as a stable
+        /// comparison sort on `(total-order key, row)` does: on columns
+        /// mixing tie-heavy keys with random bit patterns (which vary
+        /// every digit, so no pass is skipped), and on constant columns
+        /// (every pass skipped). One scratch sorts several columns, as
+        /// in a fit.
+        #[test]
+        fn radix_presort_is_the_stable_comparison_sort(
+            picks in proptest::collection::vec(0usize..24, 0..3000),
+            raw in proptest::collection::vec(proptest::any::<u64>(), 3000),
+            constant in proptest::any::<bool>(),
+        ) {
+            let n = picks.len();
+            let mixed: Vec<f64> = picks
+                .iter()
+                .zip(&raw)
+                .map(|(&p, &bits)| TIE_KEYS.get(p).copied().unwrap_or(f64::from_bits(bits)))
+                .collect();
+            let pinned = vec![mixed.first().copied().unwrap_or(0.0); n];
+            let column = if constant { &pinned } else { &mixed };
+            let negated: Vec<f64> = column.iter().map(|v| -v).collect();
+            let mut radix = RadixSort::new(n);
+            for values in [column, &negated, column] {
+                let mut want: Vec<u32> = (0..n as u32).collect();
+                want.sort_by_key(|&r| total_order_key(values[r as usize]));
+                let mut got = vec![u32::MAX; n];
+                radix.sort(&mut got, |r| total_order_key(values[r]));
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

@@ -126,6 +126,11 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// All `rows × cols` entries, row-major.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Reshapes in place to a zeroed `rows × cols` matrix. The backing
     /// allocation is kept once grown, so reused scratch matrices (the
     /// batched-inference ping-pong buffers) stop allocating after the

@@ -15,9 +15,10 @@
 //!   deciding through the batched leaf kernel reproduce, over a
 //!   multi-period stream, the bits of B private tables deciding lane by
 //!   lane.
-//! * **Presorted split search** — the fitter, which sorts each feature
-//!   once per fit, grows bit-for-bit the tree and leaves of a
-//!   per-node-sort oracle on tie-heavy training sets.
+//! * **Presorted split search** — the fitter, which radix-sorts each
+//!   feature once per fit and sweeps and fits with fixed-width kernels,
+//!   grows bit-for-bit the tree and leaves of a per-node-sort oracle on
+//!   tie-heavy training sets, for teachers of every kernel width.
 
 use std::sync::{Arc, OnceLock};
 
@@ -703,27 +704,54 @@ fn json_field<'a>(json: &'a str, name: &str) -> &'a str {
     &json[start..start + len]
 }
 
-/// A six-input teacher whose first two inputs are constant in its
-/// training data, so every box sample ties on them; the other four
-/// drive the outputs.
-fn tie_teacher() -> &'static Dbn {
-    static TEACHER: OnceLock<Dbn> = OnceLock::new();
-    TEACHER.get_or_init(|| {
+/// `(inputs, outputs)` of the oracle's teachers. The output widths
+/// reach every arm of the fitter's kernels: 1 and 4 (zero-padded to the
+/// 8 narrow lanes), 8 (exactly the narrow lanes), 9 (zero-padded to the
+/// 10 wide lanes), 10 (exactly the wide lanes) and 12 (the
+/// runtime-width fallback); 16 inputs put the leaf fit on its
+/// runtime-width path with fixed-width split lanes.
+const SHAPES: [(usize, usize); 14] = [
+    (6, 4),
+    (13, 1),
+    (13, 4),
+    (13, 8),
+    (13, 9),
+    (13, 10),
+    (13, 12),
+    (15, 1),
+    (15, 4),
+    (15, 8),
+    (15, 10),
+    (15, 12),
+    (16, 8),
+    (16, 10),
+];
+
+/// A teacher of `SHAPES[shape]` whose first two inputs are constant in
+/// its training data, so every box sample ties on them; the others
+/// drive the outputs (two rounded heads, then thresholded bits).
+fn tie_teacher(shape: usize) -> &'static Dbn {
+    static TEACHERS: [OnceLock<Dbn>; SHAPES.len()] = [const { OnceLock::new() }; SHAPES.len()];
+    let (in_dim, out_dim) = SHAPES[shape];
+    TEACHERS[shape].get_or_init(|| {
         let inputs: Vec<Vec<f64>> = (0..48)
             .map(|i| {
                 let v = |j: usize| ((i * 7 + j * 3) as f64 * 0.61).sin().abs() * 10.0;
-                vec![4.0, 4.0, v(2), v(3), v(4), v(5)]
+                let mut x = vec![4.0, 4.0];
+                x.extend((2..in_dim).map(v));
+                x
             })
             .collect();
         let targets: Vec<Vec<f64>> = inputs
             .iter()
             .map(|x| {
-                vec![
-                    (x[2] / 3.0).round(),
-                    (x[3] / 2.5).round(),
-                    f64::from(x[4] > 5.0),
-                    f64::from(x[5] + x[2] > 9.0),
-                ]
+                (0..out_dim)
+                    .map(|d| match d {
+                        0 => (x[2] / 3.0).round(),
+                        1 => (x[3] / 2.5).round(),
+                        _ => f64::from(x[2 + d % (in_dim - 2)] > 5.0),
+                    })
+                    .collect()
             })
             .collect();
         let mut cfg = DbnConfig::small(5);
@@ -733,32 +761,36 @@ fn tie_teacher() -> &'static Dbn {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(224))]
 
     /// The presorted fitter is bit-identical to the per-node-sort
-    /// oracle on small training sets full of ties: box samples all tie
-    /// on the two constant columns, trajectory samples are quantised to
-    /// a few levels (so equal values carry different labels), column 1
-    /// often duplicates column 0, rows repeat, and every row is
-    /// replicated `extra_weight` times.
+    /// oracle on small training sets full of ties, for teachers of
+    /// every shape in `SHAPES`: box samples all tie on the two constant
+    /// columns, trajectory samples are quantised to a few levels (so
+    /// equal values carry different labels), column 1 often duplicates
+    /// column 0, rows repeat, and every row is replicated
+    /// `extra_weight` times.
     #[test]
     fn presorted_fit_matches_the_per_node_sort_oracle(
-        levels in prop::collection::vec(prop::collection::vec(0u8..4, 6), 4..48),
+        shape in 0..SHAPES.len(),
+        levels in prop::collection::vec(prop::collection::vec(0u8..4, 16), 4..48),
         duplicate_column in prop::collection::vec(any::<bool>(), 48),
         repeats in prop::collection::vec(0usize..48, 0..8),
         depth_const in 1usize..=3,
         depth_vary in 1usize..=3,
-        const_prefix in 2usize..=3,
+        const_prefix in 2usize..=5,
         candidates in 2usize..=12,
         extra_weight in 1usize..=4,
         samples in 64usize..=128,
         seed in any::<u64>(),
     ) {
+        let teacher = tie_teacher(shape);
+        let in_dim = teacher.input_dim();
         let mut extras: Vec<Vec<f64>> = levels
             .iter()
             .zip(&duplicate_column)
             .map(|(q, &dup)| {
-                let mut x: Vec<f64> = q.iter().map(|&l| 4.0 + f64::from(l) * 2.5).collect();
+                let mut x: Vec<f64> = q[..in_dim].iter().map(|&l| 4.0 + f64::from(l) * 2.5).collect();
                 if dup {
                     x[1] = x[0];
                 }
@@ -778,7 +810,6 @@ proptest! {
             holdout: 16,
             ..DistillConfig::small(seed)
         };
-        let teacher = tie_teacher();
         let policy = DistilledPolicy::distill(teacher, const_prefix, &extras, &cfg)
             .expect("distils");
         let json = policy.to_json().expect("serialises");

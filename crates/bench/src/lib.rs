@@ -23,8 +23,6 @@
 pub mod golden;
 pub mod robustness;
 
-use std::time::Instant;
-
 use helio_common::time::TimeGrid;
 use helio_common::units::Seconds;
 use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder, WeatherProcess};
@@ -148,14 +146,6 @@ pub fn run_planner_batch<'a>(
 /// `HELIO_THREADS`/`HELIO_SERIAL`.
 pub fn par_sweep<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     helio_par::par_map(items, f)
-}
-
-/// Runs `f` and returns its result plus the wall-clock milliseconds it
-/// took.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Formats a fraction as a percentage with one decimal.
