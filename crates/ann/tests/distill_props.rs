@@ -760,6 +760,31 @@ fn tie_teacher(shape: usize) -> &'static Dbn {
     })
 }
 
+/// Reloading an artifact's JSON form is the identity: the reloaded
+/// artifact equals the original and writes the same bytes, for a
+/// teacher of every kernel width. The fleet service relies on this to
+/// serve its freshly distilled artifact without a JSON round trip.
+#[test]
+fn artifact_reload_is_the_identity_for_every_teacher_shape() {
+    for (shape, dims) in SHAPES.iter().enumerate() {
+        let teacher = tie_teacher(shape);
+        let mut cfg = DistillConfig::small(shape as u64);
+        cfg.depth_const = 3;
+        cfg.depth_vary = 3;
+        cfg.samples = 512;
+        cfg.holdout = 64;
+        let policy = DistilledPolicy::distill(teacher, 2, &[], &cfg).expect("distils");
+        let json = policy.to_json().expect("serialises");
+        let reloaded = DistilledPolicy::from_json(&json).expect("reloads");
+        assert_eq!(reloaded, policy, "shape {dims:?}");
+        assert_eq!(
+            reloaded.to_json().expect("re-serialises"),
+            json,
+            "shape {dims:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(224))]
 

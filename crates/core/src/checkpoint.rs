@@ -51,6 +51,38 @@ pub struct ScenarioCheckpoint {
     pub(crate) leak_scaled: bool,
 }
 
+impl ScenarioCheckpoint {
+    /// The period records finished before the boundary, one per period
+    /// from period 0, so their count is the checkpoint's next period.
+    pub fn periods(&self) -> &[PeriodRecord] {
+        &self.periods
+    }
+
+    /// The live state alone: a copy with no period records. Everything
+    /// else (bank, NVP fleet, counters, aging factors) is what grows
+    /// with neither the run length nor the period index.
+    pub fn live_state(&self) -> Self {
+        Self {
+            bank: self.bank.clone(),
+            fleet: self.fleet.clone(),
+            periods: Vec::new(),
+            acc_misses: self.acc_misses,
+            acc_tasks: self.acc_tasks,
+            degraded: self.degraded,
+            applied_cap_factor: self.applied_cap_factor,
+            leak_scale: self.leak_scale,
+            leak_scaled: self.leak_scaled,
+        }
+    }
+
+    /// Reassembles a checkpoint from a live state and the records
+    /// finished so far (replacing any records the live state held).
+    pub fn with_periods(mut self, periods: Vec<PeriodRecord>) -> Self {
+        self.periods = periods;
+        self
+    }
+}
+
 /// The MPC backend's day-plan cache (`ProposedPlanner::mpc`). Without
 /// it a resumed run would replan mid-day from a different base period
 /// and double-count DP complexity.
@@ -274,6 +306,46 @@ mod tests {
         let json = serde_json::to_string(&PlannerCheckpoint::Stateless).expect("serialises");
         let back: PlannerCheckpoint = serde_json::from_str(&json).expect("deserialises");
         assert_eq!(back, PlannerCheckpoint::Stateless);
+    }
+
+    #[test]
+    fn live_state_and_records_reassemble() {
+        use crate::planner::Pattern;
+        use helio_common::time::PeriodRef;
+        use helio_common::units::{Farads, Joules};
+        use helio_storage::StorageModelParams;
+
+        let record = |p| PeriodRecord {
+            period: PeriodRef::new(0, p),
+            misses: p,
+            tasks: 5,
+            harvested: Joules::new(p as f64 * 0.5),
+            served_direct: Joules::ZERO,
+            served_storage: Joules::ZERO,
+            stored: Joules::ZERO,
+            wasted: Joules::ZERO,
+            unmet: Joules::ZERO,
+            leaked: Joules::ZERO,
+            brownouts: 0,
+            pattern: Pattern::Inter,
+            capacitor: 0,
+        };
+        let bank = CapacitorBank::new(&[Farads::new(2.0)], &StorageModelParams::default()).unwrap();
+        let full = ScenarioCheckpoint {
+            bank,
+            fleet: NvpFleet::new(3),
+            periods: (0..4).map(record).collect(),
+            acc_misses: 6,
+            acc_tasks: 20,
+            degraded: DegradedCounters::default(),
+            applied_cap_factor: 0.99,
+            leak_scale: 1.05,
+            leak_scaled: true,
+        };
+        let live = full.live_state();
+        assert!(live.periods().is_empty());
+        assert_eq!(full.periods().len(), 4);
+        assert_eq!(live.with_periods(full.periods().to_vec()), full);
     }
 
     #[test]

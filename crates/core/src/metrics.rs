@@ -41,6 +41,11 @@ pub struct PeriodRecord {
 }
 
 impl PeriodRecord {
+    /// Bytes of one record in the fixed-width form of
+    /// [`PeriodRecord::encode_le`]: fourteen little-endian 8-byte
+    /// words.
+    pub const ENCODED_LEN: usize = 112;
+
     /// The period's deadline-miss rate `DMR_{i,j}`.
     pub fn dmr(&self) -> f64 {
         if self.tasks == 0 {
@@ -48,6 +53,75 @@ impl PeriodRecord {
         } else {
             self.misses as f64 / self.tasks as f64
         }
+    }
+
+    /// Appends the record as [`PeriodRecord::ENCODED_LEN`] bytes: day,
+    /// period, misses and tasks as `u64`, the seven energies as their
+    /// `f64` bits (harvested, served direct, served from storage,
+    /// stored, wasted, unmet, leaked), then brown-outs, the pattern tag
+    /// (asap 0, inter 1, intra 2) and the capacitor as `u64`. Every bit
+    /// survives, so [`PeriodRecord::decode_le`] returns an equal record.
+    pub fn encode_le(&self, out: &mut Vec<u8>) {
+        let words = [
+            self.period.day as u64,
+            self.period.period as u64,
+            self.misses as u64,
+            self.tasks as u64,
+            self.harvested.value().to_bits(),
+            self.served_direct.value().to_bits(),
+            self.served_storage.value().to_bits(),
+            self.stored.value().to_bits(),
+            self.wasted.value().to_bits(),
+            self.unmet.value().to_bits(),
+            self.leaked.value().to_bits(),
+            self.brownouts as u64,
+            match self.pattern {
+                Pattern::Asap => 0,
+                Pattern::Inter => 1,
+                Pattern::Intra => 2,
+            },
+            self.capacitor as u64,
+        ];
+        for w in words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Reads one record written by [`PeriodRecord::encode_le`]. `None`
+    /// when `bytes` is not exactly [`PeriodRecord::ENCODED_LEN`] long,
+    /// a count does not fit `usize` or the pattern tag is unknown.
+    pub fn decode_le(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() != Self::ENCODED_LEN {
+            return None;
+        }
+        let mut w = [0u64; 14];
+        for (slot, chunk) in w.iter_mut().zip(bytes.chunks_exact(8)) {
+            *slot = u64::from_le_bytes(chunk.try_into().ok()?);
+        }
+        let [day, period, misses, tasks, harvested, served_direct, served_storage, stored, wasted, unmet, leaked, brownouts, pattern, capacitor] =
+            w;
+        let count = |x: u64| usize::try_from(x).ok();
+        let joules = |x: u64| Joules::new(f64::from_bits(x));
+        Some(Self {
+            period: PeriodRef::new(count(day)?, count(period)?),
+            misses: count(misses)?,
+            tasks: count(tasks)?,
+            harvested: joules(harvested),
+            served_direct: joules(served_direct),
+            served_storage: joules(served_storage),
+            stored: joules(stored),
+            wasted: joules(wasted),
+            unmet: joules(unmet),
+            leaked: joules(leaked),
+            brownouts: count(brownouts)?,
+            pattern: match pattern {
+                0 => Pattern::Asap,
+                1 => Pattern::Inter,
+                2 => Pattern::Intra,
+                _ => return None,
+            },
+            capacitor: count(capacitor)?,
+        })
     }
 }
 
@@ -297,6 +371,46 @@ mod tests {
     #[test]
     fn period_record_dmr() {
         assert!((record(0, 0, 2, 5).dmr() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_codec_keeps_every_bit() {
+        let mut r = record(3, 47, 2, 5);
+        r.harvested = Joules::new(-0.0);
+        r.served_direct = Joules::new(f64::from_bits(1)); // subnormal
+        r.served_storage = Joules::new(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
+        r.unmet = Joules::new(1.0 / 3.0);
+        r.brownouts = 9;
+        r.capacitor = 1;
+        for pattern in [Pattern::Asap, Pattern::Inter, Pattern::Intra] {
+            r.pattern = pattern;
+            let mut bytes = vec![0xAB]; // encode appends
+            r.encode_le(&mut bytes);
+            assert_eq!(bytes.len(), 1 + PeriodRecord::ENCODED_LEN);
+            let back = PeriodRecord::decode_le(&bytes[1..]).unwrap();
+            let mut again = Vec::new();
+            back.encode_le(&mut again);
+            assert_eq!(again, bytes[1..], "{pattern:?}");
+            assert_eq!(back.served_storage.value().to_bits(), 0x7ff8_dead_beef_0001);
+            assert_eq!(back.harvested.value().to_bits(), (-0.0f64).to_bits());
+        }
+    }
+
+    #[test]
+    fn record_codec_refuses_bad_bytes() {
+        let mut bytes = Vec::new();
+        record(0, 1, 0, 5).encode_le(&mut bytes);
+        assert!(PeriodRecord::decode_le(&bytes[..111]).is_none(), "short");
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(PeriodRecord::decode_le(&long).is_none(), "long");
+        let tag = 12 * 8;
+        for bad in [3u64, u64::MAX] {
+            let mut b = bytes.clone();
+            b[tag..tag + 8].copy_from_slice(&bad.to_le_bytes());
+            assert!(PeriodRecord::decode_le(&b).is_none(), "pattern tag {bad}");
+        }
+        assert!(PeriodRecord::decode_le(&bytes).is_some());
     }
 
     #[test]

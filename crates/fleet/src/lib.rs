@@ -29,6 +29,7 @@
 //! protocol stream.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,8 +46,9 @@ use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilde
 use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::{
     BatchCheckpoint, BatchEngine, BatchRunState, BatchScenario, BatchScratch, CoreError, DpConfig,
-    FixedPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodPlanner, PlanContext, PlanDecision,
-    PlannerObservation, ProposedPlanner, ResilientPlanner, SimReport, SwitchRule,
+    FixedPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodPlanner, PeriodRecord, PlanContext,
+    PlanDecision, PlannerObservation, ProposedPlanner, ResilientPlanner, ScenarioCheckpoint,
+    SimReport, SwitchRule,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -105,9 +107,9 @@ pub struct ServeOptions {
     /// with a single `{"id":N,"error":"deadline"}` line instead of its
     /// reports and the session moves on.
     pub deadline_ms: Option<u64>,
-    /// Persist session progress here (`session.json` + mid-request
-    /// `inflight.json`). A restarted service pointed at the same
-    /// directory skips already-answered lines and resumes the
+    /// Persist session progress here (`session.json` + the mid-request
+    /// frame log `inflight.log`). A restarted service pointed at the
+    /// same directory skips already-answered lines and resumes the
     /// interrupted request from its last period-boundary checkpoint.
     pub checkpoint_dir: Option<PathBuf>,
     /// Periods between mid-request checkpoints / deadline checks;
@@ -217,24 +219,187 @@ fn strip_cr(buf: &mut Vec<u8>) {
     }
 }
 
-/// The request the service was simulating when it last checkpointed:
-/// enough to resume without replaying the finished periods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct InflightRecord {
+/// The request the service was simulating when it last paused, rebuilt
+/// from the frame log: enough to resume without replaying the finished
+/// periods.
+struct Inflight {
     /// 1-based ordinal of the request line within the session.
     ordinal: u64,
     /// The raw request line, echoed to detect a drifted session.
     line: String,
-    /// The mid-request engine checkpoint.
+    /// The last complete frame's live state with every lane's records
+    /// concatenated across frames.
     checkpoint: BatchCheckpoint,
+    /// Bytes of the log up to the end of that frame.
+    log_len: u64,
 }
 
-/// Crash-safe session persistence: `session.json` records how many
-/// request lines are fully answered, `inflight.json` the mid-request
-/// checkpoint. Both go through a temp file + rename so a crash
-/// mid-write never corrupts the previous state.
+/// Opens every frame of the in-flight log.
+const FRAME_MAGIC: [u8; 8] = *b"HELIOFR1";
+
+/// Bytes of a frame's fixed header: [`FRAME_MAGIC`], then six
+/// little-endian `u64`s: ordinal, first period of the frame's records,
+/// next period, lanes, line bytes and live-state bytes.
+const FRAME_HEADER: usize = 8 + 6 * 8;
+
+/// One frame of the in-flight log, decoded. After the header come the
+/// request line, the live state (the [`BatchCheckpoint`] JSON with
+/// every lane's `periods` empty) and the records finished since the
+/// previous frame: lane after lane, `next - from` fixed-width
+/// [`PeriodRecord::encode_le`] records each.
+struct Frame<'a> {
+    ordinal: u64,
+    line: &'a str,
+    from: usize,
+    live: BatchCheckpoint,
+    /// The frame's new records, one list per lane.
+    records: Vec<Vec<PeriodRecord>>,
+    /// Encoded length of the whole frame.
+    len: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// Decodes the frame at the start of `bytes`. `None` when the
+    /// bytes are short, the magic is wrong, a length or period does
+    /// not fit, the live state does not parse or match the header, or
+    /// a record does not decode — never a panic.
+    fn decode(bytes: &'a [u8]) -> Option<Self> {
+        let (magic, mut rest) = bytes.split_first_chunk::<8>()?;
+        if *magic != FRAME_MAGIC {
+            return None;
+        }
+        let mut words = [0u64; 6];
+        for w in &mut words {
+            let (b, r) = rest.split_first_chunk::<8>()?;
+            *w = u64::from_le_bytes(*b);
+            rest = r;
+        }
+        let [ordinal, from, next, lanes, line_len, live_len] = words;
+        let count = |x: u64| usize::try_from(x).ok();
+        let (from, next, lanes) = (count(from)?, count(next)?, count(lanes)?);
+        let per_lane = next
+            .checked_sub(from)?
+            .checked_mul(PeriodRecord::ENCODED_LEN)?;
+        let (line, rest) = rest.split_at_checked(count(line_len)?)?;
+        let (live, rest) = rest.split_at_checked(count(live_len)?)?;
+        let (records, _) = rest.split_at_checked(per_lane.checked_mul(lanes)?)?;
+        let len = FRAME_HEADER + line.len() + live.len() + records.len();
+        let line = std::str::from_utf8(line).ok()?;
+        let live: BatchCheckpoint = serde_json::from_str(std::str::from_utf8(live).ok()?).ok()?;
+        if live.next_period != next || live.len() != lanes || live.planners.len() != lanes {
+            return None;
+        }
+        let records = if per_lane == 0 {
+            vec![Vec::new(); lanes]
+        } else {
+            records
+                .chunks_exact(per_lane)
+                .map(|lane| {
+                    lane.chunks_exact(PeriodRecord::ENCODED_LEN)
+                        .map(PeriodRecord::decode_le)
+                        .collect::<Option<Vec<_>>>()
+                })
+                .collect::<Option<Vec<_>>>()?
+        };
+        Some(Self {
+            ordinal,
+            line,
+            from,
+            live,
+            records,
+            len,
+        })
+    }
+
+    /// Encodes the frame of a pause into `out`: `ckpt`'s live state and
+    /// every lane's records from `from` to `ckpt.next_period`. `json`
+    /// is scratch for the live state.
+    fn encode(
+        out: &mut Vec<u8>,
+        json: &mut String,
+        ordinal: u64,
+        line: &str,
+        from: usize,
+        ckpt: &BatchCheckpoint,
+    ) -> Result<(), FleetError> {
+        let next = ckpt.next_period;
+        let live = BatchCheckpoint {
+            next_period: next,
+            scenarios: ckpt
+                .scenarios
+                .iter()
+                .map(ScenarioCheckpoint::live_state)
+                .collect(),
+            planners: ckpt.planners.clone(),
+        };
+        json.clear();
+        live.serialize_json(json);
+        out.clear();
+        out.extend_from_slice(&FRAME_MAGIC);
+        let header = [
+            ordinal,
+            from as u64,
+            next as u64,
+            ckpt.len() as u64,
+            line.len() as u64,
+            json.len() as u64,
+        ];
+        for w in header {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.extend_from_slice(line.as_bytes());
+        out.extend_from_slice(json.as_bytes());
+        for sc in &ckpt.scenarios {
+            let new = match sc.periods().get(from..) {
+                Some(new) if sc.periods().len() == next => new,
+                _ => {
+                    return Err(FleetError::Engine(format!(
+                        "checkpoint at period {next} holds {} records, expected {next} after \
+                         period {from}",
+                        sc.periods().len()
+                    )))
+                }
+            };
+            for r in new {
+                r.encode_le(out);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Crash-safe session persistence under one directory:
+///
+/// * `session.json` counts the fully answered request lines. It is
+///   rewritten through a temp file and a rename after each line, so a
+///   crash mid-write leaves the previous count.
+/// * `inflight.log` is the append-only frame log of the request in
+///   flight (see [`Frame`]). Each pause appends one frame with a single
+///   write on a handle held open for the whole request, so every
+///   finished period is written once; the log is removed when the line
+///   is answered.
+///
+/// Nothing is synced to disk: the crash model is process death (chaos
+/// kill, SIGTERM drain, panic quarantine), after which the log holds a
+/// prefix of what was written. A torn or garbage tail falls back to the
+/// last complete frame.
 struct SessionStore {
     dir: PathBuf,
+    /// The open log of the request in flight, once it has paused.
+    log: Option<FrameLog>,
+    /// Frame assembly buffers, reused across pauses.
+    frame: Vec<u8>,
+    json: String,
+}
+
+/// The in-flight request's open frame log.
+struct FrameLog {
+    file: std::fs::File,
+    /// Ordinal of the request the log belongs to.
+    ordinal: u64,
+    /// Next period of the last frame written: where the next frame's
+    /// records start.
+    through: usize,
 }
 
 impl SessionStore {
@@ -243,6 +408,9 @@ impl SessionStore {
             .map_err(|e| FleetError::Config(format!("checkpoint dir {}: {e}", dir.display())))?;
         Ok(Self {
             dir: dir.to_path_buf(),
+            log: None,
+            frame: Vec::new(),
+            json: String::new(),
         })
     }
 
@@ -250,17 +418,8 @@ impl SessionStore {
         self.dir.join("session.json")
     }
 
-    fn inflight_path(&self) -> PathBuf {
-        self.dir.join("inflight.json")
-    }
-
-    fn write_atomic(&self, path: &Path, contents: &str) -> Result<(), FleetError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, contents)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+    fn log_path(&self) -> PathBuf {
+        self.dir.join("inflight.log")
     }
 
     /// Count of fully answered request lines; zero when the state is
@@ -278,25 +437,106 @@ impl SessionStore {
     }
 
     fn save_completed(&self, completed: u64) -> Result<(), FleetError> {
-        self.write_atomic(
-            &self.session_path(),
-            &format!("{{\"completed\":{completed}}}"),
-        )
+        let path = self.session_path();
+        let tmp = self.dir.join("session.json.tmp");
+        std::fs::write(&tmp, format!("{{\"completed\":{completed}}}"))?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
     }
 
-    fn load_inflight(&self) -> Option<InflightRecord> {
-        let text = std::fs::read_to_string(self.inflight_path()).ok()?;
-        serde_json::from_str(&text).ok()
+    /// Reads the log's frames in order, stopping at the first frame
+    /// that is torn, malformed or does not continue its predecessor
+    /// (same request, records starting at the previous next period).
+    /// `None` when no frame is complete.
+    fn load_inflight(&self) -> Option<Inflight> {
+        let bytes = std::fs::read(self.log_path()).ok()?;
+        let first = Frame::decode(&bytes).filter(|f| f.from == 0)?;
+        let mut at = first.len;
+        let (ordinal, line) = (first.ordinal, first.line);
+        let mut live = first.live;
+        let mut records = first.records;
+        while let Some(frame) = bytes.get(at..).and_then(Frame::decode) {
+            if frame.ordinal != ordinal
+                || frame.line != line
+                || frame.from != live.next_period
+                || frame.records.len() != records.len()
+            {
+                break;
+            }
+            for (lane, new) in records.iter_mut().zip(frame.records) {
+                lane.extend(new);
+            }
+            live = frame.live;
+            at += frame.len;
+        }
+        Some(Inflight {
+            ordinal,
+            line: line.to_string(),
+            checkpoint: BatchCheckpoint {
+                next_period: live.next_period,
+                scenarios: live
+                    .scenarios
+                    .into_iter()
+                    .zip(records)
+                    .map(|(sc, r)| sc.with_periods(r))
+                    .collect(),
+                planners: live.planners,
+            },
+            log_len: at as u64,
+        })
     }
 
-    fn save_inflight(&self, rec: &InflightRecord) -> Result<(), FleetError> {
-        let json = serde_json::to_string(rec)
-            .map_err(|e| FleetError::Engine(format!("checkpoint serialisation failed: {e}")))?;
-        self.write_atomic(&self.inflight_path(), &json)
+    /// Reopens the log of a resumed request, cut back to its last
+    /// complete frame before anything more is appended.
+    fn resume_log(&mut self, inflight: &Inflight) -> Result<(), FleetError> {
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(self.log_path())?;
+        file.set_len(inflight.log_len)?;
+        self.log = Some(FrameLog {
+            file,
+            ordinal: inflight.ordinal,
+            through: inflight.checkpoint.next_period,
+        });
+        Ok(())
     }
 
-    fn clear_inflight(&self) {
-        let _ = std::fs::remove_file(self.inflight_path());
+    /// Appends the frame of a pause of request `ordinal`, starting a new
+    /// log (truncating any stale one) at the request's first pause.
+    /// Returns once the frame is written. After a failed write the log
+    /// is dropped, so the next pause starts a fresh log with every
+    /// record from period 0.
+    fn append_frame(
+        &mut self,
+        ordinal: u64,
+        line: &str,
+        ckpt: &BatchCheckpoint,
+    ) -> Result<(), FleetError> {
+        let mut log = match self.log.take() {
+            Some(log) if log.ordinal == ordinal => log,
+            _ => FrameLog {
+                file: std::fs::File::create(self.log_path())?,
+                ordinal,
+                through: 0,
+            },
+        };
+        Frame::encode(
+            &mut self.frame,
+            &mut self.json,
+            ordinal,
+            line,
+            log.through,
+            ckpt,
+        )?;
+        log.file.write_all(&self.frame)?;
+        log.through = ckpt.next_period;
+        self.log = Some(log);
+        Ok(())
+    }
+
+    fn clear_inflight(&mut self) {
+        self.log = None;
+        let _ = std::fs::remove_file(self.log_path());
     }
 }
 
@@ -357,10 +597,9 @@ impl Deserialize for DbnSpec {
 }
 
 /// How to distil the shared DBN into the branch-free decision artifact
-/// at startup (requires `dbn`). The artifact is pushed through its
-/// JSON serialisation and reloaded before use, so every session
-/// exercises the exact load path a pre-built asset file would take —
-/// what the service serves is what a deployed artifact would decide.
+/// at startup (requires `dbn`). The artifact is validated as an asset
+/// file's load would validate it; its JSON form round-trips exactly,
+/// so what the service serves is what a deployed artifact would decide.
 #[derive(Debug, Clone)]
 pub struct DistillSpec {
     /// Seed of the distillation sampling streams.
@@ -516,7 +755,7 @@ pub struct FleetService {
     compiled_f32: Option<Arc<CompiledDbn>>,
     compiled_i8: Option<Arc<CompiledDbn>>,
     /// The service-wide fold table over the distilled decision
-    /// artifact (reloaded from its JSON form at startup, and reachable
+    /// artifact (distilled and validated at startup, and reachable
     /// as `fold_table.policy()`): every `distilled` scenario in every
     /// request shares it, so a period's constant prefix is prewalked
     /// and folded once per fleet, not once per scenario. Sharing is
@@ -593,15 +832,14 @@ impl FleetService {
                 let const_prefix = grid.slots_per_period().min(teacher.input_dim());
                 let policy = DistilledPolicy::distill(teacher, const_prefix, &[], &dcfg)
                     .map_err(|e| FleetError::Config(format!("distillation failed: {e}")))?;
-                // Round-trip through the serde form: the artifact the
-                // service serves is bit-for-bit the artifact a
-                // pre-built asset file would load.
-                let json = policy
-                    .to_json()
-                    .map_err(|e| FleetError::Config(format!("artifact serialisation: {e}")))?;
-                let reloaded = DistilledPolicy::from_json(&json)
-                    .map_err(|e| FleetError::Config(format!("artifact reload: {e}")))?;
-                Some(Arc::new(reloaded))
+                // The checks an asset file's load would make. The JSON
+                // form round-trips exactly (`distilled_artifact_round_trips`),
+                // so the served artifact is the one a pre-built asset
+                // file would load.
+                policy
+                    .validate()
+                    .map_err(|e| FleetError::Config(format!("invalid artifact: {e}")))?;
+                Some(Arc::new(policy))
             }
             (Some(_), None) => {
                 return Err(FleetError::Config(
@@ -698,17 +936,8 @@ impl FleetService {
     ) -> Result<RequestDisposition, FleetError> {
         let total = self.node.grid.total_periods();
         let periods_per_day = self.node.grid.periods_per_day();
-        let days = self.node.grid.days();
-        let traces: Vec<SolarTrace> = req
-            .scenarios
-            .iter()
-            .map(|s| {
-                TraceBuilder::new(self.node.grid, SolarPanel::paper_panel())
-                    .seed(s.seed)
-                    .days(&cycle_days(&s.days, days))
-                    .build()
-            })
-            .collect();
+        let (built, lane_trace) = distinct_traces(self.node.grid, &req.scenarios);
+        let traces: Vec<&SolarTrace> = lane_trace.iter().map(|&k| &built[k]).collect();
         let harnesses: Vec<Option<FaultHarness>> = req
             .scenarios
             .iter()
@@ -837,6 +1066,32 @@ enum RequestDisposition {
     ShutdownMidRequest,
 }
 
+/// Builds each distinct `(seed, days)` trace of `scenarios` once and
+/// returns the traces with, per scenario, the index of its trace: every
+/// lane that asks for a trace borrows the one copy. Traces are pure
+/// functions of the grid, seed and cycled days, so sharing changes no
+/// report byte.
+fn distinct_traces(grid: TimeGrid, scenarios: &[ScenarioSpec]) -> (Vec<SolarTrace>, Vec<usize>) {
+    let mut index: HashMap<(u64, Vec<DayArchetype>), usize> = HashMap::new();
+    let mut traces = Vec::new();
+    let lanes = scenarios
+        .iter()
+        .map(|s| {
+            let key = (s.seed, cycle_days(&s.days, grid.days()));
+            *index.entry(key).or_insert_with_key(|(seed, days)| {
+                traces.push(
+                    TraceBuilder::new(grid, SolarPanel::paper_panel())
+                        .seed(*seed)
+                        .days(days)
+                        .build(),
+                );
+                traces.len() - 1
+            })
+        })
+        .collect();
+    (traces, lanes)
+}
+
 /// Builds a fresh engine over `req`'s scenarios (or just scenario
 /// `only`), reusing the shared plan context; the planners are rebuilt
 /// from the specs and restored from a checkpoint by the caller's
@@ -851,7 +1106,7 @@ fn build_engine<'a>(
     delta: f64,
     dp: DpConfig,
     req: &FleetRequest,
-    traces: &'a [SolarTrace],
+    traces: &[&'a SolarTrace],
     harnesses: &'a [Option<FaultHarness>],
     only: Option<usize>,
 ) -> Result<BatchEngine<'a>, FleetError> {
@@ -865,13 +1120,13 @@ fn build_engine<'a>(
             &req.scenarios[i],
             node,
             graph,
-            &traces[i],
+            traces[i],
             dbn,
             compiled,
             delta,
             dp,
         )?;
-        let mut scenario = BatchScenario::new(&traces[i], planner);
+        let mut scenario = BatchScenario::new(traces[i], planner);
         if let Some(h) = &harnesses[i] {
             scenario = scenario.with_harness(h);
         }
@@ -895,7 +1150,7 @@ fn run_isolated<'a>(
     delta: f64,
     dp: DpConfig,
     req: &FleetRequest,
-    traces: &'a [SolarTrace],
+    traces: &[&'a SolarTrace],
     harnesses: &'a [Option<FaultHarness>],
     resume: Option<&BatchCheckpoint>,
 ) -> Result<Vec<Result<SimReport, String>>, FleetError> {
@@ -1205,7 +1460,7 @@ pub fn serve<R: BufRead, W: Write>(input: R, out: W) -> Result<FleetService, Fle
 
 /// Marks a request line fully answered: advances the durable progress
 /// counter and discards the now-stale mid-request checkpoint.
-fn finish_line(store: Option<&SessionStore>, ordinal: u64) -> Result<(), FleetError> {
+fn finish_line(store: Option<&mut SessionStore>, ordinal: u64) -> Result<(), FleetError> {
     if let Some(s) = store {
         s.save_completed(ordinal)?;
         s.clear_inflight();
@@ -1235,12 +1490,12 @@ pub fn serve_with<R: BufRead, W: Write>(
     mut out: W,
     opts: &ServeOptions,
 ) -> Result<SessionSummary, FleetError> {
-    let store = match &opts.checkpoint_dir {
+    let mut store = match &opts.checkpoint_dir {
         Some(dir) => Some(SessionStore::new(dir)?),
         None => None,
     };
     let completed = store.as_ref().map_or(0, SessionStore::load_completed);
-    let inflight = store.as_ref().and_then(SessionStore::load_inflight);
+    let mut inflight = store.as_ref().and_then(SessionStore::load_inflight);
     let shutdown = opts.shutdown.as_deref();
     let kill = opts.chaos.kill_point();
 
@@ -1292,7 +1547,7 @@ pub fn serve_with<R: BufRead, W: Write>(
                     continue;
                 }
                 write_error(&mut out, None, "request line exceeds the byte cap")?;
-                finish_line(store.as_ref(), ordinal)?;
+                finish_line(store.as_mut(), ordinal)?;
             }
             RawLine::Line => {
                 if buf.iter().all(|b| b.is_ascii_whitespace()) {
@@ -1304,7 +1559,7 @@ pub fn serve_with<R: BufRead, W: Write>(
                 }
                 let Ok(text) = std::str::from_utf8(&buf) else {
                     write_error(&mut out, None, "request line is not valid UTF-8")?;
-                    finish_line(store.as_ref(), ordinal)?;
+                    finish_line(store.as_mut(), ordinal)?;
                     continue;
                 };
                 let text = text.to_string();
@@ -1312,7 +1567,7 @@ pub fn serve_with<R: BufRead, W: Write>(
                     Ok(req) => req,
                     Err(e) => {
                         write_error(&mut out, None, &format!("bad request: {e}"))?;
-                        finish_line(store.as_ref(), ordinal)?;
+                        finish_line(store.as_mut(), ordinal)?;
                         continue;
                     }
                 };
@@ -1326,29 +1581,28 @@ pub fn serve_with<R: BufRead, W: Write>(
                                 req.scenarios.len()
                             ),
                         )?;
-                        finish_line(store.as_ref(), ordinal)?;
+                        finish_line(store.as_mut(), ordinal)?;
                         continue;
                     }
                 }
-                let resume = match &inflight {
-                    Some(rec) if rec.ordinal == ordinal && rec.line == text => {
-                        Some(rec.checkpoint.clone())
+                let resume = match inflight.take_if(|r| r.ordinal == ordinal && r.line == text) {
+                    Some(rec) => {
+                        if let Some(s) = &mut store {
+                            s.resume_log(&rec)?;
+                        }
+                        Some(rec.checkpoint)
                     }
-                    _ => None,
+                    None => None,
                 };
                 let deadline = opts
                     .deadline_ms
                     .map(|ms| Instant::now() + Duration::from_millis(ms));
                 let kill_this = kill.filter(|&(r, _)| r == ordinal).map(|(_, p)| p);
                 let mut on_checkpoint = |c: &BatchCheckpoint| -> Result<(), FleetError> {
-                    if let Some(s) = &store {
-                        s.save_inflight(&InflightRecord {
-                            ordinal,
-                            line: text.clone(),
-                            checkpoint: c.clone(),
-                        })?;
+                    match &mut store {
+                        Some(s) => s.append_frame(ordinal, &text, c),
+                        None => Ok(()),
                     }
-                    Ok(())
                 };
                 match service.handle_with(
                     &req,
@@ -1361,11 +1615,11 @@ pub fn serve_with<R: BufRead, W: Write>(
                 ) {
                     Ok(RequestDisposition::Answered(results)) => {
                         write_results(&mut out, req.id, &results)?;
-                        finish_line(store.as_ref(), ordinal)?;
+                        finish_line(store.as_mut(), ordinal)?;
                     }
                     Ok(RequestDisposition::Deadline) => {
                         write_error(&mut out, Some(req.id), "deadline")?;
-                        finish_line(store.as_ref(), ordinal)?;
+                        finish_line(store.as_mut(), ordinal)?;
                     }
                     Ok(RequestDisposition::Killed(period)) => {
                         break SessionOutcome::ChaosKill {
@@ -1377,11 +1631,128 @@ pub fn serve_with<R: BufRead, W: Write>(
                     Err(FleetError::Io(e)) => return Err(FleetError::Io(e)),
                     Err(e) => {
                         write_error(&mut out, Some(req.id), &e.to_string())?;
-                        finish_line(store.as_ref(), ordinal)?;
+                        finish_line(store.as_mut(), ordinal)?;
                     }
                 }
             }
         }
     };
     Ok(SessionSummary { service, outcome })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The benchmark's fleet config: ECG on 2 days x 48 periods, a DBN
+    /// trained for 150 epochs and distilled with the default spec.
+    const BENCH_CONFIG: &str = r#"{"grid":{"days":2,"periods":48,"slots":10,"slot_seconds":60.0},"capacitors_farads":[2.0,15.0],"benchmark":"ecg","delta":0.5,"dp":{"voltage_buckets":6,"keep_per_level":1},"dbn":{"seed":11,"bp_epochs":150},"distill":{"seed":11},"threads":1}"#;
+
+    /// The service serves the distilled artifact without a JSON round
+    /// trip; that is sound only because reloading the JSON form is the
+    /// identity on it.
+    #[test]
+    fn distilled_artifact_round_trips() {
+        let cfg: FleetConfig = serde_json::from_str(BENCH_CONFIG).expect("config parses");
+        let service = FleetService::new(&cfg).expect("service starts");
+        let policy = service.fold_table.as_ref().expect("an artifact").policy();
+        let json = policy.to_json().expect("serialises");
+        let reloaded = DistilledPolicy::from_json(&json).expect("reloads");
+        assert_eq!(&reloaded, policy.as_ref());
+        assert_eq!(reloaded.to_json().expect("re-serialises"), json);
+    }
+
+    fn small_checkpoint(next: usize) -> BatchCheckpoint {
+        let input = format!(
+            "{}\n{}\n",
+            r#"{"grid":{"days":1,"periods":8,"slots":10},"capacitors_farads":[2.0,15.0],"threads":1}"#,
+            r#"{"id":1,"scenarios":[{"planner":"inter"},{"planner":"asap","seed":3}]}"#
+        );
+        let mut lines = input.lines();
+        let cfg: FleetConfig = serde_json::from_str(lines.next().expect("a line")).expect("parses");
+        let req: FleetRequest =
+            serde_json::from_str(lines.next().expect("a line")).expect("parses");
+        let mut service = FleetService::new(&cfg).expect("service starts");
+        let mut last = None;
+        let mut keep = |c: &BatchCheckpoint| {
+            last = Some(c.clone());
+            Ok(())
+        };
+        let out = service
+            .handle_with(&req, None, Some(next), None, Some(next), None, &mut keep)
+            .expect("request runs");
+        assert!(matches!(out, RequestDisposition::Killed(p) if p == next));
+        last.expect("a pause")
+    }
+
+    #[test]
+    fn frame_round_trips_and_refuses_every_truncation() {
+        let ckpt = small_checkpoint(5);
+        let mut bytes = Vec::new();
+        let mut json = String::new();
+        Frame::encode(&mut bytes, &mut json, 3, "line", 2, &ckpt).expect("encodes");
+        let frame = Frame::decode(&bytes).expect("decodes");
+        assert_eq!(frame.len, bytes.len());
+        assert_eq!((frame.ordinal, frame.line, frame.from), (3, "line", 2));
+        assert_eq!(frame.live.next_period, 5);
+        for (lane, sc) in frame.records.iter().zip(&ckpt.scenarios) {
+            assert_eq!(lane.as_slice(), &sc.periods()[2..5]);
+        }
+        for cut in 0..bytes.len() {
+            assert!(Frame::decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        // An unknown pattern tag in the last record invalidates the frame.
+        let tag = bytes.len() - PeriodRecord::ENCODED_LEN + 12 * 8;
+        let mut bad = bytes.clone();
+        bad[tag] = 7;
+        assert!(Frame::decode(&bad).is_none());
+        // A first period after the next one is out of range.
+        let mut bad = bytes.clone();
+        bad[16..24].copy_from_slice(&9u64.to_le_bytes());
+        assert!(Frame::decode(&bad).is_none());
+        // A length word past the end of the bytes.
+        let mut bad = bytes;
+        bad[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(Frame::decode(&bad).is_none());
+    }
+
+    #[test]
+    fn resume_stops_at_the_first_frame_that_does_not_continue() {
+        let dir = std::env::temp_dir().join(format!("helio-fleet-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SessionStore::new(&dir).expect("store");
+        let (at4, at6) = (small_checkpoint(4), small_checkpoint(6));
+        let frame = |ordinal, from, ckpt: &BatchCheckpoint| {
+            let (mut bytes, mut json) = (Vec::new(), String::new());
+            Frame::encode(&mut bytes, &mut json, ordinal, "line", from, ckpt).expect("encodes");
+            bytes
+        };
+        let first = frame(1, 0, &at4);
+        for (tail, resumed_at) in [
+            (frame(1, 4, &at6), 6), // continues
+            (frame(1, 2, &at6), 4), // starts before the previous next period
+            (frame(2, 4, &at6), 4), // another request
+        ] {
+            std::fs::write(store.log_path(), [first.clone(), tail.clone()].concat())
+                .expect("write");
+            let rec = store.load_inflight().expect("a complete frame");
+            assert_eq!(rec.checkpoint.next_period, resumed_at);
+            let want = if resumed_at == 6 { &at6 } else { &at4 };
+            assert_eq!(&rec.checkpoint, want);
+            let len = first.len() + if resumed_at == 6 { tail.len() } else { 0 };
+            assert_eq!(rec.log_len, len as u64);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frame_records_must_match_the_checkpoint_length() {
+        let ckpt = small_checkpoint(4);
+        let mut bytes = Vec::new();
+        let mut json = String::new();
+        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 5, &ckpt).is_err());
+        let mut short = ckpt.clone();
+        short.next_period = 6;
+        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 0, &short).is_err());
+    }
 }

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use helio_faults::{corrupt_line, LineCorruption, ServiceFaultPlan, SlowWriter};
 use helio_fleet::{serve, serve_with, ServeOptions, SessionOutcome};
+use heliosched::PeriodRecord;
 
 const CONFIG: &str =
     r#"{"grid":{"days":1,"periods":8,"slots":10},"capacitors_farads":[2.0,15.0],"threads":2}"#;
@@ -336,6 +337,7 @@ fn corrupted_checkpoint_state_degrades_to_a_fresh_session() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     std::fs::write(dir.join("session.json"), b"{torn write").expect("write");
     std::fs::write(dir.join("inflight.json"), b"\x00garbage").expect("write");
+    std::fs::write(dir.join("inflight.log"), b"\x00garbage").expect("write");
     let input = session(&[r#"{"id":1,"scenarios":[{"planner":"inter"}]}"#]);
     let mut out = Vec::new();
     let mut reference = Vec::new();
@@ -351,4 +353,238 @@ fn corrupted_checkpoint_state_degrades_to_a_fresh_session() {
     .expect("corrupt state must not abort the session");
     assert_eq!(out, reference);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes of a frame's fixed header in `inflight.log`: an 8-byte magic,
+/// then six little-endian `u64`s (ordinal, first period, next period,
+/// lanes, line bytes, live-state bytes).
+const FRAME_HEADER: usize = 56;
+
+/// One complete frame of a checkpoint log, located by its header.
+#[derive(Debug, Clone, Copy)]
+struct FrameSpan {
+    start: usize,
+    end: usize,
+    from: usize,
+    next: usize,
+    lanes: usize,
+    /// Bytes of the frame's record block.
+    records: usize,
+}
+
+/// Walks the complete frames of a checkpoint log by the documented
+/// layout (header, request line, live state, then the record block),
+/// stopping at the first bytes that are not a whole frame.
+fn frames(log: &[u8]) -> Vec<FrameSpan> {
+    let word = |at: usize| -> Option<usize> {
+        let b: [u8; 8] = log.get(at..at + 8)?.try_into().ok()?;
+        usize::try_from(u64::from_le_bytes(b)).ok()
+    };
+    let mut out = Vec::new();
+    let mut start = 0;
+    while log.get(start..start + 8) == Some(b"HELIOFR1".as_slice()) {
+        let span = (|| {
+            let (from, next, lanes) = (word(start + 16)?, word(start + 24)?, word(start + 32)?);
+            let records = lanes
+                .checked_mul(next.checked_sub(from)?)?
+                .checked_mul(PeriodRecord::ENCODED_LEN)?;
+            let end = (start + FRAME_HEADER)
+                .checked_add(word(start + 40)?)?
+                .checked_add(word(start + 48)?)?
+                .checked_add(records)?;
+            (end <= log.len()).then_some(FrameSpan {
+                start,
+                end,
+                from,
+                next,
+                lanes,
+                records,
+            })
+        })();
+        let Some(span) = span else { break };
+        out.push(span);
+        start = span.end;
+    }
+    out
+}
+
+/// How the checkpoint state is damaged between a kill and the restart.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// The log ends inside the last frame's header.
+    HeaderCut,
+    /// The log ends inside the last frame's payload.
+    PayloadCut,
+    /// Garbage follows the last frame.
+    Garbage,
+    /// An old-format `inflight.json` sits beside the log.
+    StaleJson,
+}
+
+#[test]
+fn torn_and_stale_checkpoint_state_resumes_byte_identically() {
+    let input = session_with(DAY_CONFIG, &CHAOS_REQUESTS);
+    let reference = serve_bytes(input.clone(), &ServeOptions::default());
+    // `checkpoint_every` 6 makes request 2 a 4-segment request: kill it
+    // at each pause, at its end and at a period between two pauses.
+    let every = 6;
+    let opts = |dir: &PathBuf, kill: Option<usize>| ServeOptions {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: Some(every),
+        chaos: ServiceFaultPlan {
+            kill_request: kill.map(|_| 2),
+            kill_at_period: kill,
+        },
+        ..ServeOptions::default()
+    };
+    let damages = [
+        Damage::HeaderCut,
+        Damage::PayloadCut,
+        Damage::Garbage,
+        Damage::StaleJson,
+    ];
+    for kill in [6, 12, 18, 24, 9] {
+        for damage in damages {
+            let tag = format!("kill at {kill}, {damage:?}");
+            let dir = scratch_dir(&format!("torn-{kill}-{damage:?}"));
+            let mut joined = Vec::new();
+            let summary = serve_with(
+                Cursor::new(input.clone()),
+                &mut joined,
+                &opts(&dir, Some(kill)),
+            )
+            .expect("killed session");
+            assert_eq!(
+                summary.outcome,
+                SessionOutcome::ChaosKill {
+                    request: 2,
+                    period: kill
+                },
+                "{tag}"
+            );
+            let log_path = dir.join("inflight.log");
+            let mut log = std::fs::read(&log_path).expect("log written");
+            let spans = frames(&log);
+            assert_eq!(
+                spans.len(),
+                kill.div_ceil(every),
+                "{tag}: one frame per pause"
+            );
+            let last = *spans.last().expect("a frame");
+            assert_eq!(last.end, log.len(), "{tag}: the log is whole frames");
+            assert_eq!((spans[0].from, last.next), (0, kill), "{tag}");
+            match damage {
+                Damage::HeaderCut => log.truncate(last.start + 20),
+                Damage::PayloadCut => log.truncate(last.end - 8),
+                Damage::Garbage => log.extend_from_slice(b"\x00\xffnot a frame at all\n"),
+                Damage::StaleJson => {
+                    let stale = format!(
+                        r#"{{"ordinal":2,"line":{:?},"checkpoint":{{"next_period":3,"scenarios":[],"planners":[]}}}}"#,
+                        CHAOS_REQUESTS[1]
+                    );
+                    std::fs::write(dir.join("inflight.json"), stale).expect("write");
+                }
+            }
+            std::fs::write(&log_path, &log).expect("damage the log");
+
+            // The restart resumes from the last intact frame and is
+            // killed again at the end of the request: the log must
+            // have been cut back before the new frames were appended.
+            let summary = serve_with(
+                Cursor::new(input.clone()),
+                &mut joined,
+                &opts(&dir, Some(24)),
+            )
+            .expect("resumed session");
+            assert_eq!(
+                summary.outcome,
+                SessionOutcome::ChaosKill {
+                    request: 2,
+                    period: 24
+                },
+                "{tag}"
+            );
+            let log = std::fs::read(&log_path).expect("log written");
+            let spans = frames(&log);
+            assert_eq!(
+                spans.last().map(|f| f.end),
+                Some(log.len()),
+                "{tag}: tail left in the log"
+            );
+            assert!(
+                spans.windows(2).all(|w| w[0].next == w[1].from),
+                "{tag}: frames do not continue each other"
+            );
+            assert_eq!(
+                (spans[0].from, spans[spans.len() - 1].next),
+                (0, 24),
+                "{tag}"
+            );
+
+            joined.extend(serve_bytes(input.clone(), &opts(&dir, None)));
+            assert_eq!(
+                String::from_utf8(joined).expect("utf-8"),
+                String::from_utf8(reference.clone()).expect("utf-8"),
+                "{tag}: concatenated output diverged"
+            );
+            assert!(
+                !log_path.exists(),
+                "{tag}: the answered request left its log"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn checkpoint_bytes_grow_linearly_with_the_period_count() {
+    // MPC (its day-plan cache is the largest planner state), a
+    // resilient wrapper and a faulted lane on one 24-period day.
+    let request = r#"{"id":1,"scenarios":[{"planner":"mpc","seed":5},{"planner":"inter","seed":6,"resilient":true},{"planner":"inter","seed":7,"faults":{"seed":7,"random_blackouts":{"per_period_probability":0.2,"min_periods":1,"max_periods":2}}}]}"#;
+    let lanes = 3;
+    let total = 24;
+    // Live state per lane (bank, NVP fleet, counters, planner state)
+    // is bounded by the node and the planner, not by the period index.
+    let live_per_lane = 2048;
+    let rest_bound = FRAME_HEADER + request.len() + lanes * live_per_lane;
+    for segments in [2, 4, 8] {
+        let every = total / segments;
+        let dir = scratch_dir(&format!("linear-{segments}"));
+        let opts = ServeOptions {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: Some(every),
+            chaos: ServiceFaultPlan {
+                kill_request: Some(1),
+                kill_at_period: Some(total),
+            },
+            ..ServeOptions::default()
+        };
+        let mut out = Vec::new();
+        serve_with(
+            Cursor::new(session_with(DAY_CONFIG, &[request])),
+            &mut out,
+            &opts,
+        )
+        .expect("killed session");
+        let log = std::fs::read(dir.join("inflight.log")).expect("log written");
+        let spans = frames(&log);
+        assert_eq!(spans.len(), segments);
+        assert_eq!(spans.last().map(|f| f.end), Some(log.len()));
+        for (k, f) in spans.iter().enumerate() {
+            assert_eq!((f.from, f.next), (k * every, (k + 1) * every));
+            assert_eq!(f.lanes, lanes);
+            assert_eq!(f.records, lanes * every * PeriodRecord::ENCODED_LEN);
+            let rest = f.end - f.start - f.records;
+            assert!(
+                rest <= rest_bound,
+                "{segments} segments, frame {k}: {rest} bytes besides the records"
+            );
+        }
+        // Every period is written once: the record blocks add up to
+        // one record per lane and period, whatever the segment count.
+        let records: usize = spans.iter().map(|f| f.records).sum();
+        assert_eq!(records, lanes * total * PeriodRecord::ENCODED_LEN);
+        assert!(log.len() <= records + segments * rest_bound);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
