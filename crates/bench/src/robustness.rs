@@ -186,9 +186,12 @@ fn recovery_periods(
         return None;
     }
     let window_end = BLACKOUT_START + blackout_periods;
-    (window_end..faulted.periods.len().min(clean.periods.len()))
-        .find(|&p| faulted.periods[p].misses <= clean.periods[p].misses)
-        .map(|p| p - window_end)
+    faulted
+        .periods
+        .iter()
+        .zip(&clean.periods)
+        .skip(window_end)
+        .position(|(f, c)| f.misses <= c.misses)
 }
 
 /// Computes the full table: one clean run per backend, then every

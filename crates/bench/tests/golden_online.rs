@@ -46,6 +46,26 @@ fn reports_match_committed_goldens_bytewise() {
     assert_eq!(checked, 21, "golden suite shrank unexpectedly");
 }
 
+/// A deterministic work counter beside the byte gate: the encoded
+/// period-log bytes of the 21 golden reports. The reports' JSON pins
+/// what a record holds; this pins what the log spends on it, exactly,
+/// so an encoding that grows shows with zero noise.
+#[test]
+fn golden_period_logs_keep_their_encoded_size() {
+    let reports = golden_reports();
+    let records: usize = reports.iter().map(|(_, r)| r.periods.len()).sum();
+    let bytes: usize = reports
+        .iter()
+        .map(|(_, r)| r.periods.as_bytes().len())
+        .sum();
+    assert_eq!(records, 21 * 96);
+    // 34.3 B per record; the fixed-width form took 112 (225,792 B).
+    assert_eq!(
+        bytes, 69_152,
+        "encoded period-log bytes of the golden reports"
+    );
+}
+
 /// The batching gate: every golden case run through `BatchEngine` —
 /// scenarios advancing in lockstep, DBN inference batched across the
 /// batch — must reproduce the committed bytes exactly. This is the

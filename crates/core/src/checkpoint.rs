@@ -31,7 +31,7 @@ use helio_storage::CapacitorBank;
 use serde::{Deserialize, Serialize};
 
 use crate::longterm::PeriodPlan;
-use crate::metrics::PeriodRecord;
+use crate::metrics::PeriodLog;
 use crate::planner::PlannerHealth;
 
 /// Cross-period engine state of one scenario at a period boundary.
@@ -40,7 +40,7 @@ use crate::planner::PlannerHealth;
 pub struct ScenarioCheckpoint {
     pub(crate) bank: CapacitorBank,
     pub(crate) fleet: NvpFleet,
-    pub(crate) periods: Vec<PeriodRecord>,
+    pub(crate) periods: PeriodLog,
     pub(crate) acc_misses: usize,
     pub(crate) acc_tasks: usize,
     pub(crate) degraded: DegradedCounters,
@@ -54,7 +54,7 @@ pub struct ScenarioCheckpoint {
 impl ScenarioCheckpoint {
     /// The period records finished before the boundary, one per period
     /// from period 0, so their count is the checkpoint's next period.
-    pub fn periods(&self) -> &[PeriodRecord] {
+    pub fn periods(&self) -> &PeriodLog {
         &self.periods
     }
 
@@ -65,7 +65,7 @@ impl ScenarioCheckpoint {
         Self {
             bank: self.bank.clone(),
             fleet: self.fleet.clone(),
-            periods: Vec::new(),
+            periods: PeriodLog::new(),
             acc_misses: self.acc_misses,
             acc_tasks: self.acc_tasks,
             degraded: self.degraded,
@@ -77,7 +77,7 @@ impl ScenarioCheckpoint {
 
     /// Reassembles a checkpoint from a live state and the records
     /// finished so far (replacing any records the live state held).
-    pub fn with_periods(mut self, periods: Vec<PeriodRecord>) -> Self {
+    pub fn with_periods(mut self, periods: PeriodLog) -> Self {
         self.periods = periods;
         self
     }
@@ -310,6 +310,7 @@ mod tests {
 
     #[test]
     fn live_state_and_records_reassemble() {
+        use crate::metrics::PeriodRecord;
         use crate::planner::Pattern;
         use helio_common::time::PeriodRef;
         use helio_common::units::{Farads, Joules};
@@ -345,7 +346,7 @@ mod tests {
         let live = full.live_state();
         assert!(live.periods().is_empty());
         assert_eq!(full.periods().len(), 4);
-        assert_eq!(live.with_periods(full.periods().to_vec()), full);
+        assert_eq!(live.with_periods(full.periods().clone()), full);
     }
 
     #[test]

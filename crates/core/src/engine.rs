@@ -26,7 +26,7 @@ use crate::batch::PlanContext;
 use crate::checkpoint::ScenarioCheckpoint;
 use crate::config::NodeConfig;
 use crate::error::CoreError;
-use crate::metrics::{PeriodRecord, SimReport};
+use crate::metrics::{PeriodLog, PeriodRecord, SimReport};
 use crate::planner::{Pattern, PeriodPlanner, PlanDecision, PlannerObservation};
 
 /// The simulation engine. Construct once per (node, task set, trace)
@@ -177,7 +177,9 @@ pub(crate) struct ScenarioState {
     /// Slot-path scratch, built once: reset in place each period so the
     /// slot loop allocates nothing once warm.
     exec: ExecState,
-    periods: Vec<PeriodRecord>,
+    /// Reserved for the whole horizon, so appending a period never
+    /// reallocates.
+    periods: PeriodLog,
     acc_misses: usize,
     acc_tasks: usize,
     degraded: DegradedCounters,
@@ -199,7 +201,7 @@ impl ScenarioState {
             inter: LsaScheduler::new(),
             intra: IntraTaskScheduler::new(),
             exec: ExecState::new(graph, node.grid.slot_duration()),
-            periods: Vec::with_capacity(node.grid.total_periods()),
+            periods: PeriodLog::with_capacity(node.grid.total_periods()),
             acc_misses: 0,
             acc_tasks: 0,
             degraded: DegradedCounters::default(),
@@ -249,6 +251,9 @@ impl ScenarioState {
         state.bank = ckpt.bank.clone();
         state.fleet = ckpt.fleet.clone();
         state.periods = ckpt.periods.clone();
+        state
+            .periods
+            .reserve(node.grid.total_periods().saturating_sub(ckpt.periods.len()));
         state.acc_misses = ckpt.acc_misses;
         state.acc_tasks = ckpt.acc_tasks;
         state.degraded = ckpt.degraded;
@@ -458,7 +463,7 @@ impl ScenarioState {
         record.misses = self.exec.misses();
         self.acc_misses += record.misses;
         self.acc_tasks += record.tasks;
-        self.periods.push(record);
+        self.periods.push(&record);
         Ok(())
     }
 
@@ -482,7 +487,7 @@ impl ScenarioState {
 
         SimReport {
             planner: planner.name().to_string(),
-            periods: self.periods,
+            periods: self.periods.to_exact(),
             complexity: planner.complexity(),
             nvp_backups: self.fleet.backup_count(),
             nvp_restores: self.fleet.restore_count(),
@@ -600,7 +605,7 @@ mod tests {
         assert!(dmr > 0.05 && dmr < 0.95, "dmr {dmr}");
         // Daytime (around noon, period 12) must be perfect on a clear
         // day.
-        let noon = &report.periods[12];
+        let noon = report.periods.iter().nth(12).unwrap();
         assert_eq!(noon.misses, 0, "{noon:?}");
     }
 

@@ -82,7 +82,7 @@ pub use error::CoreError;
 pub use longterm::{
     optimize_horizon, optimize_horizon_serial, CacheStats, DpConfig, DpResult, PeriodPlan,
 };
-pub use metrics::{PeriodRecord, SimReport};
+pub use metrics::{LogError, PeriodLog, PeriodRecord, SimReport};
 pub use offline::{size_capacitors, train_proposed, OfflineConfig};
 pub use online::{ProposedPlanner, SwitchRule};
 pub use optimal::OptimalPlanner;

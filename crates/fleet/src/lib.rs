@@ -46,7 +46,7 @@ use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilde
 use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::{
     BatchCheckpoint, BatchEngine, BatchRunState, BatchScenario, BatchScratch, CoreError, DpConfig,
-    FixedPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodPlanner, PeriodRecord, PlanContext,
+    FixedPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodLog, PeriodPlanner, PlanContext,
     PlanDecision, PlannerObservation, ProposedPlanner, ResilientPlanner, ScenarioCheckpoint,
     SimReport, SwitchRule,
 };
@@ -235,72 +235,62 @@ struct Inflight {
 }
 
 /// Opens every frame of the in-flight log.
-const FRAME_MAGIC: [u8; 8] = *b"HELIOFR1";
+const FRAME_MAGIC: [u8; 8] = *b"HELIOFR2";
 
-/// Bytes of a frame's fixed header: [`FRAME_MAGIC`], then six
+/// Bytes of a frame's fixed header: [`FRAME_MAGIC`], then seven
 /// little-endian `u64`s: ordinal, first period of the frame's records,
-/// next period, lanes, line bytes and live-state bytes.
-const FRAME_HEADER: usize = 8 + 6 * 8;
+/// next period, lanes, line bytes, live-state bytes and record-block
+/// bytes.
+const FRAME_HEADER: usize = 8 + 7 * 8;
 
-/// One frame of the in-flight log, decoded. After the header come the
-/// request line, the live state (the [`BatchCheckpoint`] JSON with
-/// every lane's `periods` empty) and the records finished since the
-/// previous frame: lane after lane, `next - from` fixed-width
-/// [`PeriodRecord::encode_le`] records each.
+/// One frame of the in-flight log, split but not yet decoded. After
+/// the header come the request line, the live state (the
+/// [`BatchCheckpoint`] JSON with every lane's `periods` empty) and the
+/// record block: lane after lane, the [`PeriodLog`] bytes of the
+/// `next - from` records that lane finished since the previous frame.
 struct Frame<'a> {
     ordinal: u64,
     line: &'a str,
     from: usize,
     live: BatchCheckpoint,
-    /// The frame's new records, one list per lane.
-    records: Vec<Vec<PeriodRecord>>,
+    /// The record block, read by [`extend_lanes`].
+    records: &'a [u8],
     /// Encoded length of the whole frame.
     len: usize,
 }
 
 impl<'a> Frame<'a> {
-    /// Decodes the frame at the start of `bytes`. `None` when the
-    /// bytes are short, the magic is wrong, a length or period does
-    /// not fit, the live state does not parse or match the header, or
-    /// a record does not decode — never a panic.
+    /// Splits the frame at the start of `bytes`. `None` when the bytes
+    /// are short, the magic is wrong, a length or period does not fit,
+    /// or the live state does not parse or match the header — never a
+    /// panic.
     fn decode(bytes: &'a [u8]) -> Option<Self> {
         let (magic, mut rest) = bytes.split_first_chunk::<8>()?;
         if *magic != FRAME_MAGIC {
             return None;
         }
-        let mut words = [0u64; 6];
+        let mut words = [0u64; 7];
         for w in &mut words {
             let (b, r) = rest.split_first_chunk::<8>()?;
             *w = u64::from_le_bytes(*b);
             rest = r;
         }
-        let [ordinal, from, next, lanes, line_len, live_len] = words;
+        let [ordinal, from, next, lanes, line_len, live_len, records_len] = words;
         let count = |x: u64| usize::try_from(x).ok();
         let (from, next, lanes) = (count(from)?, count(next)?, count(lanes)?);
-        let per_lane = next
-            .checked_sub(from)?
-            .checked_mul(PeriodRecord::ENCODED_LEN)?;
         let (line, rest) = rest.split_at_checked(count(line_len)?)?;
         let (live, rest) = rest.split_at_checked(count(live_len)?)?;
-        let (records, _) = rest.split_at_checked(per_lane.checked_mul(lanes)?)?;
+        let (records, _) = rest.split_at_checked(count(records_len)?)?;
         let len = FRAME_HEADER + line.len() + live.len() + records.len();
         let line = std::str::from_utf8(line).ok()?;
         let live: BatchCheckpoint = serde_json::from_str(std::str::from_utf8(live).ok()?).ok()?;
-        if live.next_period != next || live.len() != lanes || live.planners.len() != lanes {
+        if from > next
+            || live.next_period != next
+            || live.len() != lanes
+            || live.planners.len() != lanes
+        {
             return None;
         }
-        let records = if per_lane == 0 {
-            vec![Vec::new(); lanes]
-        } else {
-            records
-                .chunks_exact(per_lane)
-                .map(|lane| {
-                    lane.chunks_exact(PeriodRecord::ENCODED_LEN)
-                        .map(PeriodRecord::decode_le)
-                        .collect::<Option<Vec<_>>>()
-                })
-                .collect::<Option<Vec<_>>>()?
-        };
         Some(Self {
             ordinal,
             line,
@@ -312,14 +302,16 @@ impl<'a> Frame<'a> {
     }
 
     /// Encodes the frame of a pause into `out`: `ckpt`'s live state and
-    /// every lane's records from `from` to `ckpt.next_period`. `json`
-    /// is scratch for the live state.
+    /// every lane's records from `from` to `ckpt.next_period`, which
+    /// start at byte `marks[lane]` of that lane's log (byte 0 when
+    /// `from` is 0). `json` is scratch for the live state.
     fn encode(
         out: &mut Vec<u8>,
         json: &mut String,
         ordinal: u64,
         line: &str,
         from: usize,
+        marks: &[usize],
         ckpt: &BatchCheckpoint,
     ) -> Result<(), FleetError> {
         let next = ckpt.next_period;
@@ -334,6 +326,23 @@ impl<'a> Frame<'a> {
         };
         json.clear();
         live.serialize_json(json);
+        let blocks = ckpt
+            .scenarios
+            .iter()
+            .enumerate()
+            .map(|(lane, sc)| {
+                let log = sc.periods();
+                let mark = marks.get(lane).copied().or((from == 0).then_some(0));
+                match mark.and_then(|m| log.as_bytes().get(m..)) {
+                    Some(new) if log.len() == next && from <= next => Ok(new),
+                    _ => Err(FleetError::Engine(format!(
+                        "lane {lane} at period {next} holds {} records, expected {next} after \
+                         period {from}",
+                        log.len()
+                    ))),
+                }
+            })
+            .collect::<Result<Vec<&[u8]>, _>>()?;
         out.clear();
         out.extend_from_slice(&FRAME_MAGIC);
         let header = [
@@ -343,29 +352,35 @@ impl<'a> Frame<'a> {
             ckpt.len() as u64,
             line.len() as u64,
             json.len() as u64,
+            blocks.iter().map(|b| b.len() as u64).sum(),
         ];
         for w in header {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(line.as_bytes());
         out.extend_from_slice(json.as_bytes());
-        for sc in &ckpt.scenarios {
-            let new = match sc.periods().get(from..) {
-                Some(new) if sc.periods().len() == next => new,
-                _ => {
-                    return Err(FleetError::Engine(format!(
-                        "checkpoint at period {next} holds {} records, expected {next} after \
-                         period {from}",
-                        sc.periods().len()
-                    )))
-                }
-            };
-            for r in new {
-                r.encode_le(out);
-            }
+        for block in blocks {
+            out.extend_from_slice(block);
         }
         Ok(())
     }
+}
+
+/// Continues every lane's log with its part of a frame's record block,
+/// `per_lane` records each. `None`, with `logs` unchanged, when the
+/// block is not exactly that many records per lane continuing each
+/// log: a frame is taken whole or not at all.
+fn extend_lanes(logs: &[PeriodLog], block: &[u8], per_lane: usize) -> Option<Vec<PeriodLog>> {
+    let mut at = 0;
+    let grown = logs
+        .iter()
+        .map(|log| {
+            let mut log = log.clone();
+            at += log.extend_encoded(block.get(at..)?, per_lane).ok()?;
+            Some(log)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    (at == block.len()).then_some(grown)
 }
 
 /// Crash-safe session persistence under one directory:
@@ -400,6 +415,9 @@ struct FrameLog {
     /// Next period of the last frame written: where the next frame's
     /// records start.
     through: usize,
+    /// Each lane's encoded log bytes at `through` (empty before the
+    /// first frame).
+    marks: Vec<usize>,
 }
 
 impl SessionStore {
@@ -451,21 +469,27 @@ impl SessionStore {
     fn load_inflight(&self) -> Option<Inflight> {
         let bytes = std::fs::read(self.log_path()).ok()?;
         let first = Frame::decode(&bytes).filter(|f| f.from == 0)?;
-        let mut at = first.len;
         let (ordinal, line) = (first.ordinal, first.line);
+        let mut records = extend_lanes(
+            &vec![PeriodLog::new(); first.live.len()],
+            first.records,
+            first.live.next_period,
+        )?;
+        let mut at = first.len;
         let mut live = first.live;
-        let mut records = first.records;
         while let Some(frame) = bytes.get(at..).and_then(Frame::decode) {
             if frame.ordinal != ordinal
                 || frame.line != line
                 || frame.from != live.next_period
-                || frame.records.len() != records.len()
+                || frame.live.len() != records.len()
             {
                 break;
             }
-            for (lane, new) in records.iter_mut().zip(frame.records) {
-                lane.extend(new);
-            }
+            let per_lane = frame.live.next_period - frame.from;
+            let Some(grown) = extend_lanes(&records, frame.records, per_lane) else {
+                break;
+            };
+            records = grown;
             live = frame.live;
             at += frame.len;
         }
@@ -497,6 +521,7 @@ impl SessionStore {
             file,
             ordinal: inflight.ordinal,
             through: inflight.checkpoint.next_period,
+            marks: lane_marks(&inflight.checkpoint),
         });
         Ok(())
     }
@@ -518,6 +543,7 @@ impl SessionStore {
                 file: std::fs::File::create(self.log_path())?,
                 ordinal,
                 through: 0,
+                marks: Vec::new(),
             },
         };
         Frame::encode(
@@ -526,10 +552,12 @@ impl SessionStore {
             ordinal,
             line,
             log.through,
+            &log.marks,
             ckpt,
         )?;
         log.file.write_all(&self.frame)?;
         log.through = ckpt.next_period;
+        log.marks = lane_marks(ckpt);
         self.log = Some(log);
         Ok(())
     }
@@ -538,6 +566,14 @@ impl SessionStore {
         self.log = None;
         let _ = std::fs::remove_file(self.log_path());
     }
+}
+
+/// Each lane's encoded log bytes in `ckpt`.
+fn lane_marks(ckpt: &BatchCheckpoint) -> Vec<usize> {
+    ckpt.scenarios
+        .iter()
+        .map(|sc| sc.periods().as_bytes().len())
+        .collect()
 }
 
 fn opt<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, serde::DeError> {
@@ -1685,27 +1721,56 @@ mod tests {
         last.expect("a pause")
     }
 
+    /// The lanes of `ckpt` cut back to their first `at` records.
+    fn logs_at(ckpt: &BatchCheckpoint, at: usize) -> Vec<PeriodLog> {
+        ckpt.scenarios
+            .iter()
+            .map(|sc| sc.periods().iter().take(at).collect())
+            .collect()
+    }
+
+    /// Each lane's encoded log bytes at period `at` of `ckpt`.
+    fn marks_at(ckpt: &BatchCheckpoint, at: usize) -> Vec<usize> {
+        logs_at(ckpt, at)
+            .iter()
+            .map(|l| l.as_bytes().len())
+            .collect()
+    }
+
     #[test]
     fn frame_round_trips_and_refuses_every_truncation() {
         let ckpt = small_checkpoint(5);
         let mut bytes = Vec::new();
         let mut json = String::new();
-        Frame::encode(&mut bytes, &mut json, 3, "line", 2, &ckpt).expect("encodes");
+        let marks = marks_at(&ckpt, 2);
+        Frame::encode(&mut bytes, &mut json, 3, "line", 2, &marks, &ckpt).expect("encodes");
         let frame = Frame::decode(&bytes).expect("decodes");
         assert_eq!(frame.len, bytes.len());
         assert_eq!((frame.ordinal, frame.line, frame.from), (3, "line", 2));
         assert_eq!(frame.live.next_period, 5);
-        for (lane, sc) in frame.records.iter().zip(&ckpt.scenarios) {
-            assert_eq!(lane.as_slice(), &sc.periods()[2..5]);
+        // The record block is each lane's log bytes past its mark.
+        let block: Vec<u8> = ckpt
+            .scenarios
+            .iter()
+            .zip(&marks)
+            .flat_map(|(sc, &m)| sc.periods().as_bytes()[m..].to_vec())
+            .collect();
+        assert_eq!(frame.records, block.as_slice());
+        assert_eq!(bytes[56..64], (block.len() as u64).to_le_bytes());
+        let grown = extend_lanes(&logs_at(&ckpt, 2), frame.records, 3).expect("continues");
+        for (log, sc) in grown.iter().zip(&ckpt.scenarios) {
+            assert_eq!(log, sc.periods());
         }
         for cut in 0..bytes.len() {
             assert!(Frame::decode(&bytes[..cut]).is_none(), "cut at {cut}");
         }
-        // An unknown pattern tag in the last record invalidates the frame.
-        let tag = bytes.len() - PeriodRecord::ENCODED_LEN + 12 * 8;
-        let mut bad = bytes.clone();
-        bad[tag] = 7;
-        assert!(Frame::decode(&bad).is_none());
+        // An unknown pattern in a record invalidates the frame's block;
+        // so does a block one record short of the header's periods.
+        let mut bad = frame.records.to_vec();
+        bad[1] |= 0b11;
+        assert!(extend_lanes(&logs_at(&ckpt, 2), &bad, 3).is_none());
+        assert!(extend_lanes(&logs_at(&ckpt, 2), frame.records, 4).is_none());
+        assert!(extend_lanes(&logs_at(&ckpt, 2), &frame.records[1..], 3).is_none());
         // A first period after the next one is out of range.
         let mut bad = bytes.clone();
         bad[16..24].copy_from_slice(&9u64.to_le_bytes());
@@ -1724,14 +1789,26 @@ mod tests {
         let (at4, at6) = (small_checkpoint(4), small_checkpoint(6));
         let frame = |ordinal, from, ckpt: &BatchCheckpoint| {
             let (mut bytes, mut json) = (Vec::new(), String::new());
-            Frame::encode(&mut bytes, &mut json, ordinal, "line", from, ckpt).expect("encodes");
+            let marks = marks_at(ckpt, from);
+            Frame::encode(&mut bytes, &mut json, ordinal, "line", from, &marks, ckpt)
+                .expect("encodes");
             bytes
         };
         let first = frame(1, 0, &at4);
+        // A frame whose lane 1 block starts with an unknown mask bit.
+        let mut torn = frame(1, 4, &at6);
+        let lane_bytes =
+            |c: &BatchCheckpoint, lane: usize| c.scenarios[lane].periods().as_bytes().len();
+        let block: usize = (0..at6.len())
+            .map(|lane| lane_bytes(&at6, lane) - lane_bytes(&at4, lane))
+            .sum();
+        let lane1 = torn.len() - block + lane_bytes(&at6, 0) - lane_bytes(&at4, 0);
+        torn[lane1] |= 0x80;
         for (tail, resumed_at) in [
             (frame(1, 4, &at6), 6), // continues
             (frame(1, 2, &at6), 4), // starts before the previous next period
             (frame(2, 4, &at6), 4), // another request
+            (torn, 4),              // a record that does not decode
         ] {
             std::fs::write(store.log_path(), [first.clone(), tail.clone()].concat())
                 .expect("write");
@@ -1750,9 +1827,12 @@ mod tests {
         let ckpt = small_checkpoint(4);
         let mut bytes = Vec::new();
         let mut json = String::new();
-        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 5, &ckpt).is_err());
+        let marks = marks_at(&ckpt, 4);
+        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 5, &marks, &ckpt).is_err());
         let mut short = ckpt.clone();
         short.next_period = 6;
-        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 0, &short).is_err());
+        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 0, &[], &short).is_err());
+        let past = vec![usize::MAX; ckpt.len()];
+        assert!(Frame::encode(&mut bytes, &mut json, 1, "l", 2, &past, &ckpt).is_err());
     }
 }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use helio_faults::{corrupt_line, LineCorruption, ServiceFaultPlan, SlowWriter};
 use helio_fleet::{serve, serve_with, ServeOptions, SessionOutcome};
-use heliosched::PeriodRecord;
+use heliosched::{PeriodLog, SimReport};
+use serde::Deserialize;
 
 const CONFIG: &str =
     r#"{"grid":{"days":1,"periods":8,"slots":10},"capacitors_farads":[2.0,15.0],"threads":2}"#;
@@ -356,9 +357,9 @@ fn corrupted_checkpoint_state_degrades_to_a_fresh_session() {
 }
 
 /// Bytes of a frame's fixed header in `inflight.log`: an 8-byte magic,
-/// then six little-endian `u64`s (ordinal, first period, next period,
-/// lanes, line bytes, live-state bytes).
-const FRAME_HEADER: usize = 56;
+/// then seven little-endian `u64`s (ordinal, first period, next period,
+/// lanes, line bytes, live-state bytes, record-block bytes).
+const FRAME_HEADER: usize = 64;
 
 /// One complete frame of a checkpoint log, located by its header.
 #[derive(Debug, Clone, Copy)]
@@ -382,12 +383,10 @@ fn frames(log: &[u8]) -> Vec<FrameSpan> {
     };
     let mut out = Vec::new();
     let mut start = 0;
-    while log.get(start..start + 8) == Some(b"HELIOFR1".as_slice()) {
+    while log.get(start..start + 8) == Some(b"HELIOFR2".as_slice()) {
         let span = (|| {
             let (from, next, lanes) = (word(start + 16)?, word(start + 24)?, word(start + 32)?);
-            let records = lanes
-                .checked_mul(next.checked_sub(from)?)?
-                .checked_mul(PeriodRecord::ENCODED_LEN)?;
+            let records = word(start + 56)?;
             let end = (start + FRAME_HEADER)
                 .checked_add(word(start + 40)?)?
                 .checked_add(word(start + 48)?)?
@@ -419,6 +418,24 @@ enum Damage {
     Garbage,
     /// An old-format `inflight.json` sits beside the log.
     StaleJson,
+    /// The log is in the fixed-width `HELIOFR1` layout of the previous
+    /// release: 56-byte headers without a record-block length and 112
+    /// bytes per record.
+    StaleFr1,
+}
+
+/// `log` rewritten frame by frame in the `HELIOFR1` layout: the same
+/// ordinal, periods, line and live state, and `lanes x periods`
+/// fixed-width records (zeroed).
+fn as_fr1(log: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for f in frames(log) {
+        out.extend_from_slice(b"HELIOFR1");
+        out.extend_from_slice(&log[f.start + 8..f.start + 56]);
+        out.extend_from_slice(&log[f.start + FRAME_HEADER..f.end - f.records]);
+        out.resize(out.len() + f.lanes * (f.next - f.from) * 112, 0);
+    }
+    out
 }
 
 #[test]
@@ -442,6 +459,7 @@ fn torn_and_stale_checkpoint_state_resumes_byte_identically() {
         Damage::PayloadCut,
         Damage::Garbage,
         Damage::StaleJson,
+        Damage::StaleFr1,
     ];
     for kill in [6, 12, 18, 24, 9] {
         for damage in damages {
@@ -484,6 +502,7 @@ fn torn_and_stale_checkpoint_state_resumes_byte_identically() {
                     );
                     std::fs::write(dir.join("inflight.json"), stale).expect("write");
                 }
+                Damage::StaleFr1 => log = as_fr1(&log),
             }
             std::fs::write(&log_path, &log).expect("damage the log");
 
@@ -536,6 +555,21 @@ fn torn_and_stale_checkpoint_state_resumes_byte_identically() {
     }
 }
 
+/// Each lane's period log, from the report lines of an uninterrupted
+/// session.
+fn lane_logs(output: &[u8]) -> Vec<PeriodLog> {
+    lines(output)
+        .into_iter()
+        .map(|line| {
+            let v = serde_json::parse_value(std::str::from_utf8(line).expect("utf-8"))
+                .expect("a JSON line");
+            let report = SimReport::deserialize_json(v.field("report").expect("a report line"))
+                .expect("a report");
+            report.periods
+        })
+        .collect()
+}
+
 #[test]
 fn checkpoint_bytes_grow_linearly_with_the_period_count() {
     // MPC (its day-plan cache is the largest planner state), a
@@ -543,10 +577,19 @@ fn checkpoint_bytes_grow_linearly_with_the_period_count() {
     let request = r#"{"id":1,"scenarios":[{"planner":"mpc","seed":5},{"planner":"inter","seed":6,"resilient":true},{"planner":"inter","seed":7,"faults":{"seed":7,"random_blackouts":{"per_period_probability":0.2,"min_periods":1,"max_periods":2}}}]}"#;
     let lanes = 3;
     let total = 24;
+    let logs = lane_logs(&serve_bytes(
+        session_with(DAY_CONFIG, &[request]),
+        &ServeOptions::default(),
+    ));
+    assert_eq!(logs.len(), lanes);
+    // Bytes of each lane's first `p` records.
+    let mark =
+        |log: &PeriodLog, p: usize| log.iter().take(p).collect::<PeriodLog>().as_bytes().len();
     // Live state per lane (bank, NVP fleet, counters, planner state)
     // is bounded by the node and the planner, not by the period index.
     let live_per_lane = 2048;
     let rest_bound = FRAME_HEADER + request.len() + lanes * live_per_lane;
+    let all_records: usize = logs.iter().map(|l| l.as_bytes().len()).sum();
     for segments in [2, 4, 8] {
         let every = total / segments;
         let dir = scratch_dir(&format!("linear-{segments}"));
@@ -573,7 +616,13 @@ fn checkpoint_bytes_grow_linearly_with_the_period_count() {
         for (k, f) in spans.iter().enumerate() {
             assert_eq!((f.from, f.next), (k * every, (k + 1) * every));
             assert_eq!(f.lanes, lanes);
-            assert_eq!(f.records, lanes * every * PeriodRecord::ENCODED_LEN);
+            // The record block is exactly the frame's new records: each
+            // lane's log bytes from period `from` to period `next`.
+            let new: Vec<u8> = logs
+                .iter()
+                .flat_map(|l| l.as_bytes()[mark(l, f.from)..mark(l, f.next)].to_vec())
+                .collect();
+            assert_eq!(&log[f.end - f.records..f.end], new.as_slice(), "frame {k}");
             let rest = f.end - f.start - f.records;
             assert!(
                 rest <= rest_bound,
@@ -581,9 +630,9 @@ fn checkpoint_bytes_grow_linearly_with_the_period_count() {
             );
         }
         // Every period is written once: the record blocks add up to
-        // one record per lane and period, whatever the segment count.
+        // each lane's whole log, whatever the segment count.
         let records: usize = spans.iter().map(|f| f.records).sum();
-        assert_eq!(records, lanes * total * PeriodRecord::ENCODED_LEN);
+        assert_eq!(records, all_records);
         assert!(log.len() <= records + segments * rest_bound);
         let _ = std::fs::remove_dir_all(&dir);
     }
