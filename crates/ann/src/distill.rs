@@ -1172,14 +1172,14 @@ impl FoldEntry {
     }
 }
 
-/// Fleet-wide shared fold cache for one distilled artifact.
+/// Shared fold cache for one distilled artifact.
 ///
 /// Keyed by the run-constant feature prefix — the exact f64 bit
 /// patterns, so two periods share an entry only when their constant
 /// features are identical (the same run-constant contract
 /// `DbnDecideCache` and the batch engine's `PlanContext` rely on, but
-/// sharable across traces, scenarios, shards and fleet requests
-/// instead of per flat index per planner). The table preserves the
+/// sharable across traces, scenarios and shards instead of per flat
+/// index per planner). The table preserves the
 /// sequential planner's lazy schedule: the first sighting of a prefix
 /// only records it (the caller takes the flat predict path — a prefix
 /// seen exactly once never pays for a fold), the second sighting
@@ -1195,11 +1195,14 @@ impl FoldEntry {
 /// storage, so a full table allocates nothing but the folds it builds.
 ///
 /// Interior-mutable behind a `Mutex`, so one table (behind an `Arc`)
-/// serves every scenario in a `BatchEngine` batch, every shard of
-/// `run_sharded`, and every request of a fleet service concurrently.
-/// Checkpoints never serialise the table — it is a cache rebuilt
-/// deterministically from the run-constant prefixes on resume, so a
-/// checkpoint carries the key (the trace), not the table.
+/// serves every scenario in a `BatchEngine` batch and every shard of
+/// `run_sharded` concurrently. A fleet service keeps one table for its
+/// session but [`FoldTable::clear`]s it at the start of each request:
+/// requests bring their own traces, so folds kept past their request
+/// are memory later requests hardly read. Checkpoints never serialise
+/// the table — it is a cache rebuilt deterministically from the
+/// run-constant prefixes on resume, so a checkpoint carries the key
+/// (the trace), not the table.
 #[derive(Debug)]
 pub struct FoldTable {
     policy: Arc<DistilledPolicy>,
@@ -1256,6 +1259,16 @@ impl FoldLru {
             head: NIL,
             tail: NIL,
         }
+    }
+
+    /// Forgets every slot and drops every fold, keeping the key, slot
+    /// and index storage for the next fill.
+    fn clear(&mut self) {
+        self.index.fill(0);
+        self.keys.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     fn key(&self, s: u32) -> Option<&[u64]> {
@@ -1422,10 +1435,10 @@ impl FoldLru {
 impl FoldTable {
     /// Default prefix capacity, a few MiB of folds at the scheduler's
     /// decision widths. That is about 170 days of one trace's period
-    /// prefixes at the paper's 24-period day, but a fleet session on
-    /// distinct traces fills it within one request (every scenario
-    /// brings new daylight prefixes), after which each new prefix
-    /// evicts the least recently used one.
+    /// prefixes at the paper's 24-period day, but one fleet request on
+    /// distinct traces can fill it (every scenario brings new daylight
+    /// prefixes), after which each new prefix evicts the least recently
+    /// used one.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates an empty table over `policy` holding at most
@@ -1460,9 +1473,19 @@ impl FoldTable {
         self.lock().slots.len()
     }
 
-    /// Whether the table has seen no prefix yet.
+    /// Whether the table tracks no prefix.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Forgets every tracked prefix and drops the table's references
+    /// to every fold, so the next sighting of any prefix is a first
+    /// sighting again. The slot, key and index storage stays reserved:
+    /// clearing allocates and frees nothing but the folds themselves,
+    /// and refilling to the same size allocates only the folds it
+    /// builds. A fold still held by a caller stays valid.
+    pub fn clear(&self) {
+        self.lock().clear();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FoldLru> {

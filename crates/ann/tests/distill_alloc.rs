@@ -3,7 +3,8 @@
 //! cost, the per-period prewalk/fold reuses its buffer, and every
 //! `predict_folded` call after the first — the per-decision hot path —
 //! touches no allocator at all. The shared `FoldTable` in front of it
-//! allocates only the fold entries it builds, evicting or not.
+//! allocates only the fold entries it builds, evicting or not, and a
+//! cleared table refills in the storage it already holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -216,4 +217,44 @@ fn fold_table_allocates_only_the_folds_it_builds() {
         assert!(unbounded.lookup(x).expect("lookup").is_some());
     }
     assert_eq!(unbounded.len(), xs.len());
+}
+
+#[test]
+fn cleared_fold_table_refills_without_new_storage() {
+    let _serial = serial();
+    let dbn = trained_dbn();
+    let cfg = DistillConfig {
+        depth_const: 4,
+        depth_vary: 4,
+        samples: 2048,
+        candidates: 16,
+        holdout: 256,
+        ..DistillConfig::small(7)
+    };
+    let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils"));
+    let xs: Vec<Vec<f64>> = (0..8).map(|p| features(p, p % 3)).collect();
+    let table = FoldTable::new(Arc::clone(&policy), xs.len());
+    let fill = || {
+        for x in &xs {
+            assert!(table.lookup(x).expect("lookup").is_none());
+            assert!(table.lookup(x).expect("lookup").is_some());
+        }
+    };
+    fill();
+    assert_eq!(table.len(), xs.len());
+
+    let cleared = allocations_during(|| table.clear());
+    assert_eq!(cleared, 0, "{cleared} allocations to clear the table");
+    assert!(table.is_empty());
+
+    let one_fold = allocations_during(|| {
+        drop(Arc::new(FoldEntry::build(&policy, &xs[0]).expect("builds")));
+    });
+    let refill = allocations_during(fill);
+    assert_eq!(
+        refill,
+        one_fold * xs.len() as u64,
+        "refilling a cleared table must allocate only the folds it builds"
+    );
+    assert_eq!(table.len(), xs.len());
 }

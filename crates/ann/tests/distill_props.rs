@@ -87,8 +87,8 @@ fn in_range(dbn: &Dbn, unit: &[f64]) -> Vec<f64> {
 
 /// The reference semantics of `FoldTable`: every lookup stamps its
 /// prefix with a fresh clock value, a table at capacity evicts the
-/// prefix with the smallest stamp by an O(n) scan, and a prefix is
-/// folded on its second sighting.
+/// prefix with the smallest stamp by an O(n) scan, a prefix is folded
+/// on its second sighting, and a clear forgets every prefix.
 struct NaiveLru {
     capacity: usize,
     clock: u64,
@@ -127,6 +127,10 @@ impl NaiveLru {
         }
         self.slots.push((prefix, self.clock, false));
         Sighting::First
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
     }
 }
 
@@ -239,13 +243,21 @@ proptest! {
     #[test]
     fn fold_table_is_a_min_stamp_lru(
         capacity in 1usize..=8,
-        stream in prop::collection::vec(0usize..48, 1..200),
+        stream in prop::collection::vec(0usize..52, 1..200),
     ) {
         let (_, policy) = fixture();
         let table = FoldTable::new(Arc::new(policy.clone()), capacity);
         let mut model = NaiveLru { capacity, clock: 0, slots: Vec::new() };
         let mut built: Vec<Option<Arc<FoldEntry>>> = vec![None; 12];
         for &v in &stream {
+            // One step in thirteen is a clear, as a fleet request
+            // starts; a refold after it must not return an old entry.
+            if v >= 48 {
+                table.clear();
+                model.clear();
+                prop_assert!(table.is_empty());
+                continue;
+            }
             let (prefix, tail) = (v % 12, v / 12);
             let got = table.lookup(&prefixed(prefix, tail)).expect("lookup");
             match (model.lookup(prefix), got) {
@@ -312,7 +324,7 @@ fn private_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) -
     bits
 }
 
-/// Output bits of the same lanes sharing one fleet-wide fold table and
+/// Output bits of the same lanes sharing one fold table and
 /// deciding each period in one batched kernel call.
 fn shared_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) -> Vec<u64> {
     let table = FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY);
@@ -335,7 +347,7 @@ fn shared_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One fleet-wide `FoldTable` plus `predict_batch_folded` is
+    /// One shared `FoldTable` plus `predict_batch_folded` is
     /// bit-identical to B private tables with per-lane
     /// `predict_folded`/`predict_into`, over streams of at least eight
     /// periods. With more than one trace group, neighbouring lanes of a

@@ -120,10 +120,10 @@ enum Backend {
         /// revisited prefix (re-decisions, crash-resume replays,
         /// repeated sweeps, other scenarios on the same trace)
         /// resumes from its warm fold. Behind an `Arc`: a batch, a
-        /// sharded run or a fleet service hands every distilled
-        /// planner on one trace the same table via
+        /// sharded run or a fleet request hands every distilled
+        /// planner the same table via
         /// [`ProposedPlanner::from_distilled_with_table`], folding
-        /// each period once fleet-wide. Never checkpointed — it is a
+        /// each shared prefix once per batch. Never checkpointed — it is a
         /// cache rebuilt deterministically from the prefixes.
         table: Arc<FoldTable>,
         /// Latched when the artifact errors or the engine reports a
@@ -306,12 +306,14 @@ impl ProposedPlanner {
 
     /// [`ProposedPlanner::from_distilled`] on an already-shared
     /// [`FoldTable`] (which carries the artifact): every scenario in a
-    /// batch, every shard, and every fleet request on the same trace
-    /// hands its planner the same table, so each period's constant
-    /// prefix is prewalked and folded once fleet-wide instead of once
-    /// per planner. Sharing is invisible in the output — the folded
-    /// and flat paths are bit-identical — it only moves the fold cost
-    /// from per-scenario to per-fleet.
+    /// batch and every shard hands its planner the same table, so a
+    /// constant prefix shared by several lanes is prewalked and folded
+    /// once per batch instead of once per planner. A fleet service
+    /// keeps one table but clears it at the start of each request, so
+    /// sharing spans the lanes, shards and segments of one request,
+    /// not the session. Sharing is invisible in the output — the
+    /// folded and flat paths are bit-identical — it only moves the fold
+    /// cost from per-scenario to per-batch.
     pub fn from_distilled_with_table(
         table: Arc<FoldTable>,
         fallback: Arc<CompiledDbn>,
