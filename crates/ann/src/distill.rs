@@ -231,6 +231,10 @@ impl DistilledPolicy {
     /// index (more than `u32::MAX` rows, or a sample matrix beyond the
     /// address space), and [`AnnError::DimensionMismatch`] for extra
     /// samples of the wrong width.
+    ///
+    /// The fitter's row lists take `u16` row ids when every row fits
+    /// one ([`NARROW_ROWS`]) and `u32` ids otherwise; both widths fit
+    /// the same artifact, bit for bit.
     pub fn distill(
         teacher: &Dbn,
         const_prefix: usize,
@@ -263,6 +267,29 @@ impl DistilledPolicy {
                 ));
             }
         }
+        let n = training_rows(cfg, extra_samples.len(), in_dim, out_dim)?;
+        if n <= NARROW_ROWS {
+            Self::fit_rows::<u16>(teacher, const_prefix, extra_samples, cfg, n)
+        } else {
+            Self::fit_rows::<u32>(teacher, const_prefix, extra_samples, cfg, n)
+        }
+    }
+
+    /// [`DistilledPolicy::distill`] on its `n` validated training rows,
+    /// with `R` row ids in the fitter's row lists. The working set is
+    /// kept to what each phase reads: the presort runs on the samples
+    /// before the labels exist and frees its radix scratch first, and
+    /// the leaf tables are allocated only once the tree is grown and
+    /// its feature lanes are freed.
+    fn fit_rows<R: RowId>(
+        teacher: &Dbn,
+        const_prefix: usize,
+        extra_samples: &[Vec<f64>],
+        cfg: &DistillConfig,
+        n: usize,
+    ) -> Result<Self, AnnError> {
+        let in_dim = teacher.input_dim();
+        let out_dim = teacher.output_dim();
 
         // Sampling box: the teacher's fitted range, widened so mildly
         // out-of-range queries still land in trained regions. Constant
@@ -283,8 +310,7 @@ impl DistilledPolicy {
         }
 
         // Training set: box samples + weighted trajectory samples,
-        // labelled by the teacher.
-        let n = training_rows(cfg, extra_samples.len(), in_dim, out_dim)?;
+        // presorted per feature, then labelled by the teacher.
         let mut rng = helio_common::rng::derive(cfg.seed, "distill-box");
         let mut xs = Matrix::zeros(n, in_dim);
         for r in 0..cfg.samples {
@@ -300,6 +326,7 @@ impl DistilledPolicy {
                     .copy_from_slice(s);
             }
         }
+        let mut rows = Presort::<R>::new(&xs);
         // Label rows are zero-padded to the fixed-width kernels' lane
         // count; only the first `out_dim` columns are ever read as
         // labels.
@@ -336,8 +363,10 @@ impl DistilledPolicy {
             ys: &ys,
             feat: vec![0; internal],
             thresh: vec![f64::MAX; internal],
-            leaf_bias: vec![0.0; leaves * out_dim],
-            leaf_coef: vec![0.0; leaves * out_dim * in_dim],
+            leaf_rows: vec![0..0; leaves],
+            leaf_means: vec![0.0; leaves * out_dim],
+            leaf_bias: Vec::new(),
+            leaf_coef: Vec::new(),
             depth,
             depth_const: cfg.depth_const,
             const_prefix,
@@ -349,9 +378,9 @@ impl DistilledPolicy {
             feat_mean,
             feat_std,
         };
-        let mut rows = fit.presort();
         let root_mean = column_means(&ys, rows.in_row_order(0, n), out_dim);
         fit.grow(&mut rows, 0, 0, 0, n, &root_mean);
+        fit.fit_leaves(&rows.into_row_order());
 
         let mut policy = Self {
             in_dim,
@@ -1188,11 +1217,13 @@ impl FoldEntry {
 /// sharing, eviction and capacity bounds change throughput only —
 /// never output bytes.
 ///
-/// Memory is bounded: past `capacity` distinct prefixes the
-/// least-recently-used slot is evicted, so multi-year traces cannot
-/// grow the table without limit. Eviction is O(1) — the slots carry
-/// an intrusive recency list — and reuses the victim's slot and key
-/// storage, so a full table allocates nothing but the folds it builds.
+/// Memory grows with use and is bounded: a fresh table holds no
+/// storage, and its slots grow with the prefixes it tracks. Past
+/// `capacity` distinct prefixes the least-recently-used slot is
+/// evicted, so multi-year traces cannot grow the table without limit.
+/// Eviction is O(1) — the slots carry an intrusive recency list — and
+/// reuses the victim's slot and key storage, so a full table allocates
+/// nothing but the folds it builds.
 ///
 /// Interior-mutable behind a `Mutex`, so one table (behind an `Arc`)
 /// serves every scenario in a `BatchEngine` batch and every shard of
@@ -1229,9 +1260,9 @@ struct FoldLru {
     key_len: usize,
     keys: Vec<u64>,
     slots: Vec<FoldSlot>,
-    /// Power-of-two buckets holding slot number + 1 (0 = empty, so
-    /// the up-front allocation stays untouched until used), at most
-    /// half full, linear probing with backward-shift deletion.
+    /// Power-of-two buckets holding slot number + 1 (0 = empty), at
+    /// most half full, linear probing with backward-shift deletion.
+    /// Empty until the first prefix is tracked.
     index: Vec<u32>,
     head: u32,
     tail: u32,
@@ -1247,15 +1278,19 @@ struct FoldSlot {
     entry: Option<Arc<FoldEntry>>,
 }
 
+/// Buckets of the index once the first prefix is tracked.
+const MIN_INDEX: usize = 8;
+
 impl FoldLru {
-    /// Storage for `reserve` slots of `key_len`-word keys, allocated
-    /// here once; tables sized past it grow geometrically.
-    fn new(key_len: usize, reserve: usize) -> Self {
+    /// Empty storage for slots of `key_len`-word keys. Nothing is
+    /// allocated until the first prefix is tracked; the slot, key and
+    /// index storage then grows geometrically with the tracked set.
+    fn new(key_len: usize) -> Self {
         Self {
             key_len,
-            keys: Vec::with_capacity(reserve.saturating_mul(key_len)),
-            slots: Vec::with_capacity(reserve),
-            index: vec![0; reserve.saturating_mul(2).next_power_of_two()],
+            keys: Vec::new(),
+            slots: Vec::new(),
+            index: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -1345,13 +1380,13 @@ impl FoldLru {
         }
     }
 
-    /// Doubles the index if `slots` slots would fill more than half of
-    /// it (tables sized past their up-front reservation only).
+    /// Doubles the index (or allocates its first buckets) if `slots`
+    /// slots would fill more than half of it.
     fn grow_index(&mut self, slots: usize) {
         if slots * 2 <= self.index.len() {
             return;
         }
-        self.index = vec![0; self.index.len() * 2];
+        self.index = vec![0; (self.index.len() * 2).max(MIN_INDEX)];
         for s in 0..self.slots.len() {
             if let Some(hash) = self.slots.get(s).map(|n| n.hash) {
                 self.index_insert(hash, s as u32);
@@ -1442,13 +1477,14 @@ impl FoldTable {
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates an empty table over `policy` holding at most
-    /// `capacity` distinct prefixes (clamped to `1..u32::MAX`). The
-    /// slot storage for up to [`FoldTable::DEFAULT_CAPACITY`] prefixes
-    /// is allocated here, so a full table never reallocates; larger
-    /// capacities grow their storage as the table fills.
+    /// `capacity` distinct prefixes (clamped to `1..u32::MAX`). Nothing
+    /// is allocated here, whatever the capacity: the slot, key and
+    /// index storage grows geometrically as prefixes are tracked, up to
+    /// what `capacity` prefixes need, and [`FoldTable::clear`] keeps
+    /// it. A full table never reallocates: eviction recycles a slot.
     pub fn new(policy: Arc<DistilledPolicy>, capacity: usize) -> Self {
         let capacity = capacity.clamp(1, NIL as usize);
-        let lru = FoldLru::new(policy.const_prefix(), capacity.min(Self::DEFAULT_CAPACITY));
+        let lru = FoldLru::new(policy.const_prefix());
         Self {
             policy,
             capacity,
@@ -1618,7 +1654,7 @@ impl Labeller {
 }
 
 /// Number of training rows, `samples + extras × extra_weight`, in
-/// checked arithmetic. The fitter indexes rows as `u32`, and the
+/// checked arithmetic. The fitter's widest row ids are `u32`, and the
 /// `n × in_dim` sample and `n × label_width(out_dim)` label matrices
 /// (which bound the fitter's `(in_dim + 1) × n` row lists too) must fit
 /// the address space.
@@ -1649,13 +1685,13 @@ fn training_rows(
     }
 }
 
-fn column_means(ys: &Matrix, idx: &[u32], out_dim: usize) -> Vec<f64> {
+fn column_means<R: RowId>(ys: &Matrix, idx: &[R], out_dim: usize) -> Vec<f64> {
     let mut mean = vec![0.0; out_dim];
     if idx.is_empty() {
         return mean;
     }
     for &r in idx {
-        for (m, v) in mean.iter_mut().zip(ys.row(r as usize)) {
+        for (m, v) in mean.iter_mut().zip(ys.row(r.index())) {
             *m += v;
         }
     }
@@ -1685,6 +1721,38 @@ fn column_moments(m: &Matrix, cols: usize) -> (Vec<f64>, Vec<f64>) {
     (mean, std)
 }
 
+/// Largest training set whose rows the fitter numbers with `u16` ids.
+const NARROW_ROWS: usize = 1 << u16::BITS;
+
+/// A row id in the fitter's row lists: `u16` for sets of up to
+/// [`NARROW_ROWS`] rows, halving the lists' bytes, `u32` otherwise.
+trait RowId: Copy + Default {
+    /// The id of row `r`, which the caller keeps below the width's
+    /// row limit.
+    fn from_index(r: usize) -> Self;
+    fn index(self) -> usize;
+}
+
+impl RowId for u16 {
+    fn from_index(r: usize) -> Self {
+        r as u16
+    }
+
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl RowId for u32 {
+    fn from_index(r: usize) -> Self {
+        r as u32
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Order-preserving `u64` image of [`f64::total_cmp`]: comparing keys
 /// as integers compares the values in IEEE total order.
 fn total_order_key(x: f64) -> u64 {
@@ -1705,20 +1773,20 @@ const RADIX_PASSES: usize = u64::BITS.div_ceil(RADIX_BITS) as usize;
 /// Buffers of the presort's stable LSD radix sort, allocated once per
 /// fit: each key travels with its row, so a pass streams both arrays
 /// and never gathers.
-struct RadixSort {
+struct RadixSort<R> {
     keys: Vec<u64>,
     alt_keys: Vec<u64>,
-    alt_rows: Vec<u32>,
+    alt_rows: Vec<R>,
     /// One histogram per digit, `RADIX_PASSES × RADIX_BUCKETS`.
     counts: Vec<u32>,
 }
 
-impl RadixSort {
+impl<R: RowId> RadixSort<R> {
     fn new(n: usize) -> Self {
         Self {
             keys: vec![0; n],
             alt_keys: vec![0; n],
-            alt_rows: vec![0; n],
+            alt_rows: vec![R::default(); n],
             counts: vec![0; RADIX_PASSES * RADIX_BUCKETS],
         }
     }
@@ -1727,7 +1795,7 @@ impl RadixSort {
     /// `(key(row), row)`. The passes are stable and start from
     /// ascending ids, so equal keys stay in row order. A pass whose
     /// digit is the same for every key is skipped.
-    fn sort(&mut self, lane: &mut [u32], key: impl Fn(usize) -> u64) {
+    fn sort(&mut self, lane: &mut [R], key: impl Fn(usize) -> u64) {
         let n = lane.len();
         let Self {
             keys,
@@ -1737,9 +1805,9 @@ impl RadixSort {
         } = self;
         let (keys, alt_keys, alt_rows) = (&mut keys[..n], &mut alt_keys[..n], &mut alt_rows[..n]);
         counts.fill(0);
-        for ((r, slot), k) in (0u32..).zip(lane.iter_mut()).zip(keys.iter_mut()) {
-            *slot = r;
-            *k = key(r as usize);
+        for ((r, slot), k) in (0..).zip(lane.iter_mut()).zip(keys.iter_mut()) {
+            *slot = R::from_index(r);
+            *k = key(r);
             for (pass, hist) in counts.chunks_exact_mut(RADIX_BUCKETS).enumerate() {
                 hist[digit(*k, pass)] += 1;
             }
@@ -1777,11 +1845,11 @@ fn digit(key: u64, pass: usize) -> usize {
 /// One stable counting-sort pass: moves every `(key, row)` pair to the
 /// next free slot of its digit's bucket, `starts` holding each bucket's
 /// first free slot.
-fn scatter(
+fn scatter<R: RowId>(
     keys: &[u64],
-    rows: &[u32],
+    rows: &[R],
     to_keys: &mut [u64],
-    to_rows: &mut [u32],
+    to_rows: &mut [R],
     starts: &mut [u32],
     pass: usize,
 ) {
@@ -1795,7 +1863,7 @@ fn scatter(
 }
 
 /// The fitter's presorted row lists (SLIQ-style attribute lists): one
-/// `n`-long lane of row ids per feature, plus a last lane in row order.
+/// `n`-long lane of row ids per feature, plus a lane in row order.
 ///
 /// **Invariant.** Every tree node owns one contiguous range
 /// `[start, end)`, the same in every lane. Within it, feature lane `f`
@@ -1804,27 +1872,52 @@ fn scatter(
 /// Splitting a node stably partitions each lane its subtree still reads
 /// (left rows first), so both children inherit the invariant and no
 /// node ever sorts.
-struct Presort {
+struct Presort<R> {
     n: usize,
-    /// `(in_dim + 1) × n` row ids, lane-major; lane `in_dim` is the
-    /// row-order lane.
-    lanes: Vec<u32>,
-    row_lane: usize,
+    /// `in_dim × n` row ids, lane-major.
+    lanes: Vec<R>,
+    /// The row-order lane: the only one the leaf fits read, so it
+    /// outlives the feature lanes.
+    rows: Vec<R>,
     /// Routing of the split being applied, by row: `true` goes right.
     goes_right: Vec<bool>,
     /// The right-hand rows of the lane being partitioned.
-    spill: Vec<u32>,
+    spill: Vec<R>,
 }
 
-impl Presort {
-    fn lane(&self, lane: usize, start: usize, end: usize) -> &[u32] {
+impl<R: RowId> Presort<R> {
+    /// Sorts every feature of `xs`, once, by `(value, row)` in IEEE
+    /// total order. The radix scratch is freed before this returns.
+    fn new(xs: &Matrix) -> Self {
+        let n = xs.rows();
+        let mut lanes = vec![R::default(); xs.cols() * n];
+        let mut radix = RadixSort::new(n);
+        for (f, lane) in lanes.chunks_exact_mut(n.max(1)).enumerate() {
+            radix.sort(lane, |r| total_order_key(xs.row(r)[f]));
+        }
+        Self {
+            n,
+            lanes,
+            rows: (0..n).map(R::from_index).collect(),
+            goes_right: vec![false; n],
+            spill: vec![R::default(); n],
+        }
+    }
+
+    fn lane(&self, lane: usize, start: usize, end: usize) -> &[R] {
         &self.lanes[lane * self.n + start..lane * self.n + end]
     }
 
     /// The node's rows in ascending row order — the order every sum
     /// over a node's rows runs in.
-    fn in_row_order(&self, start: usize, end: usize) -> &[u32] {
-        self.lane(self.row_lane, start, end)
+    fn in_row_order(&self, start: usize, end: usize) -> &[R] {
+        &self.rows[start..end]
+    }
+
+    /// The row-order lane, every other list freed: each leaf's rows
+    /// stay at the range they had when the leaf was reached.
+    fn into_row_order(self) -> Vec<R> {
+        self.rows
     }
 
     /// Routes the node's rows on `x[f] > t` (right) and stably
@@ -1840,30 +1933,39 @@ impl Presort {
         keep: Range<usize>,
     ) -> usize {
         let n = self.n;
-        let row_lane = self.row_lane;
-        for &r in &self.lanes[row_lane * n + start..row_lane * n + end] {
-            self.goes_right[r as usize] = xs.row(r as usize)[f] > t;
+        for &r in &self.rows[start..end] {
+            self.goes_right[r.index()] = xs.row(r.index())[f] > t;
         }
-        let mut mid = start;
-        for lane in keep.chain(std::iter::once(row_lane)) {
+        for lane in keep {
             let seg = &mut self.lanes[lane * n + start..lane * n + end];
-            let spill = &mut self.spill[..seg.len()];
-            // Every row is written to both sides and only its side's
-            // cursor advances: no branch on the routing to mispredict.
-            let (mut left, mut right) = (0, 0);
-            for i in 0..seg.len() {
-                let r = seg[i];
-                let go = usize::from(self.goes_right[r as usize]);
-                seg[left] = r;
-                spill[right] = r;
-                left += 1 - go;
-                right += go;
-            }
-            seg[left..].copy_from_slice(&spill[..right]);
-            mid = start + left;
+            stable_partition(seg, &mut self.spill, &self.goes_right);
         }
-        mid
+        start
+            + stable_partition(
+                &mut self.rows[start..end],
+                &mut self.spill,
+                &self.goes_right,
+            )
     }
+}
+
+/// Stably moves the rows of `seg` that do not go right ahead of those
+/// that do, through `spill`. Returns the number of left rows.
+fn stable_partition<R: RowId>(seg: &mut [R], spill: &mut [R], goes_right: &[bool]) -> usize {
+    let spill = &mut spill[..seg.len()];
+    // Every row is written to both sides and only its side's cursor
+    // advances: no branch on the routing to mispredict.
+    let (mut left, mut right) = (0, 0);
+    for i in 0..seg.len() {
+        let r = seg[i];
+        let go = usize::from(goes_right[r.index()]);
+        seg[left] = r;
+        spill[right] = r;
+        left += 1 - go;
+        right += go;
+    }
+    seg[left..].copy_from_slice(&spill[..right]);
+    left
 }
 
 /// Greedy CART fitter for the complete, level-feature-partitioned
@@ -1874,9 +1976,16 @@ struct Fit<'a> {
     ys: &'a Matrix,
     feat: Vec<u32>,
     thresh: Vec<f64>,
+    /// Each leaf's range of the row lists, recorded as the tree grows.
+    leaf_rows: Vec<Range<usize>>,
+    /// Each leaf's label mean (its ancestor's for an empty leaf),
+    /// `out_dim` per leaf: the fallback model of an under-populated or
+    /// singular leaf.
+    leaf_means: Vec<f64>,
     /// Leaf models, quantised to the artifact's `f32` as each leaf is
     /// fitted (the ridge fits run in f64), so the stored agreement
-    /// measures the precision actually deployed.
+    /// measures the precision actually deployed. Empty until the tree
+    /// is grown.
     leaf_bias: Vec<f32>,
     leaf_coef: Vec<f32>,
     depth: usize,
@@ -1915,42 +2024,17 @@ impl Fit<'_> {
         lo..hi
     }
 
-    /// Sorts every lane the root's subtree reads, once, by
-    /// `(value, row)` in IEEE total order.
-    fn presort(&self) -> Presort {
-        let n = self.xs.rows();
-        let row_lane = self.in_dim;
-        let mut lanes = vec![0u32; (row_lane + 1) * n];
-        for (slot, r) in lanes[row_lane * n..].iter_mut().zip(0u32..) {
-            *slot = r;
-        }
-        // Dropped before the tree grows.
-        let mut radix = RadixSort::new(n);
-        for f in self.lanes_below(0) {
-            radix.sort(&mut lanes[f * n..(f + 1) * n], |r| {
-                total_order_key(self.xs.row(r)[f])
-            });
-        }
-        drop(radix);
-        Presort {
-            n,
-            lanes,
-            row_lane,
-            goes_right: vec![false; n],
-            spill: vec![0; n],
-        }
-    }
-
     /// The label rows as `L`-wide arrays; the rows must be `L` wide.
     fn label_lanes<const L: usize>(&self) -> &[[f64; L]] {
         self.ys.as_slice().as_chunks::<L>().0
     }
 
     /// Grows the subtree of `node`, whose rows are `[start, end)` of
-    /// every lane of `rows`.
-    fn grow(
+    /// every lane of `rows`, and records each of its leaves' range and
+    /// mean for [`Fit::fit_leaves`].
+    fn grow<R: RowId>(
         &mut self,
-        rows: &mut Presort,
+        rows: &mut Presort<R>,
         node: usize,
         level: usize,
         start: usize,
@@ -1964,7 +2048,9 @@ impl Fit<'_> {
         };
         if level == self.depth {
             let leaf = node - ((1usize << self.depth) - 1);
-            self.fit_leaf(leaf, rows.in_row_order(start, end), &mean);
+            let od = self.out_dim;
+            self.leaf_rows[leaf] = start..end;
+            self.leaf_means[leaf * od..(leaf + 1) * od].copy_from_slice(&mean);
             return;
         }
         let (fl, fh) = if level < self.depth_const {
@@ -1990,11 +2076,24 @@ impl Fit<'_> {
         self.grow(rows, 2 * node + 2, level + 1, mid, end, &mean);
     }
 
+    /// Allocates the leaf tables and fits every leaf recorded by
+    /// [`Fit::grow`] from `rows`, the grown tree's row-order lane.
+    fn fit_leaves<R: RowId>(&mut self, rows: &[R]) {
+        let (od, leaves) = (self.out_dim, self.leaf_rows.len());
+        self.leaf_bias = vec![0.0; leaves * od];
+        self.leaf_coef = vec![0.0; leaves * od * self.in_dim];
+        let leaf_rows = std::mem::take(&mut self.leaf_rows);
+        let means = std::mem::take(&mut self.leaf_means);
+        for (leaf, span) in leaf_rows.into_iter().enumerate() {
+            self.fit_leaf(leaf, &rows[span], &means[leaf * od..(leaf + 1) * od]);
+        }
+    }
+
     /// Ridge-fits `y ≈ bias + coef · x` over the leaf's samples in
     /// globally standardised feature space, then unfolds the model back
     /// to raw space. Under-populated leaves keep the (ancestor) mean
     /// with zero slope.
-    fn fit_leaf(&mut self, leaf: usize, idx: &[u32], mean: &[f64]) {
+    fn fit_leaf<R: RowId>(&mut self, leaf: usize, idx: &[R], mean: &[f64]) {
         // Model dims: the inputs, then the intercept.
         let dims = self.in_dim + 1;
         // Fewer samples than model dims: fall back to the mean.
@@ -2003,8 +2102,10 @@ impl Fit<'_> {
             return;
         }
         match self.ys.cols() {
-            LANES if dims <= LEAF_DIMS => self.fit_leaf_lanes::<LANES>(leaf, idx, mean),
-            WIDE_LANES if dims <= LEAF_DIMS => self.fit_leaf_lanes::<WIDE_LANES>(leaf, idx, mean),
+            LANES if dims <= LEAF_DIMS => self.fit_leaf_lanes::<LANES, R>(leaf, idx, mean),
+            WIDE_LANES if dims <= LEAF_DIMS => {
+                self.fit_leaf_lanes::<WIDE_LANES, R>(leaf, idx, mean)
+            }
             _ => {
                 let (mut g, b) = self.normal_equations_wide(idx);
                 self.solve_leaf(leaf, &mut g, dims, idx.len(), mean, |d, rhs| {
@@ -2016,7 +2117,7 @@ impl Fit<'_> {
 
     /// [`Fit::fit_leaf`] through [`Fit::normal_equations_fixed`]; the
     /// label rows must be `L` wide.
-    fn fit_leaf_lanes<const L: usize>(&mut self, leaf: usize, idx: &[u32], mean: &[f64]) {
+    fn fit_leaf_lanes<const L: usize, R: RowId>(&mut self, leaf: usize, idx: &[R], mean: &[f64]) {
         let (mut g, bt) = self.normal_equations_fixed(self.label_lanes::<L>(), idx);
         self.solve_leaf(leaf, &mut g, LEAF_DIMS, idx.len(), mean, |d, rhs| {
             for (v, b) in rhs.iter_mut().zip(&bt) {
@@ -2046,17 +2147,17 @@ impl Fit<'_> {
     /// terms here, are overwritten from the upper triangle.
     /// Returns `Zᵀ Z` (row stride [`LEAF_DIMS`]) and `(Zᵀ Y)ᵀ`, one
     /// `L`-wide row per dim.
-    fn normal_equations_fixed<const L: usize>(
+    fn normal_equations_fixed<const L: usize, R: RowId>(
         &self,
         ys: &[[f64; L]],
-        idx: &[u32],
+        idx: &[R],
     ) -> ([f64; LEAF_DIMS * LEAF_DIMS], [[f64; L]; LEAF_DIMS]) {
         let mut g = [0.0; LEAF_DIMS * LEAF_DIMS];
         let mut bt = [[0.0; L]; LEAF_DIMS];
         let mut z = [0.0; LEAF_DIMS];
         for &r in idx {
-            self.standardise(self.xs.row(r as usize), &mut z);
-            let y = &ys[r as usize];
+            self.standardise(self.xs.row(r.index()), &mut z);
+            let y = &ys[r.index()];
             for ((&zi, gi), bi) in z.iter().zip(g.as_chunks_mut::<LEAF_DIMS>().0).zip(&mut bt) {
                 if zi == 0.0 {
                     continue;
@@ -2075,14 +2176,14 @@ impl Fit<'_> {
     /// [`Fit::normal_equations_fixed`] at the fit's own widths, on the
     /// heap: `Zᵀ Z` with row stride `in_dim + 1` and `Zᵀ Y` one row per
     /// output.
-    fn normal_equations_wide(&self, idx: &[u32]) -> (Vec<f64>, Vec<f64>) {
+    fn normal_equations_wide<R: RowId>(&self, idx: &[R]) -> (Vec<f64>, Vec<f64>) {
         let dims = self.in_dim + 1;
         let mut g = vec![0.0; dims * dims];
         let mut b = vec![0.0; dims * self.out_dim];
         let mut z = vec![0.0; dims];
         for &r in idx {
-            self.standardise(self.xs.row(r as usize), &mut z);
-            let y = &self.ys.row(r as usize)[..self.out_dim];
+            self.standardise(self.xs.row(r.index()), &mut z);
+            let y = &self.ys.row(r.index())[..self.out_dim];
             for i in 0..dims {
                 let zi = z[i];
                 if zi == 0.0 {
@@ -2175,9 +2276,9 @@ impl Fit<'_> {
     /// per-output variance reduction, evaluated at sample quantiles via
     /// one sweep of each feature's presorted segment. Returns `None`
     /// when no candidate separates the region.
-    fn best_split(
+    fn best_split<R: RowId>(
         &self,
-        rows: &Presort,
+        rows: &Presort<R>,
         start: usize,
         end: usize,
         fl: usize,
@@ -2187,8 +2288,8 @@ impl Fit<'_> {
             return None;
         }
         match self.ys.cols() {
-            LANES => self.sweep_lanes::<LANES>(rows, start, end, fl..fh),
-            WIDE_LANES => self.sweep_lanes::<WIDE_LANES>(rows, start, end, fl..fh),
+            LANES => self.sweep_lanes::<LANES, R>(rows, start, end, fl..fh),
+            WIDE_LANES => self.sweep_lanes::<WIDE_LANES, R>(rows, start, end, fl..fh),
             _ => {
                 let od = self.out_dim;
                 self.sweep(rows, start, end, fl..fh, vec![0.0; od], |acc, r| {
@@ -2203,9 +2304,9 @@ impl Fit<'_> {
 
     /// [`Fit::sweep`] with `L`-wide running sums, which stay in
     /// registers; the label rows must be `L` wide.
-    fn sweep_lanes<const L: usize>(
+    fn sweep_lanes<const L: usize, R: RowId>(
         &self,
-        rows: &Presort,
+        rows: &Presort<R>,
         start: usize,
         end: usize,
         feats: Range<usize>,
@@ -2228,9 +2329,9 @@ impl Fit<'_> {
     /// candidate positions, which are multiples of the stride, and a
     /// candidate is scored only at a segment end. Rows past the last
     /// candidate are never summed: no score reads them.
-    fn sweep<A: AsRef<[f64]> + Clone>(
+    fn sweep<A: AsRef<[f64]> + Clone, R: RowId>(
         &self,
-        rows: &Presort,
+        rows: &Presort<R>,
         start: usize,
         end: usize,
         feats: Range<usize>,
@@ -2240,7 +2341,7 @@ impl Fit<'_> {
         let n = end - start;
         let mut total = zero.clone();
         for &r in rows.in_row_order(start, end) {
-            add(&mut total, r as usize);
+            add(&mut total, r.index());
         }
         let stride = (n / (self.candidates + 1)).max(1);
         let mut best: Option<(f64, usize, f64)> = None;
@@ -2251,11 +2352,11 @@ impl Fit<'_> {
             let mut k = 0;
             for cand in (stride..n).step_by(stride) {
                 for &r in &order[k..cand] {
-                    add(&mut left, r as usize);
+                    add(&mut left, r.index());
                 }
                 k = cand;
-                let a = self.xs.row(order[k - 1] as usize)[f];
-                let b = self.xs.row(order[k] as usize)[f];
+                let a = self.xs.row(order[k - 1].index())[f];
+                let b = self.xs.row(order[k].index())[f];
                 if a < b {
                     // Score = Σ_d (S_L²/n_L + S_R²/n_R); maximising
                     // this minimises the summed within-child SSE.
@@ -2711,6 +2812,55 @@ mod tests {
         assert!(training_rows(&fits, 1, 8, 4).is_err());
     }
 
+    /// The fitted tables of `p` as bit patterns.
+    fn artifact_bits(p: &DistilledPolicy) -> (Vec<u32>, Vec<u64>, Vec<u32>, Vec<u32>, u64) {
+        (
+            p.feat.clone(),
+            p.thresh.iter().map(|v| v.to_bits()).collect(),
+            p.leaf_bias.iter().map(|v| v.to_bits()).collect(),
+            p.leaf_coef.iter().map(|v| v.to_bits()).collect(),
+            p.agreement.to_bits(),
+        )
+    }
+
+    #[test]
+    fn narrow_and_wide_row_ids_fit_the_same_artifact() {
+        // Every in-tree fit is small enough for `u16` row ids; the
+        // `u32` path serves larger sets. Forced onto the same sets it
+        // must fit the same tree and leaves, bit for bit, at each label
+        // width: 8 lanes, 10 lanes and the runtime-width path.
+        // Replicated trajectory rows make ties in every feature lane.
+        let eight = teacher();
+        let ten = shaped_teacher(13, 10);
+        let twelve = shaped_teacher(13, 12);
+        let mut cfg = small_cfg();
+        cfg.samples = 4_096;
+        cfg.holdout = 256;
+        for (dbn, const_prefix) in [(&eight, 5), (&ten, 10), (&twelve, 10)] {
+            let extras: Vec<Vec<f64>> = (0..16)
+                .map(|i| {
+                    (0..dbn.input_dim())
+                        .map(|j| ((i * 7 + j) % 5) as f64)
+                        .collect()
+                })
+                .collect();
+            let n = training_rows(&cfg, extras.len(), dbn.input_dim(), dbn.output_dim()).unwrap();
+            assert!(n <= NARROW_ROWS);
+            let narrow = DistilledPolicy::distill(dbn, const_prefix, &extras, &cfg).unwrap();
+            let wide =
+                DistilledPolicy::fit_rows::<u32>(dbn, const_prefix, &extras, &cfg, n).unwrap();
+            assert_eq!(
+                artifact_bits(&narrow),
+                artifact_bits(&wide),
+                "{}/{} artifact",
+                dbn.input_dim(),
+                dbn.output_dim()
+            );
+        }
+        let last = NARROW_ROWS - 1;
+        assert_eq!(u16::from_index(last).index(), last);
+    }
+
     #[test]
     fn degenerate_regions_fall_back_to_ancestor_means() {
         // A teacher over a tiny box: most tree regions see no samples,
@@ -2836,16 +2986,27 @@ mod tests {
     }
 
     #[test]
-    fn fold_table_grows_past_its_up_front_storage() {
+    fn fold_table_grows_from_empty() {
         let dbn = teacher();
         let policy = Arc::new(DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap());
+        // Not a power of two, and past the default capacity: the
+        // storage grows from nothing through a dozen index doublings.
         let cap = FoldTable::DEFAULT_CAPACITY + 500;
         let table = FoldTable::new(Arc::clone(&policy), cap);
+        assert!(table.is_empty());
+        {
+            let lru = table.lock();
+            assert_eq!(
+                (lru.keys.capacity(), lru.slots.capacity(), lru.index.len()),
+                (0, 0, 0),
+                "a fresh table holds no storage"
+            );
+        }
         let key = |p: usize| [p as f64, 0.5, 1.0, 2.0, 3.0, 2.0, 2.1, 0.0];
         for p in 0..cap {
             assert!(table.lookup(&key(p)).unwrap().is_none());
+            assert_eq!(table.len(), p + 1);
         }
-        assert_eq!(table.len(), cap);
         // Every prefix survived the index regrowths: each is a second
         // sighting now, and a fresh prefix evicts the least recent.
         for p in 0..cap {

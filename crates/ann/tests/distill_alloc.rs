@@ -3,11 +3,14 @@
 //! cost, the per-period prewalk/fold reuses its buffer, and every
 //! `predict_folded` call after the first — the per-decision hot path —
 //! touches no allocator at all. The shared `FoldTable` in front of it
-//! allocates only the fold entries it builds, evicting or not, and a
-//! cleared table refills in the storage it already holds.
+//! allocates only the fold entries it builds, evicting or not, a fresh
+//! table allocates nothing, and a cleared table refills in the storage
+//! it already holds. Distillation's own peak heap at the fleet shape is
+//! pinned to the byte.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldEntry, FoldTable};
@@ -16,23 +19,50 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Requested heap bytes live on tracked threads (signed: a tracked
+/// thread may free what it allocated before tracking began), and their
+/// high-water mark.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations count toward `LIVE`, so the
+    /// test harness's own threads never move a pinned byte count.
+    static TRACKED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn track(delta: i64) {
+    if TRACKED.try_with(Cell::get).unwrap_or(false) {
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn bytes(size: usize) -> i64 {
+    i64::try_from(size).unwrap_or(i64::MAX)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        track(bytes(layout.size()));
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        track(bytes(layout.size()));
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        track(bytes(new_size) - bytes(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-bytes(layout.size()));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -54,9 +84,30 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// Runs `f` on this thread with its heap tracked. Returns `f`'s
+/// result, the peak of the bytes `f` held live at once, and the bytes
+/// still live when it returned (its result included).
+fn heap_during<R>(f: impl FnOnce() -> R) -> (R, i64, i64) {
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    TRACKED.with(|t| t.set(true));
+    let r = f();
+    TRACKED.with(|t| t.set(false));
+    (
+        r,
+        PEAK.load(Ordering::Relaxed),
+        LIVE.load(Ordering::Relaxed),
+    )
+}
+
 /// A scheduler-shaped teacher: 13 inputs, the golden hidden stack,
 /// 10 outputs.
 fn trained_dbn() -> Dbn {
+    shaped_dbn(10)
+}
+
+/// A 13-input teacher with `outputs` outputs.
+fn shaped_dbn(outputs: usize) -> Dbn {
     let inputs: Vec<Vec<f64>> = (0..40)
         .map(|i| {
             (0..13)
@@ -66,7 +117,7 @@ fn trained_dbn() -> Dbn {
         .collect();
     let targets: Vec<Vec<f64>> = (0..40)
         .map(|i| {
-            (0..10)
+            (0..outputs)
                 .map(|j| ((i + j) as f64 * 0.21).cos().abs())
                 .collect()
         })
@@ -257,4 +308,48 @@ fn cleared_fold_table_refills_without_new_storage() {
         "refilling a cleared table must allocate only the folds it builds"
     );
     assert_eq!(table.len(), xs.len());
+}
+
+/// The peak heap of one distillation at the fleet service's shape: a
+/// 13-input, 8-output teacher, a 10-feature constant prefix and the
+/// default 5+5 tree over 32,768 box samples. The count is the largest
+/// sum of requested bytes live at once inside `distill`, the returned
+/// artifact included; every allocation in it is sized by the
+/// configuration alone, so it is exact, and any change to the fitter's
+/// working set moves it. Before the presort ran ahead of the labels
+/// with `u16` row ids, and before the leaves were fitted after the
+/// tree was grown, it was 8,638,996 bytes.
+#[test]
+fn distill_peak_heap_at_the_fleet_shape_is_pinned() {
+    let _serial = serial();
+    let dbn = shaped_dbn(8);
+    let cfg = DistillConfig::small(7);
+    let (policy, peak, _) =
+        heap_during(|| DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils"));
+    assert_eq!((policy.input_dim(), policy.output_dim()), (13, 8));
+    assert_eq!(peak, 6_739_220, "distill's peak live heap in bytes");
+}
+
+#[test]
+fn fresh_fold_table_allocates_nothing() {
+    let _serial = serial();
+    let dbn = trained_dbn();
+    let cfg = DistillConfig {
+        depth_const: 4,
+        depth_vary: 4,
+        samples: 2048,
+        candidates: 16,
+        holdout: 256,
+        ..DistillConfig::small(7)
+    };
+    let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils"));
+    for capacity in [1, 64, FoldTable::DEFAULT_CAPACITY, usize::MAX] {
+        let (table, peak, live) = heap_during(|| FoldTable::new(Arc::clone(&policy), capacity));
+        assert_eq!(
+            (peak, live),
+            (0, 0),
+            "a fresh table of capacity {capacity} allocated heap"
+        );
+        assert!(table.is_empty());
+    }
 }

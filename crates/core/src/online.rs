@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::batch::PlanContext;
 use crate::checkpoint::{DistilledState, MpcCacheState, PlannerCheckpoint, ProposedCheckpoint};
+use crate::error::CoreError;
 use crate::longterm::{optimize_horizon, DpConfig, PeriodPlan};
 use crate::optimal::OptimalPlanner;
 use crate::planner::{PeriodPlanner, PlanDecision, PlannerHealth, PlannerObservation};
@@ -54,18 +55,27 @@ impl Default for SwitchRule {
 
 impl SwitchRule {
     /// Applies Eq. 22: returns the capacitor the PMU should activate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Storage`] when the bank's active index has
+    /// no capacitor.
     #[inline]
-    pub fn decide(&self, obs: &PlannerObservation<'_>, suggested: usize) -> Option<usize> {
+    pub fn decide(
+        &self,
+        obs: &PlannerObservation<'_>,
+        suggested: usize,
+    ) -> Result<Option<usize>, CoreError> {
         let active = obs.bank.active_index();
         if suggested == active {
-            return Some(active);
+            return Ok(Some(active));
         }
-        let cap = obs.bank.cap(active).expect("active index valid");
-        let state = obs.bank.state(active).expect("active index valid");
+        let cap = obs.bank.cap(active)?;
+        let state = obs.bank.state(active)?;
         if state.energy_above_cutoff(cap) < self.threshold {
-            Some(suggested)
+            Ok(Some(suggested))
         } else {
-            None // keep the charged capacitor
+            Ok(None) // keep the charged capacitor
         }
     }
 }
@@ -377,7 +387,7 @@ impl ProposedPlanner {
         self.delta
     }
 
-    fn plan_mpc(&mut self, obs: &PlannerObservation<'_>) -> (usize, PeriodPlan) {
+    fn plan_mpc(&mut self, obs: &PlannerObservation<'_>) -> Result<(usize, PeriodPlan), CoreError> {
         let grid = obs.grid;
         let flat = grid.period_index(obs.period);
         let (predictor, horizon_periods, dp, cache, forecast_buf, solar_buf, subset_cache) =
@@ -400,69 +410,70 @@ impl ProposedPlanner {
                     subsets,
                 ),
                 Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
-                    unreachable!("plan_mpc called on DBN backend")
+                    return Err(Self::wrong_backend("an MPC plan", "DBN"));
                 }
             };
 
-        let needs_replan = match cache {
-            Some(c) => c.day != obs.period.day || flat < c.base_flat,
-            None => true,
-        };
-        if needs_replan {
-            // Forecast per-period energies over the horizon and spread
-            // each evenly over its slots (the DP only needs period
-            // granularity; intra-period shape comes from the real slots
-            // at execution time). Both buffers are refilled in place, so
-            // replans after the first allocate nothing here.
-            let slots = grid.slots_per_period();
-            predictor.forecast_into(obs.trace, obs.period, horizon_periods, forecast_buf);
-            solar_buf.resize_with(forecast_buf.len(), || Vec::with_capacity(slots));
-            for (row, &e) in solar_buf.iter_mut().zip(forecast_buf.iter()) {
-                row.clear();
-                row.resize(slots, e / slots as f64);
-            }
-            let solar = &*solar_buf;
-            let subsets = &*subset_cache
-                .get_or_insert_with(|| dmr_level_subsets(obs.graph, dp.keep_per_level));
-
-            let mut best: Option<(usize, crate::longterm::DpResult)> = None;
-            for h in 0..obs.bank.len() {
-                let size = obs.bank.cap(h).expect("h in range").capacitance();
-                let cap = SuperCap::new(size, obs.storage).expect("validated params");
-                let v0 = obs.bank.state(h).expect("h in range").voltage();
-                let r = optimize_horizon(
-                    obs.graph,
-                    subsets,
-                    solar,
-                    grid.slot_duration(),
-                    &cap,
-                    cap.state_at(v0),
-                    obs.storage,
-                    obs.pmu,
-                    &dp,
-                );
-                self.complexity += r.complexity;
-                let better = match &best {
-                    None => true,
-                    Some((_, br)) => {
-                        (r.total_misses, -r.final_voltage.value())
-                            < (br.total_misses, -br.final_voltage.value())
-                    }
-                };
-                if better {
-                    best = Some((h, r));
+        let c = match cache {
+            Some(c) if c.day == obs.period.day && flat >= c.base_flat => c,
+            stale => {
+                // Forecast per-period energies over the horizon and spread
+                // each evenly over its slots (the DP only needs period
+                // granularity; intra-period shape comes from the real slots
+                // at execution time). Both buffers are refilled in place, so
+                // replans after the first allocate nothing here.
+                let slots = grid.slots_per_period();
+                predictor.forecast_into(obs.trace, obs.period, horizon_periods, forecast_buf);
+                solar_buf.resize_with(forecast_buf.len(), || Vec::with_capacity(slots));
+                for (row, &e) in solar_buf.iter_mut().zip(forecast_buf.iter()) {
+                    row.clear();
+                    row.resize(slots, e / slots as f64);
                 }
-            }
-            let (h, r) = best.expect("bank is nonempty");
-            *cache = Some(MpcCache {
-                day: obs.period.day,
-                capacitor: h,
-                base_flat: flat,
-                plans: r.plans,
-            });
-        }
+                let solar = &*solar_buf;
+                let subsets = &*subset_cache
+                    .get_or_insert_with(|| dmr_level_subsets(obs.graph, dp.keep_per_level));
 
-        let c = cache.as_ref().expect("just planned");
+                let mut best: Option<(usize, crate::longterm::DpResult)> = None;
+                for h in 0..obs.bank.len() {
+                    let size = obs.bank.cap(h)?.capacitance();
+                    let cap = SuperCap::new(size, obs.storage)?;
+                    let v0 = obs.bank.state(h)?.voltage();
+                    let r = optimize_horizon(
+                        obs.graph,
+                        subsets,
+                        solar,
+                        grid.slot_duration(),
+                        &cap,
+                        cap.state_at(v0),
+                        obs.storage,
+                        obs.pmu,
+                        &dp,
+                    );
+                    self.complexity += r.complexity;
+                    let better = match &best {
+                        None => true,
+                        Some((_, br)) => {
+                            (r.total_misses, -r.final_voltage.value())
+                                < (br.total_misses, -br.final_voltage.value())
+                        }
+                    };
+                    if better {
+                        best = Some((h, r));
+                    }
+                }
+                let Some((h, r)) = best else {
+                    return Err(CoreError::Config(
+                        "the MPC planner needs a nonempty capacitor bank".into(),
+                    ));
+                };
+                stale.insert(MpcCache {
+                    day: obs.period.day,
+                    capacitor: h,
+                    base_flat: flat,
+                    plans: r.plans,
+                })
+            }
+        };
         let idx = flat - c.base_flat;
         let plan = c.plans.get(idx).copied().unwrap_or(PeriodPlan {
             subset: obs.graph.all_tasks(),
@@ -470,7 +481,12 @@ impl ProposedPlanner {
             expected_misses: 0,
             cap_energy: Joules::ZERO,
         });
-        (c.capacitor, plan)
+        Ok((c.capacitor, plan))
+    }
+
+    /// The error of a backend asked for the other backend's work.
+    fn wrong_backend(work: &str, backend: &str) -> CoreError {
+        CoreError::Config(format!("{work} was asked of the {backend} backend"))
     }
 
     /// Builds the DBN feature vector (previous-period solar powers,
@@ -513,11 +529,6 @@ impl ProposedPlanner {
         dmr[0] = obs.accumulated_dmr;
     }
 
-    /// Turns the network output already sitting in `out_buf` into the
-    /// period decision: Nan fault injection, decision-head parsing,
-    /// dependency closure and the abundant-solar override. Everything
-    /// in [`ProposedPlanner::plan_dbn`] after the inference call lives
-    /// here, so the batched path reuses it verbatim.
     /// Builds the run-constant decision tables: each task's ancestor
     /// cone (so closing under dependencies is a mask union per
     /// admitted task, not a graph walk — the DBN's bits are
@@ -528,15 +539,12 @@ impl ProposedPlanner {
     fn build_decide_cache(
         ctx: Option<&PlanContext>,
         obs: &PlannerObservation<'_>,
-    ) -> DbnDecideCache {
+    ) -> Result<DbnDecideCache, CoreError> {
         let owned;
         let topo: &[TaskId] = if let Some(ctx) = ctx {
             &ctx.topo
         } else {
-            owned = obs
-                .graph
-                .topological_order()
-                .expect("validated graphs are acyclic");
+            owned = obs.graph.topological_order()?;
             &owned
         };
         // Forward-topological pass: every predecessor's cone is
@@ -549,14 +557,22 @@ impl ProposedPlanner {
             }
             closure[id.index()] = cone;
         }
-        DbnDecideCache {
+        Ok(DbnDecideCache {
             closure,
             full_load: obs.graph.total_energy(),
-        }
+        })
     }
 
+    /// Turns the network output already sitting in `out_buf` into the
+    /// period decision: Nan fault injection, decision-head parsing,
+    /// dependency closure and the abundant-solar override. Everything
+    /// in [`ProposedPlanner::plan_dbn`] after the inference call lives
+    /// here, so the batched path reuses it verbatim.
     #[inline(always)]
-    fn decide_dbn(&mut self, obs: &PlannerObservation<'_>) -> (usize, f64, TaskSet) {
+    fn decide_dbn(
+        &mut self,
+        obs: &PlannerObservation<'_>,
+    ) -> Result<(usize, f64, TaskSet), CoreError> {
         if self.injected == Some(DbnFaultMode::Nan) {
             // Bit-flipped weights / numerical blow-up: the inference
             // completes but every output is garbage.
@@ -570,16 +586,16 @@ impl ProposedPlanner {
         // Run-constant decision tables, built once (out of line — the
         // build machinery would otherwise keep this whole body from
         // inlining into the per-period caller).
-        if self.decide_cache.is_none() {
-            self.decide_cache = Some(Self::build_decide_cache(self.ctx.as_deref(), obs));
-        }
-        let cache = self.decide_cache.as_ref().expect("just built");
+        let cache = match &mut self.decide_cache {
+            Some(cache) => &*cache,
+            none => &*none.insert(Self::build_decide_cache(self.ctx.as_deref(), obs)?),
+        };
         let heads = {
             let out: &[f64] = match &self.backend {
                 Backend::Dbn { out_buf, .. }
                 | Backend::Compiled { out_buf, .. }
                 | Backend::Distilled { out_buf, .. } => out_buf,
-                Backend::Mpc { .. } => unreachable!("decide_dbn called on MPC backend"),
+                Backend::Mpc { .. } => return Err(Self::wrong_backend("a DBN decision", "MPC")),
             };
             let head_cap = out.first().copied().unwrap_or(f64::NAN);
             let head_alpha = out.get(1).copied().unwrap_or(f64::NAN);
@@ -602,7 +618,7 @@ impl ProposedPlanner {
         let Some((head_cap, head_alpha, allowed)) = heads else {
             // Non-finite decision head — never act on it.
             self.health = PlannerHealth::NonFinite;
-            return (obs.bank.active_index(), 1.0, obs.graph.all_tasks());
+            return Ok((obs.bank.active_index(), 1.0, obs.graph.all_tasks()));
         };
         self.health = PlannerHealth::Healthy;
         let h_max = obs.bank.len().saturating_sub(1) as f64;
@@ -620,13 +636,16 @@ impl ProposedPlanner {
             let full_load = cache.full_load;
             if last_harvest * eta * 0.85 >= full_load {
                 let alpha = full_load / (last_harvest * eta);
-                return (cap, alpha, obs.graph.all_tasks());
+                return Ok((cap, alpha, obs.graph.all_tasks()));
             }
         }
-        (cap, alpha, allowed)
+        Ok((cap, alpha, allowed))
     }
 
-    fn plan_dbn(&mut self, obs: &PlannerObservation<'_>) -> (usize, f64, TaskSet) {
+    fn plan_dbn(
+        &mut self,
+        obs: &PlannerObservation<'_>,
+    ) -> Result<(usize, f64, TaskSet), CoreError> {
         // An injected "primary inference artifact down" fault: the
         // distilled backend steps one tier down to its compiled
         // fallback (unless that tier is already serving), every other
@@ -635,7 +654,7 @@ impl ProposedPlanner {
         let unavailable = self.injected == Some(DbnFaultMode::Unavailable);
         if unavailable && !matches!(&self.backend, Backend::Distilled { demoted: false, .. }) {
             self.health = PlannerHealth::DbnUnavailable;
-            return (obs.bank.active_index(), 1.0, obs.graph.all_tasks());
+            return Ok((obs.bank.active_index(), 1.0, obs.graph.all_tasks()));
         }
         Self::gather_dbn_input(obs, &mut self.input_buf);
         let flat = obs.grid.period_index(obs.period);
@@ -709,15 +728,40 @@ impl ProposedPlanner {
                     fallback.forward_into(input, scratch, out_buf).is_err()
                 }
             }
-            Backend::Mpc { .. } => unreachable!("plan_dbn called on MPC backend"),
+            Backend::Mpc { .. } => return Err(Self::wrong_backend("a DBN plan", "MPC")),
         };
         if predict_failed {
             // Shape mismatch (e.g. trained on another node) — fall
             // back to "run everything".
             self.health = PlannerHealth::DbnUnavailable;
-            return (obs.bank.active_index(), 1.0, obs.graph.all_tasks());
+            return Ok((obs.bank.active_index(), 1.0, obs.graph.all_tasks()));
         }
         self.decide_dbn(obs)
+    }
+
+    /// The period decision for a planned `(capacitor, α, subset)`,
+    /// through the Eq. 22 switch rule. An internal error (a bank index
+    /// out of range, a cyclic graph, a backend asked for the other
+    /// backend's work) does not abort the run: it degrades to the
+    /// conservative run-everything decision on the active capacitor,
+    /// reported as [`PlannerHealth::DbnUnavailable`].
+    fn decision(
+        &mut self,
+        obs: &PlannerObservation<'_>,
+        planned: Result<(usize, f64, TaskSet), CoreError>,
+    ) -> PlanDecision {
+        let decided = planned.and_then(|(suggested, alpha, allowed)| {
+            Ok((self.switch.decide(obs, suggested)?, alpha, allowed))
+        });
+        let (capacitor, alpha, allowed) = decided.unwrap_or_else(|_| {
+            self.health = PlannerHealth::DbnUnavailable;
+            (Some(obs.bank.active_index()), 1.0, obs.graph.all_tasks())
+        });
+        PlanDecision {
+            capacitor,
+            allowed: Some(allowed),
+            pattern: OptimalPlanner::pattern_for_alpha(alpha, self.delta),
+        }
     }
 }
 
@@ -735,7 +779,7 @@ impl PeriodPlanner for ProposedPlanner {
     }
 
     fn plan(&mut self, obs: &PlannerObservation<'_>) -> PlanDecision {
-        let (suggested_cap, alpha, allowed) = match self.backend {
+        let planned = match self.backend {
             Backend::Mpc { .. } => {
                 if let Some(mode) = self.injected {
                     // The MPC's compute path is its "inference engine":
@@ -745,22 +789,18 @@ impl PeriodPlanner for ProposedPlanner {
                         DbnFaultMode::Unavailable => PlannerHealth::DbnUnavailable,
                         DbnFaultMode::Nan => PlannerHealth::NonFinite,
                     };
-                    (obs.bank.active_index(), 1.0, obs.graph.all_tasks())
+                    Ok((obs.bank.active_index(), 1.0, obs.graph.all_tasks()))
                 } else {
                     self.health = PlannerHealth::Healthy;
-                    let (cap, plan) = self.plan_mpc(obs);
-                    (cap, plan.alpha, plan.subset)
+                    self.plan_mpc(obs)
+                        .map(|(cap, plan)| (cap, plan.alpha, plan.subset))
                 }
             }
             Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
                 self.plan_dbn(obs)
             }
         };
-        PlanDecision {
-            capacitor: self.switch.decide(obs, suggested_cap),
-            allowed: Some(allowed),
-            pattern: OptimalPlanner::pattern_for_alpha(alpha, self.delta),
-        }
+        self.decision(obs, planned)
     }
 
     fn complexity(&self) -> u64 {
@@ -977,12 +1017,8 @@ impl PeriodPlanner for ProposedPlanner {
             out_buf.clear();
             out_buf.extend_from_slice(out);
         }
-        let (suggested_cap, alpha, allowed) = self.decide_dbn(obs);
-        PlanDecision {
-            capacitor: self.switch.decide(obs, suggested_cap),
-            allowed: Some(allowed),
-            pattern: OptimalPlanner::pattern_for_alpha(alpha, self.delta),
-        }
+        let planned = self.decide_dbn(obs);
+        self.decision(obs, planned)
     }
 }
 
@@ -1069,9 +1105,9 @@ mod tests {
             threshold: Joules::new(2.0),
         };
         // Charged above threshold: keep.
-        assert_eq!(rule.decide(&obs, 1), None);
+        assert_eq!(rule.decide(&obs, 1).unwrap(), None);
         // Same capacitor: trivially allowed.
-        assert_eq!(rule.decide(&obs, 0), Some(0));
+        assert_eq!(rule.decide(&obs, 0).unwrap(), Some(0));
         // Drain below threshold: switch allowed.
         let mut drained = helio_storage::CapacitorBank::new(&node.capacitors, storage).unwrap();
         drained.set_active(0).unwrap();
@@ -1079,7 +1115,53 @@ mod tests {
             bank: &drained,
             ..obs
         };
-        assert_eq!(rule.decide(&obs2, 1), Some(1));
+        assert_eq!(rule.decide(&obs2, 1).unwrap(), Some(1));
+    }
+
+    #[test]
+    fn internal_errors_degrade_to_the_conservative_decision() {
+        let node = node(1);
+        let t = trace(1);
+        let g = benchmarks::ecg();
+        let storage = &node.storage;
+        let mut bank = helio_storage::CapacitorBank::new(&node.capacitors, storage).unwrap();
+        bank.set_active(1).unwrap();
+        let obs = PlannerObservation {
+            grid: &node.grid,
+            period: helio_common::time::PeriodRef::new(0, 3),
+            graph: &g,
+            trace: &t,
+            bank: &bank,
+            accumulated_dmr: 0.0,
+            storage,
+            pmu: &node.pmu,
+        };
+        let mut mpc = ProposedPlanner::mpc(
+            Box::new(NoisyOracle::perfect()),
+            24,
+            DpConfig::default(),
+            0.5,
+            SwitchRule::default(),
+        );
+        // An MPC backend has no network to plan or decide with: a
+        // typed error, never a panic.
+        assert!(matches!(mpc.plan_dbn(&obs), Err(CoreError::Config(_))));
+        assert!(matches!(mpc.decide_dbn(&obs), Err(CoreError::Config(_))));
+        // Through the planner interface the error becomes the
+        // run-everything decision on the active capacitor.
+        let decision = mpc.plan_with_output(&obs, &[0.0, 3.0, 1.0]);
+        assert_eq!(mpc.health(), PlannerHealth::DbnUnavailable);
+        assert_eq!(
+            decision,
+            PlanDecision {
+                capacitor: Some(1),
+                allowed: Some(g.all_tasks()),
+                pattern: OptimalPlanner::pattern_for_alpha(1.0, 0.5),
+            }
+        );
+        // The MPC's own path still plans.
+        assert!(mpc.plan(&obs).allowed.is_some());
+        assert_eq!(mpc.health(), PlannerHealth::Healthy);
     }
 
     #[test]
