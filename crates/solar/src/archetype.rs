@@ -72,8 +72,34 @@ impl DayArchetype {
     /// archetype-specific depth and duration modulate the mean
     /// transmission. Values stay within `[0, 1]`.
     pub fn transmission_series(self, slots: usize, rng: &mut DetRng) -> Vec<f64> {
-        let mut series = Vec::with_capacity(slots);
-        let (base, depth, event_prob, min_len, max_len) = match self {
+        let mut cloud = CloudProcess::new(self);
+        (0..slots).map(|_| cloud.next_transmission(rng)).collect()
+    }
+}
+
+/// An archetype's cloud process, one slot at a time: the generator
+/// behind [`DayArchetype::transmission_series`], which the trace
+/// builder also drives directly so a slot's transmission goes straight
+/// into its power.
+pub(crate) struct CloudProcess {
+    /// Transmission outside cloud events.
+    base: f64,
+    /// Nominal depth of a cloud event.
+    depth: f64,
+    /// Chance that an event starts at a slot outside one.
+    event_prob: f64,
+    /// Event length bounds in slots.
+    min_len: usize,
+    max_len: usize,
+    /// Slots left in the current event.
+    remaining_event: usize,
+    /// Depth of the current event.
+    event_depth: f64,
+}
+
+impl CloudProcess {
+    pub(crate) fn new(arche: DayArchetype) -> Self {
+        let (base, depth, event_prob, min_len, max_len) = match arche {
             // (base transmission, cloud depth, per-slot event probability,
             //  event length bounds in slots)
             DayArchetype::Clear => (0.97, 0.08, 0.01, 2usize, 6usize),
@@ -81,23 +107,32 @@ impl DayArchetype {
             DayArchetype::Overcast => (0.34, 0.35, 0.10, 4, 16),
             DayArchetype::Storm => (0.13, 0.60, 0.15, 6, 24),
         };
-        let mut remaining_event = 0usize;
-        let mut event_depth = 0.0f64;
-        for _ in 0..slots {
-            if remaining_event == 0 && rng.gen::<f64>() < event_prob {
-                remaining_event = rng.gen_range(min_len..=max_len);
-                event_depth = depth * rng.gen_range(0.6..1.0);
-            }
-            let jitter = 1.0 + 0.04 * (rng.gen::<f64>() - 0.5);
-            let factor = if remaining_event > 0 {
-                remaining_event -= 1;
-                base * (1.0 - event_depth)
-            } else {
-                base
-            };
-            series.push((factor * jitter).clamp(0.0, 1.0));
+        Self {
+            base,
+            depth,
+            event_prob,
+            min_len,
+            max_len,
+            remaining_event: 0,
+            event_depth: 0.0,
         }
-        series
+    }
+
+    /// The next slot's sky transmission, within `[0, 1]`.
+    #[inline]
+    pub(crate) fn next_transmission(&mut self, rng: &mut DetRng) -> f64 {
+        if self.remaining_event == 0 && rng.gen::<f64>() < self.event_prob {
+            self.remaining_event = rng.gen_range(self.min_len..=self.max_len);
+            self.event_depth = self.depth * rng.gen_range(0.6..1.0);
+        }
+        let jitter = 1.0 + 0.04 * (rng.gen::<f64>() - 0.5);
+        let factor = if self.remaining_event > 0 {
+            self.remaining_event -= 1;
+            self.base * (1.0 - self.event_depth)
+        } else {
+            self.base
+        };
+        (factor * jitter).clamp(0.0, 1.0)
     }
 }
 

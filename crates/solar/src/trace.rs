@@ -11,7 +11,7 @@ use helio_common::time::{PeriodRef, SlotRef, TimeGrid};
 use helio_common::units::{Joules, Watts};
 use serde::{Deserialize, Serialize};
 
-use crate::archetype::DayArchetype;
+use crate::archetype::{CloudProcess, DayArchetype};
 use crate::panel::SolarPanel;
 use crate::weather::WeatherProcess;
 
@@ -37,23 +37,26 @@ impl SolarTrace {
     /// Assembles a trace and builds its period-energy table. Each entry
     /// sums the period's slot energies in slot order — the exact
     /// arithmetic of a per-slot sum, so a lookup is bit-identical to
-    /// summing the slots on the spot.
+    /// summing the slots on the spot. Powers are stored period after
+    /// period, so each period is one contiguous chunk of them.
     fn assemble(
         grid: TimeGrid,
         powers: Vec<f64>,
         day_archetypes: Vec<Option<DayArchetype>>,
     ) -> Self {
-        let mut trace = Self {
+        let dt = grid.slot_duration();
+        // `max(1)`: a grid without slots (only a deserialised one can
+        // be) has no powers, hence no chunks.
+        let period_energies = powers
+            .chunks_exact(grid.slots_per_period().max(1))
+            .map(|period| period.iter().map(|&p| Watts::new(p) * dt).sum())
+            .collect();
+        Self {
             grid,
             powers,
             day_archetypes,
-            period_energies: Vec::new(),
-        };
-        trace.period_energies = grid
-            .periods()
-            .map(|p| grid.slots_in(p).map(|s| trace.slot_energy(s)).sum())
-            .collect();
-        trace
+            period_energies,
+        }
     }
 
     /// Builds a trace from raw per-slot powers.
@@ -250,8 +253,6 @@ impl TraceBuilder {
     /// Generates the trace.
     pub fn build(self) -> SolarTrace {
         let slots_per_day = self.grid.slots_per_day();
-        let mut powers = Vec::with_capacity(self.grid.total_slots());
-        let mut archetypes = Vec::with_capacity(self.grid.days());
 
         // Decide each day's archetype.
         let day_types: Vec<DayArchetype> = match &self.days {
@@ -267,19 +268,26 @@ impl TraceBuilder {
             }
         };
 
+        // Clear-sky irradiance at the midpoint hour of each slot of the
+        // day: the same row for every day.
+        let clear_sky: Vec<f64> = (0..slots_per_day)
+            .map(|slot_of_day| {
+                let frac = (slot_of_day as f64 + 0.5) / slots_per_day as f64;
+                DayArchetype::clear_sky(24.0 * frac)
+            })
+            .collect();
+
+        let mut powers = Vec::with_capacity(self.grid.total_slots());
         for (day, &arche) in day_types.iter().enumerate() {
             let mut rng: DetRng = derive(self.seed, &format!("day-{day}"));
-            let transmission = arche.transmission_series(slots_per_day, &mut rng);
-            for (slot_of_day, tr) in transmission.iter().enumerate() {
-                // Hour at the midpoint of the slot.
-                let frac = (slot_of_day as f64 + 0.5) / slots_per_day as f64;
-                let hour = 24.0 * frac;
-                let irradiance = DayArchetype::clear_sky(hour) * tr;
-                powers.push(self.panel.electrical_power(irradiance).value());
-            }
-            archetypes.push(Some(arche));
+            let mut cloud = CloudProcess::new(arche);
+            powers.extend(clear_sky.iter().map(|&clear| {
+                let irradiance = clear * cloud.next_transmission(&mut rng);
+                self.panel.electrical_power(irradiance).value()
+            }));
         }
 
+        let archetypes = day_types.into_iter().map(Some).collect();
         SolarTrace::assemble(self.grid, powers, archetypes)
     }
 }

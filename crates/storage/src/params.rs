@@ -177,8 +177,18 @@ impl StorageModelParams {
 /// `pow` (since 2.28) documents a worst-case error of 0.54 ulp, so it
 /// cannot return any double but `r`. Otherwise — near a rounding
 /// midpoint, at a binade edge, or outside the range — it returns
-/// `None`, as it does for zero, subnormal and non-finite inputs.
+/// `None`, as it does for subnormal and non-finite inputs.
+///
+/// `±0` (a drained capacitor) and `1` (a full one) are answered before
+/// any of that: C99 Annex F fixes `pow(±0, 4) = +0` and `pow(1, y) = 1`
+/// for every conforming `pow`.
 fn pow4(x: f64) -> Option<f64> {
+    if x == 0.0 {
+        return Some(0.0);
+    }
+    if x == 1.0 {
+        return Some(1.0);
+    }
     if !(x > 1e-60 && x < 1e60) {
         return None;
     }
@@ -349,9 +359,12 @@ mod tests {
 
     #[test]
     fn edge_inputs_fall_back_or_match() {
+        // Annex F values: both signs of zero give +0, one gives one.
+        for x in [0.0, -0.0, 1.0] {
+            let y = pow4(x).unwrap_or_else(|| panic!("{x:e} must be answered"));
+            assert_eq!(y.to_bits(), libm_pow4(x).to_bits(), "{x:e}");
+        }
         for x in [
-            0.0,
-            -0.0,
             1e-310,
             f64::MIN_POSITIVE,
             1e-61,
@@ -361,8 +374,9 @@ mod tests {
         ] {
             assert_eq!(pow4(x), None, "{x:e}");
         }
-        // Powers of two are exact but sit on a binade edge: refused.
-        for x in [0.5, 1.0, 2.0, 0.25] {
+        // Other powers of two are exact but sit on a binade edge:
+        // refused.
+        for x in [0.5, 2.0, 0.25] {
             assert_eq!(pow4(x), None, "{x:e}");
         }
         // Another exponent never takes the fast path.
