@@ -93,37 +93,6 @@ pub struct CompiledScratch {
     b: Vec<f32>,
 }
 
-/// Layer-0 partial sums for a run-constant input prefix, built once per
-/// scheduling period by [`CompiledDbn::fold_prefix`] and consumed by
-/// [`CompiledDbn::forward_from_fold`] — the per-decision forward then
-/// touches only the varying features of layer 0.
-///
-/// Both dispatch paths' accumulation rules are pre-folded so the
-/// partials are **bit-identical** to running the full forward: the
-/// resident AVX-512 kernel's four interleaved FMA accumulators
-/// (feature `t` lands in accumulator `t mod 4` over the blocked body,
-/// the tail in accumulator 0, the f32 bias seeding accumulator 0) and
-/// the scalar kernel's single ascending chain per output row (bias
-/// applied after the reduction).
-#[derive(Debug, Clone)]
-pub struct Layer0Fold {
-    /// Number of leading features folded in.
-    prefix: usize,
-    /// The resident vector kernel's four 16-lane partial accumulators
-    /// (present only for resident artifacts).
-    simd: Option<[[f32; LANES]; 4]>,
-    /// The scalar kernel's partial accumulator per padded output row
-    /// (`tiles × 16` of layer 0).
-    scalar: Vec<f32>,
-}
-
-impl Layer0Fold {
-    /// Number of leading features folded into the partial sums.
-    pub fn prefix(&self) -> usize {
-        self.prefix
-    }
-}
-
 /// A [`Dbn`] compiled for single-sample inference: baked scaler
 /// affine, packed transposed weight tiles, optional int8 quantization.
 /// See the module docs for the layout and the tolerance contract.
@@ -381,212 +350,6 @@ impl CompiledDbn {
         self.forward_impl(input, scratch, out, false)
     }
 
-    /// Folds the first `prefix` features of `input` into layer-0
-    /// partial sums — the per-period half of the forward pass. The
-    /// scheduler's observation vector starts with the previous period's
-    /// solar powers, which are trace-derived and constant across every
-    /// decision of a period; folding them once means
-    /// [`CompiledDbn::forward_from_fold`] touches only the varying
-    /// features (voltages, accumulated DMR) of layer 0.
-    ///
-    /// Only the first `prefix` elements of `input` are read. Returns
-    /// `Ok(None)` for multi-tile artifacts on SIMD hosts — the generic
-    /// vector kernel re-tiles the whole layer and a prefix fold cannot
-    /// reproduce its reduction order bit for bit, so callers fall back
-    /// to the full forward there (planner-sized networks are always
-    /// single-tile resident).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `prefix` exceeds
-    /// the input width or `input` is shorter than `prefix`.
-    pub fn fold_prefix(
-        &self,
-        input: &[f64],
-        prefix: usize,
-    ) -> Result<Option<Layer0Fold>, AnnError> {
-        if prefix > self.input_dim || input.len() < prefix {
-            return Err(AnnError::dims(
-                format!("prefix <= {} features, input >= prefix", self.input_dim),
-                format!("prefix {prefix}, input {}", input.len()),
-            ));
-        }
-        if self.use_simd && !self.resident {
-            return Ok(None);
-        }
-        let l0 = &self.layers[0];
-        // Scalar-path partials: one ascending mul-add chain per output
-        // row, exactly `layer_forward_scalar`'s accumulation with the
-        // scalar prep (`(v as f32) * a + c`).
-        let mut scalar = vec![0.0f32; l0.tiles * LANES];
-        for (t, &v) in input.iter().enumerate().take(prefix) {
-            let xt = (v as f32) * self.prep_a[t] + self.prep_c[t];
-            for tile in 0..l0.tiles {
-                let base = tile * l0.in_dim * LANES + t * LANES;
-                let row = &mut scalar[tile * LANES..(tile + 1) * LANES];
-                match &l0.weights {
-                    PackedWeights::F32(wt) => {
-                        for (lane, acc) in row.iter_mut().enumerate() {
-                            *acc += wt[base + lane] * xt;
-                        }
-                    }
-                    PackedWeights::Int8 { q, .. } => {
-                        for (lane, acc) in row.iter_mut().enumerate() {
-                            *acc += f32::from(q[base + lane]) * xt;
-                        }
-                    }
-                }
-            }
-        }
-        // Resident vector-path partials: the four interleaved FMA
-        // accumulators of `matvec16_f32`/`matvec16_i8`, with the fused
-        // prep (`f64 mul_add` ≡ the kernel's `fmadd_pd` per lane) and
-        // `f32::mul_add` reproducing `fmadd_ps` bit for bit.
-        let simd = if self.resident {
-            let mut acc = [[0.0f32; LANES]; 4];
-            if matches!(l0.weights, PackedWeights::F32(_)) {
-                acc[0].copy_from_slice(&l0.bias[..LANES]);
-            }
-            let tail_start = 4 * (l0.in_dim / 4);
-            for (t, &v) in input.iter().enumerate().take(prefix) {
-                let x = v.mul_add(self.prep_a64[t], self.prep_c64[t]) as f32;
-                let slot = if t < tail_start { t % 4 } else { 0 };
-                let base = t * LANES;
-                match &l0.weights {
-                    PackedWeights::F32(wt) => {
-                        for (lane, a) in acc[slot].iter_mut().enumerate() {
-                            *a = wt[base + lane].mul_add(x, *a);
-                        }
-                    }
-                    PackedWeights::Int8 { q, .. } => {
-                        for (lane, a) in acc[slot].iter_mut().enumerate() {
-                            *a = f32::from(q[base + lane]).mul_add(x, *a);
-                        }
-                    }
-                }
-            }
-            Some(acc)
-        } else {
-            None
-        };
-        Ok(Some(Layer0Fold {
-            prefix,
-            simd,
-            scalar,
-        }))
-    }
-
-    /// [`CompiledDbn::forward_into`] resuming from a
-    /// [`CompiledDbn::fold_prefix`] of the same artifact: layer 0 reads
-    /// only features `[fold.prefix(), input_dim)` of `input` (the
-    /// folded prefix positions are ignored), every later stage is
-    /// unchanged. Bit-identical to the full forward on the same input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes or
-    /// a fold that does not match this artifact's layout.
-    #[inline]
-    pub fn forward_from_fold(
-        &self,
-        fold: &Layer0Fold,
-        input: &[f64],
-        scratch: &mut CompiledScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), AnnError> {
-        self.forward_from_fold_impl(fold, input, scratch, out, true)
-    }
-
-    /// [`CompiledDbn::forward_from_fold`] with SIMD dispatch forced off
-    /// — the test hook mirroring [`CompiledDbn::forward_into_scalar`].
-    #[doc(hidden)]
-    pub fn forward_from_fold_scalar(
-        &self,
-        fold: &Layer0Fold,
-        input: &[f64],
-        scratch: &mut CompiledScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), AnnError> {
-        self.forward_from_fold_impl(fold, input, scratch, out, false)
-    }
-
-    fn forward_from_fold_impl(
-        &self,
-        fold: &Layer0Fold,
-        input: &[f64],
-        scratch: &mut CompiledScratch,
-        out: &mut Vec<f64>,
-        allow_simd: bool,
-    ) -> Result<(), AnnError> {
-        if input.len() != self.input_dim {
-            return Err(AnnError::dims(
-                format!("{} input features", self.input_dim),
-                format!("{}", input.len()),
-            ));
-        }
-        if fold.prefix > self.input_dim || fold.scalar.len() != self.layers[0].tiles * LANES {
-            return Err(AnnError::dims(
-                format!(
-                    "fold over <= {} features with {} partials",
-                    self.input_dim,
-                    self.layers[0].tiles * LANES
-                ),
-                format!("prefix {}, {} partials", fold.prefix, fold.scalar.len()),
-            ));
-        }
-        scratch.a.resize(self.width, 0.0);
-        scratch.b.resize(self.width, 0.0);
-        if out.len() != self.output_dim {
-            out.clear();
-            out.resize(self.output_dim, 0.0);
-        }
-        if allow_simd && self.use_simd {
-            if self.resident {
-                let Some(simd) = &fold.simd else {
-                    return Err(AnnError::BadConfig(
-                        "fold lacks resident partials for this artifact".into(),
-                    ));
-                };
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `use_simd` records an avx512f probe from
-                // compile time, and `out` was just sized.
-                unsafe {
-                    kernel::forward_avx512_resident_from_fold(
-                        self,
-                        simd,
-                        fold.prefix,
-                        input,
-                        out.as_mut_ptr(),
-                    );
-                }
-                return Ok(());
-            }
-            // Multi-tile SIMD artifacts never hand out a fold
-            // (`fold_prefix` returns `None`); serve the full forward.
-            return self.forward_impl(input, scratch, out, allow_simd);
-        }
-        for (t, &v) in input.iter().enumerate().skip(fold.prefix) {
-            scratch.a[t] = (v as f32) * self.prep_a[t] + self.prep_c[t];
-        }
-        kernel::layer0_forward_scalar_from_fold(
-            &self.layers[0],
-            &fold.scalar,
-            fold.prefix,
-            &scratch.a,
-            &mut scratch.b,
-        );
-        std::mem::swap(&mut scratch.a, &mut scratch.b);
-        for layer in &self.layers[1..] {
-            kernel::layer_forward_scalar(layer, &scratch.a, &mut scratch.b);
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
-        }
-        for (o, slot) in out.iter_mut().enumerate() {
-            let u = ((scratch.a[o] as f64 - 0.05) / 0.9).clamp(0.0, 1.0);
-            *slot = self.out_min[o] + u * self.out_span[o];
-        }
-        Ok(())
-    }
-
     #[inline]
     fn forward_impl(
         &self,
@@ -702,44 +465,6 @@ mod kernel {
                     PackedWeights::Int8 { q, scale } => {
                         let mut acc = 0.0f32;
                         for (t, &xt) in xs.iter().enumerate() {
-                            acc += f32::from(q[base + t * LANES + lane]) * xt;
-                        }
-                        acc * scale[o] + layer.bias[o]
-                    }
-                };
-                out[o] = sigmoid_scalar(z);
-            }
-        }
-    }
-
-    /// [`layer_forward_scalar`] for layer 0 resuming from per-period
-    /// partials: each output row's accumulator starts at
-    /// `partial[o] = Σ_{t<prefix} w·x` and continues the same ascending
-    /// mul-add chain over `x[prefix..in_dim]`, so the result is bitwise
-    /// what the full chain produces on the same activations.
-    pub(super) fn layer0_forward_scalar_from_fold(
-        layer: &CompiledLayer,
-        partial: &[f32],
-        prefix: usize,
-        x: &[f32],
-        out: &mut [f32],
-    ) {
-        let xs = &x[..layer.in_dim];
-        for tile in 0..layer.tiles {
-            let base = tile * layer.in_dim * LANES;
-            for lane in 0..LANES {
-                let o = tile * LANES + lane;
-                let z = match &layer.weights {
-                    PackedWeights::F32(wt) => {
-                        let mut acc = partial[o];
-                        for (t, &xt) in xs.iter().enumerate().skip(prefix) {
-                            acc += wt[base + t * LANES + lane] * xt;
-                        }
-                        acc + layer.bias[o]
-                    }
-                    PackedWeights::Int8 { q, scale } => {
-                        let mut acc = partial[o];
-                        for (t, &xt) in xs.iter().enumerate().skip(prefix) {
                             acc += f32::from(q[base + t * LANES + lane]) * xt;
                         }
                         acc * scale[o] + layer.bias[o]
@@ -925,90 +650,8 @@ mod kernel {
         unsafe { resident_finish(net, sigmoid_avx512(z), out) };
     }
 
-    /// [`forward_avx512_resident`] resuming layer 0 from the four
-    /// partial accumulators a [`super::Layer0Fold`] captured over the
-    /// first `prefix` features: the remaining features continue each
-    /// accumulator's FMA chain with the global accumulator-assignment
-    /// rule of [`matvec16_f32`] (blocks of four, tail into the first),
-    /// so the combined reduction — and every downstream stage — is
-    /// bitwise identical to the full resident pass.
-    ///
-    /// # Safety
-    ///
-    /// As for [`forward_avx512_resident`], with `prefix ≤ in_dim` and
-    /// `input` at least `in_dim` long.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn forward_avx512_resident_from_fold(
-        net: &super::CompiledDbn,
-        partial: &[[f32; LANES]; 4],
-        prefix: usize,
-        input: &[f64],
-        out: *mut f64,
-    ) {
-        use std::arch::x86_64::{_mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps};
-
-        let l0 = &net.layers[0];
-        let in_dim = l0.in_dim;
-        // SAFETY: each partial row is 16 floats.
-        let mut acc = unsafe {
-            [
-                _mm512_loadu_ps(partial[0].as_ptr()),
-                _mm512_loadu_ps(partial[1].as_ptr()),
-                _mm512_loadu_ps(partial[2].as_ptr()),
-                _mm512_loadu_ps(partial[3].as_ptr()),
-            ]
-        };
-        let tail_start = 4 * (in_dim / 4);
-        for t in prefix..in_dim {
-            // The same scalar-load-broadcast prep as the full resident
-            // pass (see its store-forwarding note).
-            // SAFETY: `t < in_dim` and the coefficient vectors are
-            // `input_pad ≥ in_dim` long.
-            let x = unsafe {
-                input.get_unchecked(t).mul_add(
-                    *net.prep_a64.get_unchecked(t),
-                    *net.prep_c64.get_unchecked(t),
-                )
-            };
-            let xv = _mm512_set1_ps(x as f32);
-            let slot = if t < tail_start { t % 4 } else { 0 };
-            let w = match &l0.weights {
-                // SAFETY: one tile — block `t` is in bounds.
-                PackedWeights::F32(wt) => unsafe { _mm512_loadu_ps(wt.as_ptr().add(t * LANES)) },
-                PackedWeights::Int8 { q, .. } => unsafe {
-                    use std::arch::x86_64::{
-                        __m128i, _mm512_cvtepi32_ps, _mm512_cvtepi8_epi32, _mm_loadu_si128,
-                    };
-                    _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(_mm_loadu_si128(
-                        q.as_ptr().add(t * LANES).cast::<__m128i>(),
-                    )))
-                },
-            };
-            acc[slot] = _mm512_fmadd_ps(w, xv, acc[slot]);
-        }
-        let sum = _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3]));
-        let z = match &l0.weights {
-            // F32 folds seed the first accumulator with the bias.
-            PackedWeights::F32(_) => sum,
-            PackedWeights::Int8 { scale, .. } => {
-                // SAFETY: `scale` and `bias` are 16 long.
-                unsafe {
-                    let sv = _mm512_loadu_ps(scale.as_ptr());
-                    let bv = _mm512_loadu_ps(l0.bias.as_ptr());
-                    _mm512_fmadd_ps(sum, sv, bv)
-                }
-            }
-        };
-        // SAFETY: avx512f per the caller's contract; `out` covers
-        // `output_dim` elements.
-        unsafe { resident_finish(net, sigmoid_avx512(z), out) };
-    }
-
     /// Layers 1..n and the output affine of the resident pass, from
-    /// layer 0's activation register — shared by the full forward and
-    /// the from-fold resume so the two stay bitwise identical past
-    /// layer 0.
+    /// layer 0's activation register.
     ///
     /// # Safety
     ///
@@ -1515,141 +1158,5 @@ mod tests {
             let err = max_err(&dbn, &compiled, &probe, false);
             assert!(err <= compiled.tolerance(), "hidden shape err {err}");
         }
-    }
-
-    /// The per-period fold must be invisible: resuming from any prefix
-    /// reproduces the full forward bit for bit, on both the dispatched
-    /// (possibly SIMD) and the forced-scalar paths, for both tiers.
-    #[test]
-    fn fold_resume_is_bitwise_identical_to_full_forward() {
-        let dbn = trained_dbn();
-        let probe = in_range_inputs(&dbn);
-        for tier in [CompiledTier::F32, CompiledTier::Int8] {
-            let compiled = CompiledDbn::compile(&dbn, tier).expect("compiles");
-            let mut scratch = compiled.make_scratch();
-            let mut full = Vec::new();
-            let mut resumed = Vec::new();
-            for prefix in [0, 5, 10, 13] {
-                for x in &probe {
-                    let fold = compiled
-                        .fold_prefix(x, prefix)
-                        .expect("fold")
-                        .expect("planner shapes are resident");
-                    assert_eq!(fold.prefix(), prefix);
-                    compiled
-                        .forward_into(x, &mut scratch, &mut full)
-                        .expect("forward");
-                    compiled
-                        .forward_from_fold(&fold, x, &mut scratch, &mut resumed)
-                        .expect("resume");
-                    assert_eq!(full, resumed, "tier {tier:?} prefix {prefix} dispatched");
-                    compiled
-                        .forward_into_scalar(x, &mut scratch, &mut full)
-                        .expect("forward");
-                    compiled
-                        .forward_from_fold_scalar(&fold, x, &mut scratch, &mut resumed)
-                        .expect("resume");
-                    assert_eq!(full, resumed, "tier {tier:?} prefix {prefix} scalar");
-                }
-            }
-        }
-    }
-
-    /// The folded prefix positions of the decision-time input must not
-    /// be read — the planner's cache hands back the fold with a buffer
-    /// whose prefix may hold stale values.
-    #[test]
-    fn fold_resume_ignores_the_folded_prefix() {
-        let dbn = trained_dbn();
-        let compiled = CompiledDbn::compile(&dbn, CompiledTier::F32).expect("compiles");
-        let mut scratch = compiled.make_scratch();
-        let x = in_range_inputs(&dbn).remove(0);
-        let fold = compiled
-            .fold_prefix(&x, 10)
-            .expect("fold")
-            .expect("resident");
-        let mut full = Vec::new();
-        compiled
-            .forward_into(&x, &mut scratch, &mut full)
-            .expect("forward");
-        let mut poisoned = x.clone();
-        for slot in poisoned.iter_mut().take(10) {
-            *slot = f64::NAN;
-        }
-        let mut resumed = Vec::new();
-        compiled
-            .forward_from_fold(&fold, &poisoned, &mut scratch, &mut resumed)
-            .expect("resume");
-        assert_eq!(full, resumed);
-        compiled
-            .forward_from_fold_scalar(&fold, &poisoned, &mut scratch, &mut resumed)
-            .expect("resume");
-        let mut scalar_full = Vec::new();
-        compiled
-            .forward_into_scalar(&x, &mut scratch, &mut scalar_full)
-            .expect("forward");
-        assert_eq!(scalar_full, resumed);
-    }
-
-    /// Non-resident shapes (input wider than one tile) either decline
-    /// the fold (SIMD hosts) or serve it through the scalar partials —
-    /// both keep `forward_from_fold` bitwise against the matching
-    /// forward.
-    #[test]
-    fn fold_handles_non_resident_shapes() {
-        let inputs: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                (0..21)
-                    .map(|j| ((i * 21 + j) as f64 * 0.29).sin().abs() * 12.0)
-                    .collect()
-            })
-            .collect();
-        let targets: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![((i as f64) * 0.11).cos().abs()])
-            .collect();
-        let cfg = DbnConfig {
-            hidden: vec![8],
-            rbm_epochs: 5,
-            rbm_lr: 0.1,
-            bp_epochs: 10,
-            bp_lr: 0.4,
-            seed: 9,
-        };
-        let dbn = Dbn::train(&inputs, &targets, &cfg).expect("trains");
-        let compiled = CompiledDbn::compile(&dbn, CompiledTier::F32).expect("compiles");
-        let x = &inputs[3];
-        match compiled.fold_prefix(x, 7).expect("fold") {
-            None => {} // SIMD multi-tile: correctly declined.
-            Some(fold) => {
-                let mut scratch = compiled.make_scratch();
-                let mut full = Vec::new();
-                let mut resumed = Vec::new();
-                compiled
-                    .forward_into(x, &mut scratch, &mut full)
-                    .expect("forward");
-                compiled
-                    .forward_from_fold(&fold, x, &mut scratch, &mut resumed)
-                    .expect("resume");
-                assert_eq!(full, resumed);
-            }
-        }
-    }
-
-    #[test]
-    fn fold_rejects_bad_dimensions() {
-        let dbn = trained_dbn();
-        let compiled = CompiledDbn::compile(&dbn, CompiledTier::F32).expect("compiles");
-        let x = in_range_inputs(&dbn).remove(0);
-        assert!(compiled.fold_prefix(&x, 14).is_err());
-        assert!(compiled.fold_prefix(&x[..3], 5).is_err());
-        let fold = compiled
-            .fold_prefix(&x, 10)
-            .expect("fold")
-            .expect("resident");
-        let mut scratch = compiled.make_scratch();
-        let mut out = Vec::new();
-        assert!(compiled
-            .forward_from_fold(&fold, &x[..5], &mut scratch, &mut out)
-            .is_err());
     }
 }

@@ -16,24 +16,18 @@
 //! run-constant prefix of the feature vector (the previous-period solar
 //! powers, which are trace-derived and known for the whole run), the
 //! bottom `depth_vary` levels only on the remaining, per-decision
-//! features (supercapacitor voltages, accumulated DMR). A caller that
-//! knows the constant prefix for a period calls
-//! [`DistilledPolicy::prewalk`] + [`DistilledPolicy::fold`] once per
-//! period — folding every constant feature's affine contribution into
-//! per-leaf intercepts, the decision-tree analogue of the compiled
-//! path's layer-0 partial-sum fold — and then
-//! [`DistilledPolicy::predict_folded`] per decision, paying only
-//! `depth_vary` compares plus `out_dim × |varying|` multiply-adds on
-//! the hot path.
+//! features (supercapacitor voltages, accumulated DMR). A decision
+//! walks `depth` compares and evaluates one leaf's affine model over
+//! every feature; [`DistilledPolicy::predict_batch_into`] does the
+//! same for many scenario lanes at once, bit for bit.
 //!
 //! The artifact is plain data (`serde`-serialisable, no host-specific
 //! probes), so a fleet can build it once and share it `Arc`-style or
 //! ship it between hosts; reloads predict bit-identically.
 
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
+use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -157,9 +151,8 @@ impl DistillConfig {
 ///
 /// Levels `[0, depth_const)` split only on features
 /// `[0, const_prefix)`; levels `[depth_const, depth)` split only on
-/// features `[const_prefix, in_dim)`. See [`DistilledPolicy::prewalk`]
-/// and [`DistilledPolicy::fold`] for the per-period fast path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// features `[const_prefix, in_dim)`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DistilledPolicy {
     in_dim: usize,
     out_dim: usize,
@@ -192,24 +185,6 @@ pub struct DistilledPolicy {
     /// Teacher/student decision match rate on the held-out box sample,
     /// measured at distillation time.
     agreement: f64,
-}
-
-/// Where a leaf evaluation starts: the leaf's own f32 intercept row
-/// (even chain; the odd chain starts at zero), or a per-period fold
-/// row holding both chains' raw f32 partial sums over the constant
-/// feature prefix (`2 * out_dim` wide: even chain first, odd chain
-/// second).
-#[derive(Clone, Copy)]
-enum LeafInit<'a> {
-    Bias,
-    Folded(&'a [f32]),
-}
-
-/// [`LeafInit`] with the intercept row resolved.
-#[derive(Clone, Copy)]
-enum LeafInitRow<'a> {
-    Bias(&'a [f32]),
-    Folded(&'a [f32]),
 }
 
 impl DistilledPolicy {
@@ -281,6 +256,7 @@ impl DistilledPolicy {
     /// before the labels exist and frees its radix scratch first, and
     /// the leaf tables are allocated only once the tree is grown and
     /// its feature lanes are freed.
+    #[allow(clippy::disallowed_methods)] // the holdout scores one row against its teacher row at a time
     fn fit_rows<R: RowId>(
         teacher: &Dbn,
         const_prefix: usize,
@@ -439,24 +415,14 @@ impl DistilledPolicy {
         (self.depth_const + self.depth_vary) as usize
     }
 
-    /// Tree levels walked by [`DistilledPolicy::prewalk`].
+    /// Tree levels that split on the run-constant prefix.
     pub fn depth_const_levels(&self) -> usize {
         self.depth_const as usize
     }
 
-    /// Tree levels walked by [`DistilledPolicy::predict_folded`].
+    /// Tree levels that split on the varying features.
     pub fn depth_vary_levels(&self) -> usize {
         self.depth_vary as usize
-    }
-
-    /// Length of the per-period fold buffer written by
-    /// [`DistilledPolicy::fold`]: one partial-sum row per leaf under a
-    /// prewalk cursor, each `2 * out_dim` wide (the even-indexed and
-    /// odd-indexed feature chains of the two-chain accumulation are
-    /// folded separately, as raw f32 partials, so the finish resumes
-    /// both bit-exactly with no narrowing work).
-    pub fn fold_len(&self) -> usize {
-        (1usize << self.depth_vary) * 2 * self.out_dim
     }
 
     /// Teacher/student decision match rate on the distillation holdout
@@ -469,28 +435,17 @@ impl DistilledPolicy {
         (1usize << self.depth()) - 1
     }
 
-    /// Walks the `depth_const` constant levels of the tree for one
-    /// period. Only features `[0, const_prefix)` of `x` are read, so a
-    /// slice holding just the constant prefix is accepted. The returned
-    /// cursor is valid for [`DistilledPolicy::fold`] /
-    /// [`DistilledPolicy::predict_folded`] on any query sharing the
-    /// same constant prefix — cache it once per period.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `x` is shorter than
-    /// `const_prefix`.
-    #[inline]
-    pub fn prewalk(&self, x: &[f64]) -> Result<u32, AnnError> {
-        if x.len() < self.const_prefix {
-            return Err(Self::prefix_err(self.const_prefix, x.len()));
-        }
+    /// The leaf `x` lands in: the constant levels, then the varying
+    /// ones. The caller has checked `x` is `in_dim` wide; `validate`
+    /// keeps every split feature below it.
+    #[inline(always)]
+    fn leaf(&self, x: &[f64]) -> usize {
         let mut n = 0usize;
-        for _ in 0..self.depth_const {
+        for _ in 0..self.depth() {
             let f = self.feat[n] as usize;
             n = 2 * n + 1 + usize::from(x[f] > self.thresh[n]);
         }
-        Ok(n as u32)
+        n - self.internal_nodes()
     }
 
     /// Cold constructors for the hot-path dimension errors: keeping the
@@ -508,103 +463,11 @@ impl DistilledPolicy {
         AnnError::dims(format!("{want} {what}"), format!("{got}"))
     }
 
-    /// Folds the constant-prefix contribution of every leaf under
-    /// `cursor` into per-leaf intercepts — the decision-tree analogue
-    /// of the compiled path's per-period layer-0 partial-sum fold. Call
-    /// once per period (cursor and constant features change only at
-    /// period boundaries); `folded` is resized to
-    /// [`DistilledPolicy::fold_len`] and is reusable across calls
-    /// without reallocating. Only features `[0, const_prefix)` of `x`
-    /// are read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `x` is shorter than
-    /// `const_prefix` or `cursor` is out of range.
-    #[inline]
-    pub fn fold(&self, cursor: u32, x: &[f64], folded: &mut Vec<f32>) -> Result<(), AnnError> {
-        if x.len() < self.const_prefix {
-            return Err(Self::prefix_err(self.const_prefix, x.len()));
-        }
-        let m = self.cursor_offset(cursor)?;
-        let vary_leaves = 1usize << self.depth_vary;
-        let row = 2 * self.out_dim;
-        folded.clear();
-        folded.resize(self.fold_len(), 0.0);
-        for rel in 0..vary_leaves {
-            let leaf = m * vary_leaves + rel;
-            // Each partial row holds the two raw f32 running chains,
-            // so `predict_folded` resumes the flat path's accumulation
-            // sequence bit for bit.
-            self.accumulate_leaf_partial(
-                leaf,
-                self.const_prefix,
-                x,
-                &mut folded[rel * row..(rel + 1) * row],
-            );
-        }
-        Ok(())
-    }
-
-    /// Finishes a prediction from a [`DistilledPolicy::prewalk`] cursor
-    /// and its [`DistilledPolicy::fold`] buffer: walks the `depth_vary`
-    /// varying levels and evaluates the leaf affine model over only the
-    /// varying features `[const_prefix, in_dim)`. Allocation-free once
-    /// `out` has grown to `out_dim` — this is the per-decision hot
-    /// path. Bit-identical to [`DistilledPolicy::predict_into`] on the
-    /// full feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `x` or `folded`
-    /// have the wrong width or `cursor` is out of range.
-    #[inline]
-    pub fn predict_folded(
-        &self,
-        cursor: u32,
-        folded: &[f32],
-        x: &[f64],
-        out: &mut Vec<f64>,
-    ) -> Result<(), AnnError> {
-        if x.len() != self.in_dim {
-            return Err(Self::width_err("features", self.in_dim, x.len()));
-        }
-        if folded.len() != self.fold_len() {
-            return Err(Self::width_err(
-                "folded intercepts",
-                self.fold_len(),
-                folded.len(),
-            ));
-        }
-        let m = self.cursor_offset(cursor)?;
-        let mut n = cursor as usize;
-        for _ in 0..self.depth_vary {
-            let f = self.feat[n] as usize;
-            n = 2 * n + 1 + usize::from(x[f] > self.thresh[n]);
-        }
-        let leaf = n - self.internal_nodes();
-        let rel = leaf - m * (1usize << self.depth_vary);
-        let od = self.out_dim;
-        let row = 2 * od;
-        out.clear();
-        out.resize(od, 0.0);
-        self.accumulate_leaf(
-            leaf,
-            self.const_prefix,
-            self.in_dim,
-            x,
-            LeafInit::Folded(&folded[rel * row..(rel + 1) * row]),
-            out,
-        );
-        Ok(())
-    }
-
-    /// Full prediction: constant walk, fold of the constant prefix into
-    /// the leaf intercept, varying walk, affine finish — the same
-    /// operations in the same order as the
-    /// [`DistilledPolicy::prewalk`] / [`DistilledPolicy::fold`] /
-    /// [`DistilledPolicy::predict_folded`] split, so both paths are
-    /// bit-identical.
+    /// One decision: the tree walk, then the leaf's affine model over
+    /// every feature. Allocation-free once `out` has grown to
+    /// `out_dim`. This is the sequential one-decision path; batches go
+    /// through [`DistilledPolicy::predict_batch_into`], which is
+    /// bit-identical lane by lane.
     ///
     /// # Errors
     ///
@@ -614,22 +477,10 @@ impl DistilledPolicy {
         if x.len() != self.in_dim {
             return Err(Self::width_err("features", self.in_dim, x.len()));
         }
-        let cursor = self.prewalk(x)?;
-        let mut n = cursor as usize;
-        for _ in 0..self.depth_vary {
-            let f = self.feat[n] as usize;
-            n = 2 * n + 1 + usize::from(x[f] > self.thresh[n]);
-        }
-        let leaf = n - self.internal_nodes();
-        let od = self.out_dim;
+        let leaf = self.leaf(x);
         out.clear();
-        out.resize(od, 0.0);
-        // Feature-ascending two-chain accumulation — constant prefix
-        // first, varying tail second, the exact operation sequence of
-        // `fold` + `predict_folded` (each parity chain is a strictly
-        // sequential f32 sum, so splitting both at any feature
-        // boundary changes no rounding).
-        self.accumulate_leaf(leaf, 0, self.in_dim, x, LeafInit::Bias, out);
+        out.resize(self.out_dim, 0.0);
+        self.accumulate_leaf(leaf, x, out);
         Ok(())
     }
 
@@ -639,109 +490,88 @@ impl DistilledPolicy {
     /// # Errors
     ///
     /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
+    #[allow(clippy::disallowed_methods)] // one decision, by definition
     pub fn predict(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
         let mut out = Vec::with_capacity(self.out_dim);
         self.predict_into(x, &mut out)?;
         Ok(out)
     }
 
-    /// Batched decision finish over many scenario lanes sharing this
-    /// artifact. `entries[lane]` carries the lane's shared-fold state
-    /// (normally straight out of [`FoldTable::lookup`]): `Some`
-    /// resumes the period fold exactly like
-    /// [`DistilledPolicy::predict_folded`], `None` takes the flat
-    /// [`DistilledPolicy::predict_into`] path (a prefix the table has
-    /// seen only once). `inputs` is lane-major
-    /// (`entries.len() * in_dim` features), `out` is resized to
-    /// `entries.len() * out_dim` — allocation-free once grown.
+    /// Batched decisions over many scenario lanes sharing this
+    /// artifact. `inputs` is lane-major (`in_dim` features per lane);
+    /// `out` is resized to one `out_dim` row per lane, allocation-free
+    /// once grown.
     ///
     /// Every lane runs the same two parity-interleaved f32
-    /// accumulation chains as the sequential paths — on AVX-512 hosts
-    /// as one masked 16-float register per chain (plain mul-then-add,
-    /// never FMA), elsewhere through the scalar twin — so the batched
-    /// output is bit-identical to calling
-    /// `predict_folded`/`predict_into` lane by lane.
+    /// accumulation chains as [`DistilledPolicy::predict_into`] — on
+    /// AVX-512 hosts as one masked 16-float register per chain (plain
+    /// mul-then-add, never FMA), elsewhere through the scalar twin — so
+    /// the batched output is bit-identical to calling `predict_into`
+    /// lane by lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnnError::DimensionMismatch`] when `inputs` is not a
+    /// whole number of `in_dim`-wide lanes.
+    pub fn predict_batch_into(&self, inputs: &[f64], out: &mut Vec<f64>) -> Result<(), AnnError> {
+        #[cfg(target_arch = "x86_64")]
+        let wide = self.out_dim <= 16 && std::arch::is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        self.predict_batch_impl(inputs, out, wide)
+    }
+
+    /// [`DistilledPolicy::predict_batch_into`] pinned to the scalar
+    /// twin — the SIMD/scalar identity gates diff against this.
+    #[doc(hidden)]
+    pub fn predict_batch_into_scalar(
+        &self,
+        inputs: &[f64],
+        out: &mut Vec<f64>,
+    ) -> Result<(), AnnError> {
+        self.predict_batch_impl(inputs, out, false)
+    }
+
+    /// [`DistilledPolicy::predict_batch_into`] over `entries.len()`
+    /// lanes. Kept for the benchmark's layer replay until a benchmark
+    /// change drops it: every entry [`FoldTable::lookup`] hands out is
+    /// `None`, so this is the flat batched kernel.
     ///
     /// # Errors
     ///
     /// Returns [`AnnError::DimensionMismatch`] when `inputs` is not
-    /// `entries.len() * in_dim` wide or a fold entry does not match
-    /// this artifact's fold length / cursor range (entries must come
-    /// from a [`FoldTable`] built over this policy).
+    /// `entries.len() * in_dim` wide.
     pub fn predict_batch_folded(
         &self,
         entries: &[Option<Arc<FoldEntry>>],
         inputs: &[f64],
         out: &mut Vec<f64>,
     ) -> Result<(), AnnError> {
-        #[cfg(target_arch = "x86_64")]
-        let wide = self.out_dim <= 16 && std::arch::is_x86_feature_detected!("avx512f");
-        #[cfg(not(target_arch = "x86_64"))]
-        let wide = false;
-        self.predict_batch_impl(entries, inputs, out, wide)
-    }
-
-    /// [`DistilledPolicy::predict_batch_folded`] pinned to the scalar
-    /// twin — the SIMD/scalar identity gates diff against this.
-    #[doc(hidden)]
-    pub fn predict_batch_folded_scalar(
-        &self,
-        entries: &[Option<Arc<FoldEntry>>],
-        inputs: &[f64],
-        out: &mut Vec<f64>,
-    ) -> Result<(), AnnError> {
-        self.predict_batch_impl(entries, inputs, out, false)
-    }
-
-    fn predict_batch_impl(
-        &self,
-        entries: &[Option<Arc<FoldEntry>>],
-        inputs: &[f64],
-        out: &mut Vec<f64>,
-        wide: bool,
-    ) -> Result<(), AnnError> {
-        let od = self.out_dim;
         let want = entries.len() * self.in_dim;
         if inputs.len() != want {
             return Err(Self::width_err("lane-major features", want, inputs.len()));
         }
+        self.predict_batch_into(inputs, out)
+    }
+
+    fn predict_batch_impl(
+        &self,
+        inputs: &[f64],
+        out: &mut Vec<f64>,
+        wide: bool,
+    ) -> Result<(), AnnError> {
+        let (id, od) = (self.in_dim, self.out_dim);
+        if !inputs.len().is_multiple_of(id) {
+            return Err(AnnError::dims(
+                format!("a multiple of {id} lane-major features"),
+                format!("{}", inputs.len()),
+            ));
+        }
         out.clear();
-        out.resize(entries.len() * od, 0.0);
-        let row = 2 * od;
-        for (lane, entry) in entries.iter().enumerate() {
-            let x = &inputs[lane * self.in_dim..(lane + 1) * self.in_dim];
-            let dst = &mut out[lane * od..(lane + 1) * od];
-            // Walk start, accumulation window start, and leaf init are
-            // the only things that differ between the folded and flat
-            // lanes; the walk and the finish below are shared.
-            let (cursor, t0, folded) = match entry {
-                Some(e) => {
-                    if e.folded.len() != self.fold_len() {
-                        return Err(Self::width_err(
-                            "folded intercepts",
-                            self.fold_len(),
-                            e.folded.len(),
-                        ));
-                    }
-                    (e.cursor, self.const_prefix, Some(&e.folded))
-                }
-                None => (self.prewalk(x)?, 0, None),
-            };
-            let m = self.cursor_offset(cursor)?;
-            let mut n = cursor as usize;
-            for _ in 0..self.depth_vary {
-                let f = self.feat[n] as usize;
-                n = 2 * n + 1 + usize::from(x[f] > self.thresh[n]);
-            }
-            let leaf = n - self.internal_nodes();
-            let init = match folded {
-                Some(f) => {
-                    let rel = leaf - m * (1usize << self.depth_vary);
-                    LeafInit::Folded(&f[rel * row..(rel + 1) * row])
-                }
-                None => LeafInit::Bias,
-            };
-            self.leaf_finish(wide, leaf, t0, x, init, dst);
+        out.resize(inputs.len() / id * od, 0.0);
+        for (x, dst) in inputs.chunks_exact(id).zip(out.chunks_exact_mut(od)) {
+            let leaf = self.leaf(x);
+            self.leaf_finish(wide, leaf, x, dst);
         }
         Ok(())
     }
@@ -750,48 +580,31 @@ impl DistilledPolicy {
     /// AVX-512 kernel when the caller's probe allows it, the scalar
     /// twin ([`DistilledPolicy::accumulate_leaf`]) otherwise.
     #[inline(always)]
-    fn leaf_finish(
-        &self,
-        wide: bool,
-        leaf: usize,
-        t0: usize,
-        x: &[f64],
-        init: LeafInit<'_>,
-        dst: &mut [f64],
-    ) {
+    fn leaf_finish(&self, wide: bool, leaf: usize, x: &[f64], dst: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         if wide {
             // SAFETY: `wide` is only set after an `avx512f` runtime
             // probe succeeded with `out_dim <= 16`.
-            unsafe { self.accumulate_leaf_avx512(leaf, t0, x, init, dst) };
+            unsafe { self.accumulate_leaf_avx512(leaf, x, dst) };
             return;
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = wide;
-        self.accumulate_leaf(leaf, t0, self.in_dim, x, init, dst);
+        self.accumulate_leaf(leaf, x, dst);
     }
 
-    /// Evaluates the leaf model `dst[d] = init[d] + Σ coef[t][d]·x[t]`
-    /// over features `[t0, t1)` of leaf `leaf`, writing the combined
-    /// f64-widened result into `dst` (length `out_dim`).
+    /// Evaluates the leaf model `dst[d] = bias[d] + Σ coef[t][d]·x[t]`
+    /// of leaf `leaf`, writing the combined f64-widened result into
+    /// `dst` (length `out_dim`).
     ///
     /// The whole evaluation runs in `f32` (the artifact's storage
     /// precision) as **two independent accumulation chains** — one
-    /// over even-indexed features, one over odd-indexed (parity of
-    /// the *global* feature index, so any `[t0, t1)` window routes
-    /// each feature to the same chain). A single strictly sequential
-    /// chain of thirteen float adds per output was the latency floor;
-    /// two chains halve the dependency depth and the CPU overlaps
-    /// them. The even chain starts from the intercept, the odd chain
-    /// from zero, and the output is the f32 sum `even + odd` widened
-    /// to f64.
-    ///
-    /// [`DistilledPolicy::accumulate_leaf_partial`] stops the same
-    /// accumulation at a feature boundary and stores both raw f32
-    /// chains; resuming from them via [`LeafInit::Folded`] reproduces
-    /// the unsplit evaluation bit for bit (each chain is a strictly
-    /// sequential f32 sum, so splitting at any boundary changes no
-    /// rounding).
+    /// over even-indexed features, one over odd-indexed. A single
+    /// strictly sequential chain of thirteen float adds per output was
+    /// the latency floor; two chains halve the dependency depth and
+    /// the CPU overlaps them. The even chain starts from the
+    /// intercept, the odd chain from zero, and the output is the f32
+    /// sum `even + odd` widened to f64.
     ///
     /// Dispatches to a const-width body for the scheduler's decision
     /// widths (the lane count known at compile time keeps the
@@ -802,99 +615,32 @@ impl DistilledPolicy {
     /// predict bodies, and the out-of-line version pays a
     /// ten-register prologue per decision.
     #[inline(always)]
-    fn accumulate_leaf(
-        &self,
-        leaf: usize,
-        t0: usize,
-        t1: usize,
-        x: &[f64],
-        init: LeafInit<'_>,
-        dst: &mut [f64],
-    ) {
+    fn accumulate_leaf(&self, leaf: usize, x: &[f64], dst: &mut [f64]) {
         let od = self.out_dim;
         let lc = leaf * self.in_dim * od;
-        let xs = &x[t0..t1];
-        let coefs = &self.leaf_coef[lc + t0 * od..lc + t1 * od];
-        let init = match init {
-            LeafInit::Bias => LeafInitRow::Bias(&self.leaf_bias[leaf * od..(leaf + 1) * od]),
-            LeafInit::Folded(row) => LeafInitRow::Folded(row),
-        };
-        match od {
-            8 => Self::leaf_rows_fixed::<8>(coefs, xs, t0, init, dst),
-            10 => Self::leaf_rows_fixed::<10>(coefs, xs, t0, init, dst),
-            12 => Self::leaf_rows_fixed::<12>(coefs, xs, t0, init, dst),
-            16 => Self::leaf_rows_fixed::<16>(coefs, xs, t0, init, dst),
-            _ => Self::leaf_rows_dyn(coefs, xs, t0, init, dst),
-        }
-    }
-
-    /// The fold-building counterpart of
-    /// [`DistilledPolicy::accumulate_leaf`]: accumulates the leaf
-    /// model over the constant prefix `[0, t_split)` and stores the
-    /// two raw f32 chains into `dst` (length `2 * out_dim`: even
-    /// chain first, odd chain second). Runs once per period per leaf,
-    /// so it takes the lane-blocked dynamic body unconditionally.
-    fn accumulate_leaf_partial(&self, leaf: usize, t_split: usize, x: &[f64], dst: &mut [f32]) {
-        let od = self.out_dim;
-        let lc = leaf * self.in_dim * od;
-        let coefs = &self.leaf_coef[lc..lc + t_split * od];
+        let xs = &x[..self.in_dim];
+        let coefs = &self.leaf_coef[lc..lc + self.in_dim * od];
         let bias = &self.leaf_bias[leaf * od..(leaf + 1) * od];
-        const B: usize = 16;
-        let mut lane = 0;
-        while lane < od {
-            let w = B.min(od - lane);
-            let mut even = [0.0f32; B];
-            let mut odd = [0.0f32; B];
-            even[..w].copy_from_slice(&bias[lane..lane + w]);
-            let mut it = coefs.chunks_exact(od).zip(&x[..t_split]);
-            while let Some((row, &v)) = it.next() {
-                let vf = v as f32;
-                for (a, &c) in even[..w].iter_mut().zip(&row[lane..lane + w]) {
-                    *a += c * vf;
-                }
-                let Some((row, &v)) = it.next() else { break };
-                let vf = v as f32;
-                for (a, &c) in odd[..w].iter_mut().zip(&row[lane..lane + w]) {
-                    *a += c * vf;
-                }
-            }
-            dst[lane..lane + w].copy_from_slice(&even[..w]);
-            dst[od + lane..od + lane + w].copy_from_slice(&odd[..w]);
-            lane += w;
+        match od {
+            8 => Self::leaf_rows_fixed::<8>(coefs, xs, bias, dst),
+            10 => Self::leaf_rows_fixed::<10>(coefs, xs, bias, dst),
+            12 => Self::leaf_rows_fixed::<12>(coefs, xs, bias, dst),
+            16 => Self::leaf_rows_fixed::<16>(coefs, xs, bias, dst),
+            _ => Self::leaf_rows_dyn(coefs, xs, bias, dst),
         }
     }
 
     /// [`DistilledPolicy::accumulate_leaf`] body with the output
     /// width as a compile-time constant (`N == out_dim`).
     #[inline(always)]
-    fn leaf_rows_fixed<const N: usize>(
-        coefs: &[f32],
-        xs: &[f64],
-        t0: usize,
-        init: LeafInitRow<'_>,
-        dst: &mut [f64],
-    ) {
+    fn leaf_rows_fixed<const N: usize>(coefs: &[f32], xs: &[f64], bias: &[f32], dst: &mut [f64]) {
         let mut even = [0.0f32; N];
         let mut odd = [0.0f32; N];
-        match init {
-            LeafInitRow::Bias(b) => even.copy_from_slice(&b[..N]),
-            LeafInitRow::Folded(f) => {
-                even.copy_from_slice(&f[..N]);
-                odd.copy_from_slice(&f[N..2 * N]);
-            }
-        }
+        even.copy_from_slice(&bias[..N]);
         // `chunks_exact` + slice zips: no per-iteration bounds checks
         // or iterator-adapter state, just one wide multiply-add block
         // per feature, alternating between the two chains.
         let mut it = coefs.chunks_exact(N).zip(xs);
-        if t0 % 2 == 1 {
-            if let Some((row, &v)) = it.next() {
-                let vf = v as f32;
-                for (a, &c) in odd.iter_mut().zip(row) {
-                    *a += c * vf;
-                }
-            }
-        }
         while let Some((row, &v)) = it.next() {
             let vf = v as f32;
             for (a, &c) in even.iter_mut().zip(row) {
@@ -916,7 +662,7 @@ impl DistilledPolicy {
     /// register-resident blocks so the per-lane operation sequence —
     /// and therefore every rounding — matches the fixed bodies, and
     /// no scratch is allocated.
-    fn leaf_rows_dyn(coefs: &[f32], xs: &[f64], t0: usize, init: LeafInitRow<'_>, dst: &mut [f64]) {
+    fn leaf_rows_dyn(coefs: &[f32], xs: &[f64], bias: &[f32], dst: &mut [f64]) {
         const B: usize = 16;
         let od = dst.len();
         let mut lane = 0;
@@ -924,22 +670,8 @@ impl DistilledPolicy {
             let w = B.min(od - lane);
             let mut even = [0.0f32; B];
             let mut odd = [0.0f32; B];
-            match init {
-                LeafInitRow::Bias(b) => even[..w].copy_from_slice(&b[lane..lane + w]),
-                LeafInitRow::Folded(f) => {
-                    even[..w].copy_from_slice(&f[lane..lane + w]);
-                    odd[..w].copy_from_slice(&f[od + lane..od + lane + w]);
-                }
-            }
+            even[..w].copy_from_slice(&bias[lane..lane + w]);
             let mut it = coefs.chunks_exact(od).zip(xs);
-            if t0 % 2 == 1 {
-                if let Some((row, &v)) = it.next() {
-                    let vf = v as f32;
-                    for (a, &c) in odd[..w].iter_mut().zip(&row[lane..lane + w]) {
-                        *a += c * vf;
-                    }
-                }
-            }
             while let Some((row, &v)) = it.next() {
                 let vf = v as f32;
                 for (a, &c) in even[..w].iter_mut().zip(&row[lane..lane + w]) {
@@ -966,10 +698,10 @@ impl DistilledPolicy {
     /// held in one masked 16-float ZMM register each. Per output lane
     /// the operation sequence is the scalar twin's exactly — broadcast
     /// the feature, `vmulps` against the coefficient row, `vaddps`
-    /// into the chain of the feature's global parity, finish with one
-    /// f32 `even + odd` widened to f64. No FMA anywhere: the artifact
-    /// owes bit-identity, and a fused multiply-add rounds once where
-    /// the scalar path rounds twice.
+    /// into the chain of the feature's parity, finish with one f32
+    /// `even + odd` widened to f64. No FMA anywhere: the artifact owes
+    /// bit-identity, and a fused multiply-add rounds once where the
+    /// scalar path rounds twice.
     ///
     /// # Safety
     ///
@@ -977,14 +709,7 @@ impl DistilledPolicy {
     /// and that `out_dim <= 16` (the mask covers one register).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_leaf_avx512(
-        &self,
-        leaf: usize,
-        t0: usize,
-        x: &[f64],
-        init: LeafInit<'_>,
-        dst: &mut [f64],
-    ) {
+    unsafe fn accumulate_leaf_avx512(&self, leaf: usize, x: &[f64], dst: &mut [f64]) {
         use std::arch::x86_64::{
             __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
             _mm512_set1_ps, _mm512_setzero_ps,
@@ -993,29 +718,21 @@ impl DistilledPolicy {
         debug_assert!(od <= 16 && dst.len() == od);
         let mask: __mmask16 = if od == 16 { !0 } else { (1u16 << od) - 1 };
         let lc = leaf * self.in_dim * od;
-        let xs = &x[t0..self.in_dim];
-        let coefs = &self.leaf_coef[lc + t0 * od..lc + self.in_dim * od];
+        let xs = &x[..self.in_dim];
+        let coefs = &self.leaf_coef[lc..lc + self.in_dim * od];
+        let b = &self.leaf_bias[leaf * od..(leaf + 1) * od];
         // SAFETY: the masked loads touch exactly the first `od` floats
         // of each row; `validate` pins `leaf_bias`/`leaf_coef` to
-        // `leaves * od` / `leaves * in_dim * od`, and a fold row is
-        // `2 * od` wide, so every enabled mask lane is in bounds.
-        let (mut even, mut odd) = match init {
-            LeafInit::Bias => {
-                let b = &self.leaf_bias[leaf * od..(leaf + 1) * od];
-                (_mm512_maskz_loadu_ps(mask, b.as_ptr()), _mm512_setzero_ps())
-            }
-            LeafInit::Folded(f) => (
-                _mm512_maskz_loadu_ps(mask, f.as_ptr()),
-                // SAFETY: `f` is one fold row, `2 * od` floats.
-                _mm512_maskz_loadu_ps(mask, f.as_ptr().add(od)),
-            ),
-        };
+        // `leaves * od` / `leaves * in_dim * od`, so every enabled mask
+        // lane is in bounds.
+        let mut even = _mm512_maskz_loadu_ps(mask, b.as_ptr());
+        let mut odd = _mm512_setzero_ps();
         for (t, (row, &v)) in coefs.chunks_exact(od).zip(xs).enumerate() {
             let vf = _mm512_set1_ps(v as f32);
             // SAFETY: `row` is exactly `od` floats (`chunks_exact`).
             let c = _mm512_maskz_loadu_ps(mask, row.as_ptr());
             let prod = _mm512_mul_ps(c, vf);
-            if (t0 + t).is_multiple_of(2) {
+            if t.is_multiple_of(2) {
                 even = _mm512_add_ps(even, prod);
             } else {
                 odd = _mm512_add_ps(odd, prod);
@@ -1028,27 +745,6 @@ impl DistilledPolicy {
         for (d, &s) in dst.iter_mut().zip(buf.iter()) {
             *d = f64::from(s);
         }
-    }
-
-    /// Validates a cursor and returns its offset among the
-    /// constant-level boundary nodes.
-    #[inline]
-    fn cursor_offset(&self, cursor: u32) -> Result<usize, AnnError> {
-        let first = (1usize << self.depth_const) - 1;
-        let n = cursor as usize;
-        if n < first || n > 2 * first {
-            return Err(Self::cursor_err(first, n));
-        }
-        Ok(n - first)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn cursor_err(first: usize, got: usize) -> AnnError {
-        AnnError::dims(
-            format!("cursor in [{first}, {}]", 2 * first),
-            format!("{got}"),
-        )
     }
 
     /// Structural validation: every array has the advertised length,
@@ -1148,400 +844,97 @@ impl DistilledPolicy {
     /// Restores and validates an artifact serialised with
     /// [`DistilledPolicy::to_json`].
     ///
+    /// The four tree and leaf arrays are read element by element
+    /// ([`serde_json::read_object`]), never as a `Value` tree: a tree
+    /// would take ~4 MiB for a 1 MB artifact, about half the
+    /// distillation's own peak. The first of duplicate keys counts and
+    /// unknown keys are skipped.
+    ///
     /// # Errors
     ///
-    /// Returns [`AnnError::BadConfig`] for malformed JSON or a
-    /// structurally invalid artifact.
+    /// Returns [`AnnError::BadConfig`] for malformed JSON, a missing
+    /// field or a structurally invalid artifact.
     pub fn from_json(json: &str) -> Result<Self, AnnError> {
-        let policy: Self =
-            serde_json::from_str(json).map_err(|e| AnnError::BadConfig(e.to_string()))?;
+        let (mut in_dim, mut out_dim, mut const_prefix) = (None, None, None);
+        let (mut depth_const, mut depth_vary, mut agreement) = (None, None, None);
+        let (mut feat, mut thresh, mut leaf_bias, mut leaf_coef) = (None, None, None, None);
+        serde_json::read_object(json, |key, m| {
+            match key {
+                "in_dim" if in_dim.is_none() => in_dim = Some(m.value()?),
+                "out_dim" if out_dim.is_none() => out_dim = Some(m.value()?),
+                "const_prefix" if const_prefix.is_none() => const_prefix = Some(m.value()?),
+                "depth_const" if depth_const.is_none() => depth_const = Some(m.value()?),
+                "depth_vary" if depth_vary.is_none() => depth_vary = Some(m.value()?),
+                "feat" if feat.is_none() => feat = Some(m.array()?),
+                "thresh" if thresh.is_none() => thresh = Some(m.array()?),
+                "leaf_bias" if leaf_bias.is_none() => leaf_bias = Some(m.array()?),
+                "leaf_coef" if leaf_coef.is_none() => leaf_coef = Some(m.array()?),
+                "agreement" if agreement.is_none() => agreement = Some(m.value()?),
+                _ => {}
+            }
+            Ok(())
+        })
+        .map_err(|e| AnnError::BadConfig(e.to_string()))?;
+        fn field<T>(v: Option<T>, name: &str) -> Result<T, AnnError> {
+            v.ok_or_else(|| AnnError::BadConfig(format!("missing field `{name}`")))
+        }
+        let policy = Self {
+            in_dim: field(in_dim, "in_dim")?,
+            out_dim: field(out_dim, "out_dim")?,
+            const_prefix: field(const_prefix, "const_prefix")?,
+            depth_const: field(depth_const, "depth_const")?,
+            depth_vary: field(depth_vary, "depth_vary")?,
+            feat: field(feat, "feat")?,
+            thresh: field(thresh, "thresh")?,
+            leaf_bias: field(leaf_bias, "leaf_bias")?,
+            leaf_coef: field(leaf_coef, "leaf_coef")?,
+            agreement: field(agreement, "agreement")?,
+        };
         policy.validate()?;
         Ok(policy)
     }
 }
 
-/// One period's shared prewalk/fold product: the constant-level tree
-/// cursor and the folded per-leaf partial chains for one run-constant
-/// feature prefix. Built by [`FoldTable::lookup`] (or directly via
-/// [`FoldEntry::build`]) and read behind an `Arc` by every scenario
-/// lane whose period shares the prefix.
-#[derive(Debug)]
-pub struct FoldEntry {
-    cursor: u32,
-    folded: Box<[f32]>,
-}
-
-impl FoldEntry {
-    /// Prewalks and folds the constant prefix of `x` into a shareable
-    /// entry for `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `x` is shorter
-    /// than the policy's constant prefix.
-    pub fn build(policy: &DistilledPolicy, x: &[f64]) -> Result<Self, AnnError> {
-        let cursor = policy.prewalk(x)?;
-        let mut folded = Vec::with_capacity(policy.fold_len());
-        policy.fold(cursor, x, &mut folded)?;
-        Ok(Self {
-            cursor,
-            folded: folded.into_boxed_slice(),
-        })
-    }
-
-    /// Constant-level cursor for [`DistilledPolicy::predict_folded`].
-    pub fn cursor(&self) -> u32 {
-        self.cursor
-    }
-
-    /// Folded per-leaf partial chains, [`DistilledPolicy::fold_len`]
-    /// floats.
-    pub fn folded(&self) -> &[f32] {
-        &self.folded
-    }
-}
-
-/// Shared fold cache for one distilled artifact.
+/// The handle every distilled lane of a batch shares. It carries the
+/// artifact, and the batch engine groups lanes whose planners hold the
+/// same `Arc<FoldTable>` into one [`DistilledPolicy::predict_batch_into`]
+/// call.
 ///
-/// Keyed by the run-constant feature prefix — the exact f64 bit
-/// patterns, so two periods share an entry only when their constant
-/// features are identical (the same run-constant contract
-/// `DbnDecideCache` and the batch engine's `PlanContext` rely on, but
-/// sharable across traces, scenarios and shards instead of per flat
-/// index per planner). The table preserves the
-/// sequential planner's lazy schedule: the first sighting of a prefix
-/// only records it (the caller takes the flat predict path — a prefix
-/// seen exactly once never pays for a fold), the second sighting
-/// builds the fold, and every later one reuses the `Arc`-shared
-/// entry. Because the folded path is bit-identical to the flat path,
-/// sharing, eviction and capacity bounds change throughput only —
-/// never output bytes.
-///
-/// Memory grows with use and is bounded: a fresh table holds no
-/// storage, and its slots grow with the prefixes it tracks. Past
-/// `capacity` distinct prefixes the least-recently-used slot is
-/// evicted, so multi-year traces cannot grow the table without limit.
-/// Eviction is O(1) — the slots carry an intrusive recency list — and
-/// reuses the victim's slot and key storage, so a full table allocates
-/// nothing but the folds it builds.
-///
-/// Interior-mutable behind a `Mutex`, so one table (behind an `Arc`)
-/// serves every scenario in a `BatchEngine` batch and every shard of
-/// `run_sharded` concurrently. A fleet service keeps one table for its
-/// session but [`FoldTable::clear`]s it at the start of each request:
-/// requests bring their own traces, so folds kept past their request
-/// are memory later requests hardly read. Checkpoints never serialise
-/// the table — it is a cache rebuilt deterministically from the
-/// run-constant prefixes on resume, so a checkpoint carries the key
-/// (the trace), not the table.
+/// Every decision is served flat. [`FoldTable::lookup`], [`FoldEntry`],
+/// [`FoldTable::DEFAULT_CAPACITY`] and
+/// [`DistilledPolicy::predict_batch_folded`] stay only because the
+/// benchmark's layer replay calls them, until a benchmark change drops
+/// them.
 #[derive(Debug)]
 pub struct FoldTable {
     policy: Arc<DistilledPolicy>,
-    capacity: usize,
-    /// Randomly keyed, like `HashMap`'s: the prefixes derive from
-    /// request-chosen traces. The hash only places slots in the index,
-    /// so output and eviction order never depend on it.
-    hasher: RandomState,
-    inner: Mutex<FoldLru>,
 }
 
-/// Null link. Never a valid slot: capacity is clamped below it.
-const NIL: u32 = u32::MAX;
-
-/// The table's storage: a slab of slots threaded by a doubly linked
-/// recency list (head = most recent, tail = the eviction victim), the
-/// slots' keys in one flat arena (`const_prefix` words per slot, slot
-/// `s` at `s * const_prefix`), and an open-addressing index of slot
-/// numbers probed by key hash. Slots are never freed — once full, the
-/// tail slot is recycled in place — so `slots.len()` is the number of
-/// tracked prefixes.
+/// What [`FoldTable::lookup`] could hand out. It has no values, so no
+/// folded lane can exist; kept for the benchmark's layer replay.
 #[derive(Debug)]
-struct FoldLru {
-    key_len: usize,
-    keys: Vec<u64>,
-    slots: Vec<FoldSlot>,
-    /// Power-of-two buckets holding slot number + 1 (0 = empty), at
-    /// most half full, linear probing with backward-shift deletion.
-    /// Empty until the first prefix is tracked.
-    index: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-#[derive(Debug)]
-struct FoldSlot {
-    hash: u64,
-    prev: u32,
-    next: u32,
-    /// `None`: prefix seen exactly once — the fold is not yet worth
-    /// building. `Some`: fold built and shared.
-    entry: Option<Arc<FoldEntry>>,
-}
-
-/// Buckets of the index once the first prefix is tracked.
-const MIN_INDEX: usize = 8;
-
-impl FoldLru {
-    /// Empty storage for slots of `key_len`-word keys. Nothing is
-    /// allocated until the first prefix is tracked; the slot, key and
-    /// index storage then grows geometrically with the tracked set.
-    fn new(key_len: usize) -> Self {
-        Self {
-            key_len,
-            keys: Vec::new(),
-            slots: Vec::new(),
-            index: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Forgets every slot and drops every fold, keeping the key, slot
-    /// and index storage for the next fill.
-    fn clear(&mut self) {
-        self.index.fill(0);
-        self.keys.clear();
-        self.slots.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    fn key(&self, s: u32) -> Option<&[u64]> {
-        let start = s as usize * self.key_len;
-        self.keys.get(start..start + self.key_len)
-    }
-
-    fn mask(&self) -> usize {
-        self.index.len().wrapping_sub(1)
-    }
-
-    /// The slot holding `key` (whose hash is `hash`), if tracked.
-    fn find(&self, hash: u64, key: &[f64]) -> Option<u32> {
-        let mask = self.mask();
-        let mut b = hash as usize & mask;
-        loop {
-            let s = self.index.get(b)?.checked_sub(1)?;
-            if self.slots.get(s as usize).is_some_and(|n| n.hash == hash)
-                && self
-                    .key(s)
-                    .is_some_and(|k| k.iter().zip(key).all(|(a, v)| *a == v.to_bits()))
-            {
-                return Some(s);
-            }
-            b = (b + 1) & mask;
-        }
-    }
-
-    fn index_insert(&mut self, hash: u64, s: u32) {
-        let mask = self.mask();
-        let mut b = hash as usize & mask;
-        while let Some(cell) = self.index.get_mut(b) {
-            if *cell == 0 {
-                *cell = s + 1;
-                return;
-            }
-            b = (b + 1) & mask;
-        }
-    }
-
-    /// Removes slot `s` (hash `hash`) from the index, shifting later
-    /// members of its probe run back so no tombstone is left.
-    fn index_remove(&mut self, hash: u64, s: u32) {
-        let mask = self.mask();
-        let mut hole = hash as usize & mask;
-        while self.index.get(hole).is_some_and(|&c| c != s + 1 && c != 0) {
-            hole = (hole + 1) & mask;
-        }
-        if self.index.get(hole) != Some(&(s + 1)) {
-            return;
-        }
-        let mut b = hole;
-        loop {
-            b = (b + 1) & mask;
-            let Some(&c) = self.index.get(b) else { return };
-            if c == 0 {
-                break;
-            }
-            let home = self
-                .slots
-                .get(c as usize - 1)
-                .map_or(b, |n| n.hash as usize & mask);
-            // `c` may fill the hole unless its home bucket lies
-            // cyclically in (hole, b].
-            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
-                if let Some(cell) = self.index.get_mut(hole) {
-                    *cell = c;
-                }
-                hole = b;
-            }
-        }
-        if let Some(cell) = self.index.get_mut(hole) {
-            *cell = 0;
-        }
-    }
-
-    /// Doubles the index (or allocates its first buckets) if `slots`
-    /// slots would fill more than half of it.
-    fn grow_index(&mut self, slots: usize) {
-        if slots * 2 <= self.index.len() {
-            return;
-        }
-        self.index = vec![0; (self.index.len() * 2).max(MIN_INDEX)];
-        for s in 0..self.slots.len() {
-            if let Some(hash) = self.slots.get(s).map(|n| n.hash) {
-                self.index_insert(hash, s as u32);
-            }
-        }
-    }
-
-    fn unlink(&mut self, s: u32) {
-        let Some(n) = self.slots.get(s as usize) else {
-            return;
-        };
-        let (prev, next) = (n.prev, n.next);
-        match self.slots.get_mut(prev as usize) {
-            Some(p) => p.next = next,
-            None => self.head = next,
-        }
-        match self.slots.get_mut(next as usize) {
-            Some(n) => n.prev = prev,
-            None => self.tail = prev,
-        }
-    }
-
-    fn push_front(&mut self, s: u32) {
-        let old = self.head;
-        if let Some(n) = self.slots.get_mut(s as usize) {
-            n.prev = NIL;
-            n.next = old;
-        }
-        match self.slots.get_mut(old as usize) {
-            Some(h) => h.prev = s,
-            None => self.tail = s,
-        }
-        self.head = s;
-    }
-
-    /// Marks `s` most recently used.
-    fn touch(&mut self, s: u32) {
-        if self.head != s {
-            self.unlink(s);
-            self.push_front(s);
-        }
-    }
-
-    /// Tracks a first-sighted `key` as the most recent slot, recycling
-    /// the least recently used one when `capacity` slots are in use.
-    fn insert(&mut self, hash: u64, key: &[f64], capacity: usize) {
-        let victim = self.tail;
-        let s = if self.slots.len() >= capacity && victim != NIL {
-            self.unlink(victim);
-            if let Some(old) = self.slots.get(victim as usize).map(|n| n.hash) {
-                self.index_remove(old, victim);
-            }
-            if let Some(n) = self.slots.get_mut(victim as usize) {
-                n.hash = hash;
-                n.entry = None;
-            }
-            let start = victim as usize * self.key_len;
-            if let Some(k) = self.keys.get_mut(start..start + self.key_len) {
-                for (a, v) in k.iter_mut().zip(key) {
-                    *a = v.to_bits();
-                }
-            }
-            victim
-        } else {
-            let s = self.slots.len() as u32;
-            self.grow_index(self.slots.len() + 1);
-            self.slots.push(FoldSlot {
-                hash,
-                prev: NIL,
-                next: NIL,
-                entry: None,
-            });
-            self.keys.extend(key.iter().map(|v| v.to_bits()));
-            s
-        };
-        self.index_insert(hash, s);
-        self.push_front(s);
-    }
-}
+pub struct FoldEntry(Infallible);
 
 impl FoldTable {
-    /// Default prefix capacity, a few MiB of folds at the scheduler's
-    /// decision widths. That is about 170 days of one trace's period
-    /// prefixes at the paper's 24-period day, but one fleet request on
-    /// distinct traces can fill it (every scenario brings new daylight
-    /// prefixes), after which each new prefix evicts the least recently
-    /// used one.
+    /// Kept for the benchmark's layer replay; [`FoldTable::new`]
+    /// ignores the capacity.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// Creates an empty table over `policy` holding at most
-    /// `capacity` distinct prefixes (clamped to `1..u32::MAX`). Nothing
-    /// is allocated here, whatever the capacity: the slot, key and
-    /// index storage grows geometrically as prefixes are tracked, up to
-    /// what `capacity` prefixes need, and [`FoldTable::clear`] keeps
-    /// it. A full table never reallocates: eviction recycles a slot.
+    /// The shared handle over `policy`. `capacity` is ignored: the
+    /// table holds nothing but the artifact.
     pub fn new(policy: Arc<DistilledPolicy>, capacity: usize) -> Self {
-        let capacity = capacity.clamp(1, NIL as usize);
-        let lru = FoldLru::new(policy.const_prefix());
-        Self {
-            policy,
-            capacity,
-            hasher: RandomState::new(),
-            inner: Mutex::new(lru),
-        }
+        let _ = capacity;
+        Self { policy }
     }
 
-    /// The artifact this table folds for.
+    /// The artifact every lane sharing this table runs.
     pub fn policy(&self) -> &Arc<DistilledPolicy> {
         &self.policy
     }
 
-    /// Maximum number of distinct prefixes held.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of prefixes currently tracked (seen-once markers and
-    /// built folds both count toward [`FoldTable::capacity`]).
-    pub fn len(&self) -> usize {
-        self.lock().slots.len()
-    }
-
-    /// Whether the table tracks no prefix.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Forgets every tracked prefix and drops the table's references
-    /// to every fold, so the next sighting of any prefix is a first
-    /// sighting again. The slot, key and index storage stays reserved:
-    /// clearing allocates and frees nothing but the folds themselves,
-    /// and refilling to the same size allocates only the folds it
-    /// builds. A fold still held by a caller stays valid.
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FoldLru> {
-        // Under the lock only `FoldEntry::build` can panic, and it runs
-        // before any slot, link or index is touched, so a poisoned
-        // table is still consistent and stays usable.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Looks up — and on the second sighting lazily builds — the fold
-    /// entry for the constant prefix of `x`. `None` means the prefix
-    /// has now been seen exactly once: take the flat
-    /// [`DistilledPolicy::predict_into`] path, which is bit-identical
-    /// and strictly cheaper for a prefix never revisited. Hits and
-    /// first sightings allocate nothing, evicting or not (the key is
-    /// hashed and compared straight from `x`); a second sighting
-    /// allocates only the entry it builds. Every call is expected
-    /// O(1), eviction included.
+    /// Kept for the benchmark's layer replay: checks that `x` covers
+    /// the policy's constant prefix, then returns `Ok(None)`, the flat
+    /// path.
     ///
     /// # Errors
     ///
@@ -1549,32 +942,10 @@ impl FoldTable {
     /// than the policy's constant prefix.
     pub fn lookup(&self, x: &[f64]) -> Result<Option<Arc<FoldEntry>>, AnnError> {
         let cp = self.policy.const_prefix();
-        let Some(key) = x.get(..cp) else {
+        if x.len() < cp {
             return Err(DistilledPolicy::prefix_err(cp, x.len()));
-        };
-        let mut hasher = self.hasher.build_hasher();
-        for v in key {
-            hasher.write_u64(v.to_bits());
         }
-        let hash = hasher.finish();
-        let mut lru = self.lock();
-        let Some(s) = lru.find(hash, key) else {
-            lru.insert(hash, key, self.capacity);
-            return Ok(None);
-        };
-        let ready = lru.slots.get(s as usize).and_then(|n| n.entry.clone());
-        let entry = match ready {
-            Some(entry) => entry,
-            None => {
-                let entry = Arc::new(FoldEntry::build(&self.policy, x)?);
-                if let Some(n) = lru.slots.get_mut(s as usize) {
-                    n.entry = Some(Arc::clone(&entry));
-                }
-                entry
-            }
-        };
-        lru.touch(s);
-        Ok(Some(entry))
+        Ok(None)
     }
 }
 
@@ -2514,49 +1885,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // the scalar folded path is the contract under test
-    fn folded_path_is_bitwise_predict_into() {
-        let dbn = teacher();
-        let policy = DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap();
-        let x = [30.0, 10.0, 7.5, 22.0, 15.0, 3.0, 3.5, 0.4];
-        let mut whole = Vec::new();
-        policy.predict_into(&x, &mut whole).unwrap();
-        let cursor = policy.prewalk(&x).unwrap();
-        let mut folded = Vec::new();
-        policy.fold(cursor, &x, &mut folded).unwrap();
-        assert_eq!(folded.len(), policy.fold_len());
-        // The per-decision finish must not read the constant prefix:
-        // poison it.
-        let mut x_poisoned = x;
-        for v in &mut x_poisoned[..5] {
-            *v = f64::NAN;
-        }
-        let mut split = Vec::new();
-        policy
-            .predict_folded(cursor, &folded, &x_poisoned, &mut split)
-            .unwrap();
-        assert_eq!(whole, split);
-    }
-
-    #[test]
-    fn prewalk_and_fold_accept_the_bare_prefix() {
-        let dbn = teacher();
-        let policy = DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap();
-        let full = [30.0, 10.0, 7.5, 22.0, 15.0, 3.0, 3.5, 0.4];
-        let a = policy.prewalk(&full).unwrap();
-        let b = policy.prewalk(&full[..5]).unwrap();
-        assert_eq!(a, b);
-        assert!(policy.prewalk(&full[..3]).is_err());
-        let mut fa = Vec::new();
-        let mut fb = Vec::new();
-        policy.fold(a, &full, &mut fa).unwrap();
-        policy.fold(a, &full[..5], &mut fb).unwrap();
-        assert_eq!(fa, fb);
-        assert!(policy.fold(a, &full[..3], &mut fa).is_err());
-        assert!(policy.fold(0, &full, &mut fa).is_err());
-    }
-
-    #[test]
+    #[allow(clippy::disallowed_methods)] // one decision against its teacher row
     fn trajectory_samples_sharpen_local_accuracy() {
         let dbn = teacher();
         let traj: Vec<Vec<f64>> = (0..64)
@@ -2612,6 +1941,44 @@ mod tests {
             back.predict(&x).unwrap(),
             "reloaded artifact must predict bit-identically"
         );
+    }
+
+    #[test]
+    fn from_json_reads_members_in_any_order() {
+        let dbn = teacher();
+        let policy = DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap();
+        let json = policy.to_json().unwrap();
+        let Ok(serde_json::Value::Obj(mut members)) = serde_json::parse_value(&json) else {
+            panic!("the artifact is a JSON object");
+        };
+        // Reversed order, an unknown member, and a later duplicate of
+        // every member: the first occurrence counts.
+        members.reverse();
+        let junk = serde_json::Value::Str("junk".into());
+        let dups: Vec<_> = members
+            .iter()
+            .map(|(k, _)| (k.clone(), junk.clone()))
+            .collect();
+        members.push(("note".into(), junk));
+        members.extend(dups);
+        let doc = serde_json::to_string(&serde_json::Value::Obj(members.clone())).unwrap();
+        assert_eq!(DistilledPolicy::from_json(&doc).unwrap(), policy);
+
+        members.retain(|(k, _)| k != "leaf_coef");
+        let doc = serde_json::to_string(&serde_json::Value::Obj(members)).unwrap();
+        assert_eq!(
+            DistilledPolicy::from_json(&doc),
+            Err(AnnError::BadConfig("missing field `leaf_coef`".into()))
+        );
+        for bad in [
+            json.replacen("\"feat\":[", "\"feat\":[-", 1),
+            json.replacen("\"thresh\":[", "\"thresh\":{", 1),
+            json.replace("\"agreement\":", "\"agreement\":\"x\","),
+            format!("{json},"),
+            format!("[{json}]"),
+        ] {
+            assert!(DistilledPolicy::from_json(&bad).is_err(), "{}", &bad[..40]);
+        }
     }
 
     /// 64-bit FNV-1a: a digest that, unlike `RandomState`, is the same
@@ -2921,159 +2288,49 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // the scalar path is the byte reference
-    fn fold_table_preserves_the_lazy_schedule_and_bytes() {
-        let dbn = teacher();
-        let policy = Arc::new(DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap());
-        let table = FoldTable::new(Arc::clone(&policy), FoldTable::DEFAULT_CAPACITY);
-        let qs = queries(6, 3);
-        let mut reference = Vec::new();
-        let mut out = Vec::new();
-        for (i, x) in qs.iter().enumerate() {
-            let entry = match table.lookup(x).unwrap() {
-                // A later tail of a period the table already folded.
-                Some(e) => {
-                    assert_ne!(i % 3, 0, "a period's first sighting must be cold");
-                    e
-                }
-                // First sighting of the period's prefix: no fold yet;
-                // the second sighting (same prefix, any tail) folds.
-                None => {
-                    assert_eq!(i % 3, 0, "only a period's first sighting is cold");
-                    table.lookup(x).unwrap().expect("second sighting folds")
-                }
-            };
-            policy.predict_into(x, &mut reference).unwrap();
-            policy
-                .predict_folded(entry.cursor(), entry.folded(), x, &mut out)
-                .unwrap();
-            let want: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(want, got, "folded lookup diverged from the flat path");
-            // Later sightings share the same entry.
-            let again = table.lookup(x).unwrap().expect("ready entry");
-            assert!(Arc::ptr_eq(&entry, &again));
-        }
-        assert_eq!(table.len(), 6, "one slot per distinct prefix");
-        assert!(table.lookup(&qs[0][..3]).is_err(), "short prefix rejected");
-    }
-
-    #[test]
-    fn fold_table_capacity_bounds_memory_by_evicting_lru() {
-        let dbn = teacher();
-        let policy = Arc::new(DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap());
-        let table = FoldTable::new(Arc::clone(&policy), 4);
-        assert_eq!(FoldTable::new(Arc::clone(&policy), 0).capacity(), 1);
-        let qs = queries(6, 1);
-        // Fill to capacity with Ready folds.
-        for x in &qs[..4] {
-            assert!(table.lookup(x).unwrap().is_none());
-            assert!(table.lookup(x).unwrap().is_some());
-        }
-        assert_eq!(table.len(), 4);
-        // Touch prefixes 1..4 so prefix 0 is the LRU victim.
-        for x in &qs[1..4] {
-            assert!(table.lookup(x).unwrap().is_some());
-        }
-        // A fifth prefix evicts exactly one slot.
-        assert!(table.lookup(&qs[4]).unwrap().is_none());
-        assert_eq!(table.len(), 4, "capacity bound held");
-        // Prefix 0 was evicted — it is a fresh first sighting again —
-        // while a surviving prefix still has its fold.
-        assert!(table.lookup(&qs[1]).unwrap().is_some());
-        assert!(table.lookup(&qs[0]).unwrap().is_none());
-        assert_eq!(table.len(), 4);
-    }
-
-    #[test]
-    fn fold_table_grows_from_empty() {
-        let dbn = teacher();
-        let policy = Arc::new(DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap());
-        // Not a power of two, and past the default capacity: the
-        // storage grows from nothing through a dozen index doublings.
-        let cap = FoldTable::DEFAULT_CAPACITY + 500;
-        let table = FoldTable::new(Arc::clone(&policy), cap);
-        assert!(table.is_empty());
-        {
-            let lru = table.lock();
-            assert_eq!(
-                (lru.keys.capacity(), lru.slots.capacity(), lru.index.len()),
-                (0, 0, 0),
-                "a fresh table holds no storage"
-            );
-        }
-        let key = |p: usize| [p as f64, 0.5, 1.0, 2.0, 3.0, 2.0, 2.1, 0.0];
-        for p in 0..cap {
-            assert!(table.lookup(&key(p)).unwrap().is_none());
-            assert_eq!(table.len(), p + 1);
-        }
-        // Every prefix survived the index regrowths: each is a second
-        // sighting now, and a fresh prefix evicts the least recent.
-        for p in 0..cap {
-            assert!(table.lookup(&key(p)).unwrap().is_some(), "prefix {p} lost");
-        }
-        assert!(table.lookup(&key(cap)).unwrap().is_none());
-        assert!(table.lookup(&key(0)).unwrap().is_none(), "LRU evicted");
-        assert_eq!(table.len(), cap);
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)] // the scalar path is the byte reference
+    #[allow(clippy::disallowed_methods)] // the one-decision path is the byte reference
     fn batched_lanes_are_bitwise_the_sequential_paths() {
         let dbn = teacher();
         let policy = Arc::new(DistilledPolicy::distill(&dbn, 5, &[], &small_cfg()).unwrap());
-        let table = FoldTable::new(Arc::clone(&policy), FoldTable::DEFAULT_CAPACITY);
         let qs = queries(5, 4);
-        // Mixed lanes: even periods folded (seen twice), odd flat.
-        let mut entries = Vec::new();
         let mut inputs = Vec::new();
         let mut reference = Vec::new();
         let mut one = Vec::new();
-        for (i, x) in qs.iter().enumerate() {
-            if (i / 4) % 2 == 0 {
-                table.lookup(x).unwrap();
-            }
-            let entry = if (i / 4) % 2 == 0 {
-                table.lookup(x).unwrap()
-            } else {
-                None
-            };
-            match &entry {
-                Some(e) => policy
-                    .predict_folded(e.cursor(), e.folded(), x, &mut one)
-                    .unwrap(),
-                None => policy.predict_into(x, &mut one).unwrap(),
-            }
+        for x in &qs {
+            policy.predict_into(x, &mut one).unwrap();
             reference.extend_from_slice(&one);
             inputs.extend_from_slice(x);
-            entries.push(entry);
         }
         let want: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
         let mut out = Vec::new();
-        policy
-            .predict_batch_folded(&entries, &inputs, &mut out)
-            .unwrap();
+        policy.predict_batch_into(&inputs, &mut out).unwrap();
         let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(want, got, "batched kernel diverged from sequential lanes");
         let mut scalar = Vec::new();
         policy
-            .predict_batch_folded_scalar(&entries, &inputs, &mut scalar)
+            .predict_batch_into_scalar(&inputs, &mut scalar)
             .unwrap();
         let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
         assert_eq!(want, scalar_bits, "scalar twin diverged");
-        // Wrong lane-major width is rejected.
+        // A ragged lane-major block is rejected.
+        assert!(policy.predict_batch_into(&inputs[1..], &mut out).is_err());
+        // The benchmark's facade: every lookup is the flat path, and
+        // the folded entry point is the flat kernel.
+        let table = FoldTable::new(Arc::clone(&policy), FoldTable::DEFAULT_CAPACITY);
+        assert!(Arc::ptr_eq(table.policy(), &policy));
+        let mut entries = Vec::new();
+        for x in &qs {
+            entries.push(table.lookup(x).unwrap());
+        }
+        assert!(entries.iter().all(Option::is_none));
+        assert!(table.lookup(&qs[0][..3]).is_err(), "short prefix rejected");
+        policy
+            .predict_batch_folded(&entries, &inputs, &mut out)
+            .unwrap();
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(want, got, "the facade diverged from the flat kernel");
         assert!(policy
-            .predict_batch_folded(&entries, &inputs[1..], &mut out)
-            .is_err());
-        // An entry with the wrong fold length is rejected.
-        let mut bad_cfg = small_cfg();
-        bad_cfg.depth_vary = 2;
-        bad_cfg.samples = 2_048;
-        bad_cfg.holdout = 256;
-        let other = DistilledPolicy::distill(&dbn, 5, &[], &bad_cfg).unwrap();
-        let foreign = Arc::new(FoldEntry::build(&other, &qs[0]).unwrap());
-        assert!(policy
-            .predict_batch_folded(&[Some(foreign)], &qs[0], &mut out)
+            .predict_batch_folded(&entries[1..], &inputs, &mut out)
             .is_err());
     }
 }

@@ -44,7 +44,7 @@ pub mod rbm;
 pub mod scaler;
 pub mod train;
 
-pub use compiled::{CompiledDbn, CompiledScratch, CompiledTier, Layer0Fold};
+pub use compiled::{CompiledDbn, CompiledScratch, CompiledTier};
 pub use dbn::{BatchPredictScratch, Dbn, DbnConfig, PredictScratch};
 pub use distill::{decisions_match, DistillConfig, DistilledPolicy, FoldEntry, FoldTable};
 pub use error::AnnError;

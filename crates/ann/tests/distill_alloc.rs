@@ -1,19 +1,17 @@
 //! Counting-allocator proof that the distilled decision path is
 //! allocation-free in steady state: distillation pays the whole setup
-//! cost, the per-period prewalk/fold reuses its buffer, and every
-//! `predict_folded` call after the first — the per-decision hot path —
-//! touches no allocator at all. The shared `FoldTable` in front of it
-//! allocates only the fold entries it builds, evicting or not, a fresh
-//! table allocates nothing, and a cleared table refills in the storage
-//! it already holds. Distillation's own peak heap at the fleet shape is
-//! pinned to the byte.
+//! cost, and every `predict_into` or `predict_batch_into` call after
+//! the first — the per-decision hot path — touches no allocator at
+//! all. The shared `FoldTable` handle allocates nothing. Distillation's
+//! own peak heap at the fleet shape is pinned to the byte, and so is the
+//! artifact's reload from JSON.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldEntry, FoldTable};
+use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable};
 
 struct CountingAlloc;
 
@@ -128,7 +126,7 @@ fn shaped_dbn(outputs: usize) -> Dbn {
 }
 
 #[test]
-#[allow(clippy::disallowed_methods)] // the scalar folded path is the gate's subject
+#[allow(clippy::disallowed_methods)] // the one-decision path is the gate's subject
 fn distilled_decision_path_is_allocation_free_after_warmup() {
     let _serial = serial();
     let dbn = trained_dbn();
@@ -145,49 +143,34 @@ fn distilled_decision_path_is_allocation_free_after_warmup() {
     // Ten "periods" of five decisions each: the constant prefix is
     // fixed within a period, the varying tail changes per decision.
     let periods: Vec<Vec<Vec<f64>>> = (0..10)
-        .map(|p| {
-            (0..5)
-                .map(|d| {
-                    (0..13)
-                        .map(|t| {
-                            if t < 10 {
-                                ((p * 13 + t) as f64 * 0.61).sin().abs() * 40.0
-                            } else {
-                                ((p * 5 + d + t) as f64 * 0.29).cos().abs() * 3.0
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        })
+        .map(|p| (0..5).map(|d| features(p, d)).collect())
         .collect();
+    let blocks: Vec<Vec<f64>> = periods.iter().map(|period| period.concat()).collect();
 
-    let mut folded = Vec::new();
     let mut out = Vec::new();
-    // Warmup: sizes the fold buffer and the output vector once.
-    let cursor = policy.prewalk(&periods[0][0]).expect("prewalk");
+    let mut batch = Vec::new();
+    // Warmup: sizes the output vectors once.
     policy
-        .fold(cursor, &periods[0][0], &mut folded)
-        .expect("fold");
-    policy
-        .predict_folded(cursor, &folded, &periods[0][0], &mut out)
+        .predict_into(&periods[0][0], &mut out)
         .expect("predict");
+    policy
+        .predict_batch_into(&blocks[0], &mut batch)
+        .expect("batch predict");
 
     let count = allocations_during(|| {
-        for period in &periods {
-            let cursor = policy.prewalk(&period[0]).expect("prewalk");
-            policy.fold(cursor, &period[0], &mut folded).expect("fold");
+        for (period, block) in periods.iter().zip(&blocks) {
             for x in period {
-                policy
-                    .predict_folded(cursor, &folded, x, &mut out)
-                    .expect("predict");
+                policy.predict_into(x, &mut out).expect("predict");
             }
+            policy
+                .predict_batch_into(block, &mut batch)
+                .expect("batch predict");
         }
     });
     assert_eq!(
         count, 0,
         "{count} allocations across 10 periods × 5 decisions — the \
-         prewalk/fold/predict path must reuse its buffers"
+         decision paths must reuse their buffers"
     );
 }
 
@@ -203,111 +186,6 @@ fn features(p: usize, d: usize) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-#[test]
-fn fold_table_allocates_only_the_folds_it_builds() {
-    let _serial = serial();
-    let dbn = trained_dbn();
-    let cfg = DistillConfig {
-        depth_const: 4,
-        depth_vary: 4,
-        samples: 2048,
-        candidates: 16,
-        holdout: 256,
-        ..DistillConfig::small(7)
-    };
-    let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils"));
-    let xs: Vec<Vec<f64>> = (0..12).map(|p| features(p, p % 3)).collect();
-    let table = FoldTable::new(Arc::clone(&policy), 4);
-
-    // Fill the table with four built folds.
-    for x in &xs[..4] {
-        assert!(table.lookup(x).expect("lookup").is_none());
-        assert!(table.lookup(x).expect("lookup").is_some());
-    }
-    assert_eq!(table.len(), table.capacity());
-
-    let hits = allocations_during(|| {
-        for _ in 0..8 {
-            for x in &xs[..4] {
-                assert!(table.lookup(x).expect("lookup").is_some());
-            }
-        }
-    });
-    assert_eq!(hits, 0, "{hits} allocations across 32 hits on a full table");
-
-    let evictions = allocations_during(|| {
-        for x in &xs[4..12] {
-            assert!(table.lookup(x).expect("lookup").is_none());
-        }
-    });
-    assert_eq!(
-        evictions, 0,
-        "{evictions} allocations across 8 evicting first sightings"
-    );
-    assert_eq!(table.len(), table.capacity());
-
-    let one_fold = allocations_during(|| {
-        drop(Arc::new(
-            FoldEntry::build(&policy, &xs[11]).expect("builds"),
-        ));
-    });
-    let second = allocations_during(|| {
-        assert!(table.lookup(&xs[11]).expect("lookup").is_some());
-    });
-    assert_eq!(
-        second, one_fold,
-        "a second sighting must allocate only the entry it builds"
-    );
-
-    // An unbounded capacity neither pre-reserves it nor aborts.
-    let unbounded = FoldTable::new(Arc::clone(&policy), usize::MAX);
-    for x in &xs {
-        assert!(unbounded.lookup(x).expect("lookup").is_none());
-        assert!(unbounded.lookup(x).expect("lookup").is_some());
-    }
-    assert_eq!(unbounded.len(), xs.len());
-}
-
-#[test]
-fn cleared_fold_table_refills_without_new_storage() {
-    let _serial = serial();
-    let dbn = trained_dbn();
-    let cfg = DistillConfig {
-        depth_const: 4,
-        depth_vary: 4,
-        samples: 2048,
-        candidates: 16,
-        holdout: 256,
-        ..DistillConfig::small(7)
-    };
-    let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils"));
-    let xs: Vec<Vec<f64>> = (0..8).map(|p| features(p, p % 3)).collect();
-    let table = FoldTable::new(Arc::clone(&policy), xs.len());
-    let fill = || {
-        for x in &xs {
-            assert!(table.lookup(x).expect("lookup").is_none());
-            assert!(table.lookup(x).expect("lookup").is_some());
-        }
-    };
-    fill();
-    assert_eq!(table.len(), xs.len());
-
-    let cleared = allocations_during(|| table.clear());
-    assert_eq!(cleared, 0, "{cleared} allocations to clear the table");
-    assert!(table.is_empty());
-
-    let one_fold = allocations_during(|| {
-        drop(Arc::new(FoldEntry::build(&policy, &xs[0]).expect("builds")));
-    });
-    let refill = allocations_during(fill);
-    assert_eq!(
-        refill,
-        one_fold * xs.len() as u64,
-        "refilling a cleared table must allocate only the folds it builds"
-    );
-    assert_eq!(table.len(), xs.len());
 }
 
 /// The peak heap of one distillation at the fleet service's shape: a
@@ -330,6 +208,24 @@ fn distill_peak_heap_at_the_fleet_shape_is_pinned() {
     assert_eq!(peak, 6_739_220, "distill's peak live heap in bytes");
 }
 
+/// The peak heap of reloading the fleet-shaped artifact from its JSON:
+/// the largest sum of requested bytes live at once inside `from_json`,
+/// the returned artifact included. The tree and leaf arrays are read
+/// element by element; through a `Value` tree the same reload peaked
+/// at 5,092,316 bytes.
+#[test]
+fn from_json_peak_heap_at_the_fleet_shape_is_pinned() {
+    let _serial = serial();
+    let dbn = shaped_dbn(8);
+    let policy =
+        DistilledPolicy::distill(&dbn, 10, &[], &DistillConfig::small(7)).expect("distils");
+    let json = policy.to_json().expect("serialises");
+    let (back, peak, _) = heap_during(|| DistilledPolicy::from_json(&json).expect("reloads"));
+    assert_eq!(back, policy);
+    assert_eq!(json.len(), 948_326, "artifact bytes");
+    assert_eq!(peak, 569_353, "from_json's peak live heap in bytes");
+}
+
 #[test]
 fn fresh_fold_table_allocates_nothing() {
     let _serial = serial();
@@ -343,6 +239,7 @@ fn fresh_fold_table_allocates_nothing() {
         ..DistillConfig::small(7)
     };
     let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils"));
+    let x = features(0, 0);
     for capacity in [1, 64, FoldTable::DEFAULT_CAPACITY, usize::MAX] {
         let (table, peak, live) = heap_during(|| FoldTable::new(Arc::clone(&policy), capacity));
         assert_eq!(
@@ -350,6 +247,9 @@ fn fresh_fold_table_allocates_nothing() {
             (0, 0),
             "a fresh table of capacity {capacity} allocated heap"
         );
-        assert!(table.is_empty());
+        let lookups = allocations_during(|| {
+            assert!(table.lookup(&x).expect("lookup").is_none());
+        });
+        assert_eq!(lookups, 0, "a lookup allocated");
     }
 }

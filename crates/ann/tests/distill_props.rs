@@ -8,24 +8,18 @@
 //!   the student's decisions (rounded heads, thresholded admission
 //!   bits) match the teacher's at a rate far above the recorded
 //!   holdout floor's complement, pinning distillation quality.
-//! * **Fold-table LRU** — `FoldTable` makes exactly the lazy-schedule
-//!   and eviction decisions of a naive min-stamp LRU on random prefix
-//!   streams.
-//! * **Fleet-shared fold table** — B lanes sharing one `FoldTable` and
-//!   deciding through the batched leaf kernel reproduce, over a
-//!   multi-period stream, the bits of B private tables deciding lane by
-//!   lane.
+//! * **Batched flat kernel** — B lanes deciding through one batched
+//!   leaf-kernel call per period reproduce, over a multi-period stream,
+//!   the bits of per-lane `predict_into`, on the dispatched (SIMD where
+//!   the host has it) and the scalar kernel alike.
 //! * **Presorted split search** — the fitter, which radix-sorts each
 //!   feature once per fit and sweeps and fits with fixed-width kernels,
 //!   grows bit-for-bit the tree and leaves of a per-node-sort oracle on
 //!   tie-heavy training sets, for teachers of every kernel width.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use helio_ann::{
-    decisions_match, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldEntry, FoldTable,
-    PredictScratch,
-};
+use helio_ann::{decisions_match, Dbn, DbnConfig, DistillConfig, DistilledPolicy, PredictScratch};
 use proptest::prelude::*;
 
 /// A scheduler-shaped teacher (13 → 16 → 10 → 10) and its distilled
@@ -85,55 +79,6 @@ fn in_range(dbn: &Dbn, unit: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// The reference semantics of `FoldTable`: every lookup stamps its
-/// prefix with a fresh clock value, a table at capacity evicts the
-/// prefix with the smallest stamp by an O(n) scan, a prefix is folded
-/// on its second sighting, and a clear forgets every prefix.
-struct NaiveLru {
-    capacity: usize,
-    clock: u64,
-    /// `(prefix, stamp, folded)`.
-    slots: Vec<(usize, u64, bool)>,
-}
-
-/// What one lookup did to the model.
-#[derive(Debug, PartialEq)]
-enum Sighting {
-    /// First sighting (evicting or not): no entry.
-    First,
-    /// Second sighting: the entry was just built.
-    Built,
-    /// A later sighting: the entry built earlier.
-    Ready,
-}
-
-impl NaiveLru {
-    fn lookup(&mut self, prefix: usize) -> Sighting {
-        self.clock += 1;
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == prefix) {
-            slot.1 = self.clock;
-            let folded = std::mem::replace(&mut slot.2, true);
-            return if folded {
-                Sighting::Ready
-            } else {
-                Sighting::Built
-            };
-        }
-        if self.slots.len() >= self.capacity {
-            let victim = (0..self.slots.len()).min_by_key(|&i| self.slots[i].1);
-            if let Some(i) = victim {
-                self.slots.swap_remove(i);
-            }
-        }
-        self.slots.push((prefix, self.clock, false));
-        Sighting::First
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-    }
-}
-
 /// A feature vector whose constant prefix is determined by `prefix`
 /// alone and whose varying tail by `tail`.
 fn prefixed(prefix: usize, tail: usize) -> Vec<f64> {
@@ -175,10 +120,8 @@ proptest! {
 
     /// A reloaded artifact is bit-identical in behaviour: `predict`
     /// returns the same bits before and after a JSON round trip, and
-    /// the period-split path (prewalk → fold → predict_folded) lands
-    /// on the same cursor and bits as the flat path.
+    /// the reload's batched kernel lands on the same bits.
     #[test]
-    #[allow(clippy::disallowed_methods)] // the scalar folded path is the contract under test
     fn predict_is_deterministic_across_reloads(
         unit in prop::collection::vec(0.0f64..1.0, 13),
     ) {
@@ -190,22 +133,16 @@ proptest! {
         let b = reloaded.predict(&x).expect("reload predicts");
         prop_assert_eq!(&a, &b, "reload drifted");
 
-        let cur_a = policy.prewalk(&x).expect("prewalk");
-        let cur_b = reloaded.prewalk(&x).expect("reload prewalk");
-        prop_assert_eq!(cur_a, cur_b, "reload walked a different constant path");
-        let mut folded = Vec::new();
         let mut out = Vec::new();
-        reloaded.fold(cur_b, &x, &mut folded).expect("fold");
-        reloaded
-            .predict_folded(cur_b, &folded, &x, &mut out)
-            .expect("folded predict");
-        prop_assert_eq!(&a, &out, "period-split path drifted from the flat path");
+        reloaded.predict_batch_into(&x, &mut out).expect("batched predict");
+        prop_assert_eq!(&a, &out, "batched path drifted from the one-decision path");
     }
 
     /// Student decisions match the teacher's on batches of randomized
     /// in-range features — the live counterpart of the recorded
     /// holdout agreement.
     #[test]
+    #[allow(clippy::disallowed_methods)] // one decision against its teacher row
     fn decisions_agree_with_the_teacher_on_random_features(
         units in prop::collection::vec(prop::collection::vec(0.0f64..1.0, 13), 32),
     ) {
@@ -231,63 +168,10 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// `FoldTable` is the naive min-stamp LRU, exactly: on random
-    /// streams over 12 prefixes at capacities 1..=8 it answers `None`
-    /// on exactly the model's first sightings, holds the model's
-    /// number of prefixes, and serves every later sighting the very
-    /// entry its second sighting built (a refold after eviction builds
-    /// a new one).
-    #[test]
-    fn fold_table_is_a_min_stamp_lru(
-        capacity in 1usize..=8,
-        stream in prop::collection::vec(0usize..52, 1..200),
-    ) {
-        let (_, policy) = fixture();
-        let table = FoldTable::new(Arc::new(policy.clone()), capacity);
-        let mut model = NaiveLru { capacity, clock: 0, slots: Vec::new() };
-        let mut built: Vec<Option<Arc<FoldEntry>>> = vec![None; 12];
-        for &v in &stream {
-            // One step in thirteen is a clear, as a fleet request
-            // starts; a refold after it must not return an old entry.
-            if v >= 48 {
-                table.clear();
-                model.clear();
-                prop_assert!(table.is_empty());
-                continue;
-            }
-            let (prefix, tail) = (v % 12, v / 12);
-            let got = table.lookup(&prefixed(prefix, tail)).expect("lookup");
-            match (model.lookup(prefix), got) {
-                (Sighting::First, None) => {}
-                (Sighting::Built, Some(entry)) => {
-                    if let Some(old) = &built[prefix] {
-                        prop_assert!(!Arc::ptr_eq(old, &entry), "refold returned an evicted entry");
-                    }
-                    built[prefix] = Some(entry);
-                }
-                (Sighting::Ready, Some(entry)) => prop_assert!(
-                    built[prefix].as_ref().is_some_and(|old| Arc::ptr_eq(old, &entry)),
-                    "a ready hit must share the entry built on the second sighting"
-                ),
-                (want, got) => prop_assert!(
-                    false,
-                    "prefix {prefix}: model {want:?}, table answered {}",
-                    if got.is_some() { "Some" } else { "None" }
-                ),
-            }
-            prop_assert_eq!(table.len(), model.slots.len());
-        }
-    }
-}
-
 /// The fleet's decision stream, indexed `[period][lane]`: every lane
 /// of a trace group (`lane % groups`) shares its period's constant
 /// prefix, drawn from `period_prefix`, and the varying tail differs per
-/// lane. Prefixes recur across periods, so a table sees first
-/// sightings, fold builds and ready hits.
+/// lane, so neighbouring lanes of one kernel call walk different paths.
 fn fleet_stream(period_prefix: &[usize], lanes: usize, groups: usize) -> Vec<Vec<Vec<f64>>> {
     period_prefix
         .iter()
@@ -300,45 +184,31 @@ fn fleet_stream(period_prefix: &[usize], lanes: usize, groups: usize) -> Vec<Vec
         .collect()
 }
 
-/// Output bits of B scenarios each owning a private fold table and
-/// deciding one lane at a time (what `from_distilled` builds).
+/// Output bits of every lane deciding one at a time.
 #[allow(clippy::disallowed_methods)] // the sequential single-decision path is the reference
-fn private_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) -> Vec<u64> {
-    let lanes = stream.first().map_or(0, Vec::len);
-    let tables: Vec<FoldTable> = (0..lanes)
-        .map(|_| FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY))
-        .collect();
+fn per_lane_bits(policy: &DistilledPolicy, stream: &[Vec<Vec<f64>>]) -> Vec<u64> {
     let mut bits = Vec::new();
     let mut out = Vec::new();
-    for period in stream {
-        for (x, table) in period.iter().zip(&tables) {
-            match table.lookup(x).expect("private lookup") {
-                Some(e) => policy
-                    .predict_folded(e.cursor(), e.folded(), x, &mut out)
-                    .expect("folded predict"),
-                None => policy.predict_into(x, &mut out).expect("flat predict"),
-            }
-            bits.extend(out.iter().map(|v| v.to_bits()));
-        }
+    for x in stream.iter().flatten() {
+        policy.predict_into(x, &mut out).expect("one decision");
+        bits.extend(out.iter().map(|v| v.to_bits()));
     }
     bits
 }
 
-/// Output bits of the same lanes sharing one fold table and
-/// deciding each period in one batched kernel call.
-fn shared_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) -> Vec<u64> {
-    let table = FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY);
+/// Output bits of the same lanes deciding each period in one batched
+/// kernel call, on the dispatched or the scalar kernel.
+fn batched_bits(policy: &DistilledPolicy, stream: &[Vec<Vec<f64>>], scalar: bool) -> Vec<u64> {
     let mut bits = Vec::new();
     let mut out = Vec::new();
     for period in stream {
-        let entries: Vec<Option<Arc<FoldEntry>>> = period
-            .iter()
-            .map(|x| table.lookup(x).expect("shared lookup"))
-            .collect();
         let block: Vec<f64> = period.concat();
-        policy
-            .predict_batch_folded(&entries, &block, &mut out)
-            .expect("batched kernel");
+        if scalar {
+            policy.predict_batch_into_scalar(&block, &mut out)
+        } else {
+            policy.predict_batch_into(&block, &mut out)
+        }
+        .expect("batched kernel");
         bits.extend(out.iter().map(|v| v.to_bits()));
     }
     bits
@@ -347,30 +217,30 @@ fn shared_table_bits(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>]) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One shared `FoldTable` plus `predict_batch_folded` is
-    /// bit-identical to B private tables with per-lane
-    /// `predict_folded`/`predict_into`, over streams of at least eight
-    /// periods. With more than one trace group, neighbouring lanes of a
-    /// kernel call carry different fold entries, so a kernel that read
-    /// the wrong lane's entry would diverge.
+    /// `predict_batch_into` is bit-identical to per-lane
+    /// `predict_into`, and so is its scalar twin, over streams of at
+    /// least eight periods. With more than one trace group,
+    /// neighbouring lanes of a kernel call land in different leaves,
+    /// so a kernel that read the wrong lane's inputs would diverge.
     #[test]
-    fn fleet_shared_fold_table_matches_private_tables(
+    fn batched_flat_kernel_matches_per_lane_predict_into(
         lanes in 1usize..=64,
         groups in 1usize..=4,
         period_prefix in prop::collection::vec(0usize..6, 8..=24),
     ) {
         let (_, policy) = fixture();
-        let policy = Arc::new(policy.clone());
         let stream = fleet_stream(&period_prefix, lanes, groups);
-        let private = private_table_bits(&policy, &stream);
-        let shared = shared_table_bits(&policy, &stream);
-        prop_assert_eq!(private.len(), lanes * period_prefix.len() * policy.output_dim());
-        prop_assert!(
-            private == shared,
-            "shared fold table + batched kernel diverged from private tables \
-             (B = {lanes}, groups = {groups}, {} periods)",
-            period_prefix.len()
-        );
+        let per_lane = per_lane_bits(policy, &stream);
+        prop_assert_eq!(per_lane.len(), lanes * period_prefix.len() * policy.output_dim());
+        for scalar in [false, true] {
+            let batched = batched_bits(policy, &stream, scalar);
+            prop_assert!(
+                per_lane == batched,
+                "batched kernel (scalar: {scalar}) diverged from per-lane predict_into \
+                 (B = {lanes}, groups = {groups}, {} periods)",
+                period_prefix.len()
+            );
+        }
     }
 }
 

@@ -462,8 +462,8 @@ fn golden_batch_reports_via(
 /// The same 21 cases as [`golden_distilled_reports`], in the same
 /// order, built through [`BatchEngine::run_sharded`] with `shards`
 /// workers — the `ecg_dbn` case runs the *batched* distilled decision
-/// path: its per-period fold entries live in a shared [`FoldTable`]
-/// and its leaf evaluation goes through the multi-lane kernel. The
+/// path: its planners share one [`FoldTable`] handle, so its leaf
+/// evaluation goes through the multi-lane kernel. The
 /// batched kernel's bit-identity contract means these reports must
 /// match the sequential [`golden_distilled_reports`] byte for byte at
 /// every shard count (CI-gated by `tests/golden_distilled.rs`).
@@ -477,10 +477,8 @@ pub fn golden_distilled_batch_reports(shards: usize) -> Vec<(String, SimReport)>
 
 /// [`golden_distilled_batch_reports`] killed at flat period `kill`,
 /// the checkpoint JSON-round-tripped and resumed with `shards`
-/// scratches — the resumed batch reads the same live fold table the
-/// interrupted run warmed (the checkpoint carries the key, never the
-/// table), and must still match [`golden_distilled_reports`] byte for
-/// byte.
+/// scratches — and must still match [`golden_distilled_reports`] byte
+/// for byte.
 pub fn golden_distilled_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
     golden_distilled_batch_via(&move |mut engine| {
         let ckpt = engine.run_until(kill).expect("golden distilled checkpoint");

@@ -59,10 +59,9 @@ fn distilled_dmr_within_epsilon_on_all_golden_scenarios() {
 #[test]
 fn batched_distilled_is_byte_identical_to_sequential() {
     // The tentpole gate: the batched distilled decision path — shared
-    // fold table, lane-major gather, multi-lane leaf kernel — must
+    // artifact handle, lane-major gather, multi-lane leaf kernel — must
     // reproduce the sequential per-scenario path byte for byte across
-    // all 21 golden scenarios, sharded and after an interrupt/resume
-    // (where the resumed batch reads the table the first run warmed).
+    // all 21 golden scenarios, sharded and after an interrupt/resume.
     let sequential = golden_distilled_reports();
     assert_eq!(sequential.len(), 21, "golden suite is 21 scenarios");
     for (label, batched) in [

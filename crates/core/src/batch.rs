@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use helio_ann::{BatchPredictScratch, Dbn, FoldEntry, FoldTable, Matrix};
+use helio_ann::{BatchPredictScratch, Dbn, FoldTable, Matrix};
 use helio_common::units::{Joules, Seconds};
 use helio_faults::FaultHarness;
 use helio_sched::SchedTables;
@@ -141,9 +141,6 @@ pub struct BatchScratch {
     inputs: Matrix,
     outputs: Matrix,
     predict: BatchPredictScratch,
-    /// Per-lane shared-fold state for one distilled group, in member
-    /// order (`None` lanes take the flat path inside the kernel).
-    entries: Vec<Option<Arc<FoldEntry>>>,
     /// Lane-major feature block / output block for the batched
     /// distilled leaf kernel.
     lane_inputs: Vec<f64>,
@@ -225,7 +222,6 @@ fn shard_loop(
         inputs,
         outputs,
         predict,
-        entries,
         lane_inputs,
         lane_out,
     } = scratch;
@@ -270,7 +266,7 @@ fn shard_loop(
                     None => {
                         return Err(CoreError::Config(
                             "planner accepted a distilled batch slot without exposing a \
-                             shared fold table"
+                             shared artifact"
                                 .into(),
                         ))
                     }
@@ -321,12 +317,11 @@ fn shard_loop(
         }
 
         // Distilled inference phase: group accepted distilled slots by
-        // shared fold table (Arc pointer identity — the table carries
-        // the artifact), resolve each lane's fold entry through the
-        // table in lane order, and run one batched leaf-kernel call
-        // per group. The kernel is bit-identical to the sequential
-        // per-lane `predict_folded`/`predict_into` walk, so batching
-        // changes throughput only, never decisions.
+        // shared handle (Arc pointer identity — the handle carries the
+        // artifact) and run one batched leaf-kernel call per group.
+        // The kernel is bit-identical to the sequential per-lane
+        // `predict_into`, so batching changes throughput only, never
+        // decisions.
         grouped.clear();
         grouped.resize(distilled.len(), false);
         for g0 in 0..distilled.len() {
@@ -341,21 +336,13 @@ fn shard_loop(
                     members.push(k);
                 }
             }
-            let policy = Arc::clone(table.policy());
+            let policy = table.policy();
             let od = policy.output_dim();
-            entries.clear();
             lane_inputs.clear();
             for &k in members.iter() {
-                let row = &rows[distilled[k].0];
-                // One lookup per lane, in member order: the shared
-                // table's lazy first-sight/second-sight schedule stays
-                // deterministic, and a prefix shared by several lanes
-                // is prewalked and folded at most once per period for
-                // the whole group.
-                entries.push(table.lookup(row)?);
-                lane_inputs.extend_from_slice(row);
+                lane_inputs.extend_from_slice(&rows[distilled[k].0]);
             }
-            policy.predict_batch_folded(entries, lane_inputs, lane_out)?;
+            policy.predict_batch_into(lane_inputs, lane_out)?;
             for (r, &k) in members.iter().enumerate() {
                 let i = distilled[k].0;
                 let sc = &mut scenarios[i];
@@ -398,7 +385,10 @@ fn shard_loop(
         // Freeze at the boundary instead of assembling reports; the
         // planner snapshot comes after the scenario snapshot so both
         // describe the exact same instant.
-        let scenario_ckpts = states.iter().map(ScenarioState::checkpoint).collect();
+        let scenario_ckpts = states
+            .into_iter()
+            .map(ScenarioState::into_checkpoint)
+            .collect();
         let planner_ckpts = scenarios
             .iter()
             .map(|sc| sc.planner.save_checkpoint())
@@ -855,13 +845,10 @@ mod tests {
 
     #[test]
     fn batch_distilled_planners_match_sequential() {
-        // Scenarios sharing one fold table, a scenario carrying its own
-        // private table, and a resilient wrap must all stay
-        // byte-identical to their sequential runs: sharing (and the
-        // batched leaf kernel behind it) only moves the fold cost, it
-        // never changes a decision. The sequential reference runs read
-        // the table the batched run just warmed, so this also pins the
-        // warm-vs-cold equivalence.
+        // Scenarios sharing one artifact handle, a scenario carrying
+        // its own private handle, and a resilient wrap must all stay
+        // byte-identical to their sequential runs: the batched leaf
+        // kernel never changes a decision.
         let node = node();
         let g = benchmarks::ecg();
         let (policy, compiled) = distilled_fixture(&g);
@@ -1113,7 +1100,7 @@ mod tests {
                 let planner: Box<dyn PeriodPlanner> = match i % 4 {
                     0 => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
                     1 => Box::new(dbn_planner(&dbn)),
-                    // Every shard count reads the same live fold table;
+                    // Every shard count reads the same shared handle;
                     // the reports must not notice.
                     2 => Box::new(distilled_planner(&table, &compiled)),
                     _ => Box::new(ResilientPlanner::new(Box::new(dbn_planner(&dbn)))),
@@ -1234,9 +1221,6 @@ mod tests {
             // Interrupt at the boundary, round-trip the checkpoint
             // through JSON (as the fleet's on-disk resume does), then
             // finish on a fresh engine with a different shard count.
-            // The resumed engine reads the same live fold table the
-            // first run warmed — the checkpoint carries the key, not
-            // the table, so a warm resume must stay byte-identical.
             let mut engine = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness);
             let ckpt = engine.run_until(kill).unwrap();
             assert_eq!(ckpt.next_period, kill);

@@ -116,14 +116,11 @@ pub struct ProposedCheckpoint {
     pub distilled: Option<DistilledState>,
 }
 
-/// The distilled backend's cross-period degradation state. The shared
-/// fold table is never serialised — the checkpoint carries the key
-/// (the trace's run-constant feature prefixes), and a resumed run
-/// rebuilds the table deterministically from them (or keeps reading a
-/// live shared one; the folded and flat paths are bit-identical, so
-/// either resume is byte-identical). The demotion latch and the
-/// fallback-tier counter, by contrast, must survive a crash or a
-/// resumed run would silently re-trust a demoted artifact.
+/// The distilled backend's cross-period degradation state. The artifact
+/// itself is never serialised: a resumed run reads the one the service
+/// loaded. The demotion latch and the fallback-tier counter must
+/// survive a crash, or a resumed run would silently re-trust a demoted
+/// artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DistilledState {
     /// Whether the artifact has been demoted to its compiled fallback.

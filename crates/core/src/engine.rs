@@ -211,17 +211,18 @@ impl ScenarioState {
         })
     }
 
-    /// Snapshots the cross-period state at a period boundary. The bank
+    /// Freezes the cross-period state at a period boundary into a
+    /// snapshot, moving the period log rather than copying it. The bank
     /// is captured wholesale — aging multiplies capacitances in place
     /// and `f64` products are non-associative, so re-deriving it from
     /// the cumulative factor would drift bitwise. Schedulers and the
     /// executor are deliberately absent: both are rebuilt at every
     /// `begin_period`/`reset`, so a boundary snapshot never needs them.
-    pub(crate) fn checkpoint(&self) -> ScenarioCheckpoint {
+    pub(crate) fn into_checkpoint(self) -> ScenarioCheckpoint {
         ScenarioCheckpoint {
-            bank: self.bank.clone(),
-            fleet: self.fleet.clone(),
-            periods: self.periods.clone(),
+            bank: self.bank,
+            fleet: self.fleet,
+            periods: self.periods,
             acc_misses: self.acc_misses,
             acc_tasks: self.acc_tasks,
             degraded: self.degraded,

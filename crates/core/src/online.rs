@@ -17,8 +17,7 @@
 use std::sync::Arc;
 
 use helio_ann::{
-    AnnError, CompiledDbn, CompiledScratch, CompiledTier, Dbn, DistilledPolicy, FoldTable,
-    Layer0Fold, PredictScratch,
+    CompiledDbn, CompiledScratch, CompiledTier, Dbn, DistilledPolicy, FoldTable, PredictScratch,
 };
 use helio_common::units::Joules;
 use helio_common::TaskSet;
@@ -99,21 +98,13 @@ enum Backend {
         /// across periods.
         scratch: CompiledScratch,
         out_buf: Vec<f64>,
-        /// Per-period layer-0 partial sums over the run-constant
-        /// prefix (previous-period slot powers), keyed by flat period
-        /// index. Built lazily on the *second* forward of a period:
-        /// the common once-per-period plan takes the fused full
-        /// forward (folding would duplicate the prefix work), while
-        /// re-planned decisions within one period (crash-resume
-        /// replays, recovery re-decisions) skip the constant half of
-        /// layer 0. Boxed — the fold's partial accumulators would
-        /// otherwise dominate every backend variant's footprint.
-        fold: Option<(usize, Option<Box<Layer0Fold>>)>,
     },
     Distilled {
-        /// The distilled branch-free decision artifact, behind an
-        /// `Arc` so a fleet loads it once and shares it.
-        policy: Arc<DistilledPolicy>,
+        /// The handle carrying the distilled branch-free decision
+        /// artifact, behind an `Arc` so a fleet loads the artifact once
+        /// and the batch engine groups every lane holding the same
+        /// handle into one batched call.
+        table: Arc<FoldTable>,
         /// The compiled network the artifact was distilled from — the
         /// next tier of the decision chain, serving whenever the
         /// artifact is unavailable or violates its contract
@@ -123,19 +114,6 @@ enum Backend {
         /// Fallback forward scratch + shared output buffer.
         scratch: CompiledScratch,
         out_buf: Vec<f64>,
-        /// Shared fold cache, keyed by the run-constant feature
-        /// prefix (the previous period's trace powers — run constants
-        /// by the same contract the decide cache relies on: the graph
-        /// and trace never change within a run). Entries persist for the whole run, so any
-        /// revisited prefix (re-decisions, crash-resume replays,
-        /// repeated sweeps, other scenarios on the same trace)
-        /// resumes from its warm fold. Behind an `Arc`: a batch, a
-        /// sharded run or a fleet request hands every distilled
-        /// planner the same table via
-        /// [`ProposedPlanner::from_distilled_with_table`], folding
-        /// each shared prefix once per batch. Never checkpointed — it is a
-        /// cache rebuilt deterministically from the prefixes.
-        table: Arc<FoldTable>,
         /// Latched when the artifact errors or the engine reports a
         /// contract violation: the compiled fallback serves for the
         /// rest of the run.
@@ -164,28 +142,6 @@ struct MpcCache {
     capacitor: usize,
     base_flat: usize,
     plans: Vec<PeriodPlan>,
-}
-
-/// Runs the distilled per-decision fast path through the shared
-/// [`FoldTable`]. The first sighting of a run-constant prefix takes
-/// the flat `predict_into` walk (bit-identical to the split path, and
-/// strictly cheaper for a prefix seen exactly once); the second
-/// sighting — a later decision of this planner *or any other planner
-/// sharing the table* — builds the fold once, and every further
-/// decision resumes from it. Free function so the backend match arm
-/// can borrow the planner's input buffer alongside the backend
-/// fields.
-#[allow(clippy::disallowed_methods)] // the sequential one-decision path *is* predict_folded's home
-fn distilled_forward(
-    policy: &DistilledPolicy,
-    table: &FoldTable,
-    input: &[f64],
-    out: &mut Vec<f64>,
-) -> Result<(), AnnError> {
-    match table.lookup(input)? {
-        Some(entry) => policy.predict_folded(entry.cursor(), entry.folded(), input, out),
-        None => policy.predict_into(input, out),
-    }
 }
 
 /// The proposed long-term deadline-aware online planner.
@@ -262,7 +218,6 @@ impl ProposedPlanner {
                 scratch: compiled.make_scratch(),
                 out_buf: Vec::with_capacity(compiled.output_dim()),
                 compiled,
-                fold: None,
             },
             switch,
             delta,
@@ -307,35 +262,24 @@ impl ProposedPlanner {
         delta: f64,
         switch: SwitchRule,
     ) -> Self {
-        let table = Arc::new(FoldTable::new(
-            Arc::clone(&policy),
-            FoldTable::DEFAULT_CAPACITY,
-        ));
+        let table = Arc::new(FoldTable::new(policy, FoldTable::DEFAULT_CAPACITY));
         Self::from_distilled_with_table(table, fallback, delta, switch)
     }
 
     /// [`ProposedPlanner::from_distilled`] on an already-shared
-    /// [`FoldTable`] (which carries the artifact): every scenario in a
-    /// batch and every shard hands its planner the same table, so a
-    /// constant prefix shared by several lanes is prewalked and folded
-    /// once per batch instead of once per planner. A fleet service
-    /// keeps one table but clears it at the start of each request, so
-    /// sharing spans the lanes, shards and segments of one request,
-    /// not the session. Sharing is invisible in the output — the
-    /// folded and flat paths are bit-identical — it only moves the fold
-    /// cost from per-scenario to per-batch.
+    /// [`FoldTable`], the handle carrying the artifact: every scenario
+    /// in a batch and every shard hands its planner the same handle,
+    /// and the batch engine serves all of them in one batched call.
     pub fn from_distilled_with_table(
         table: Arc<FoldTable>,
         fallback: Arc<CompiledDbn>,
         delta: f64,
         switch: SwitchRule,
     ) -> Self {
-        let policy = Arc::clone(table.policy());
         Self {
             backend: Backend::Distilled {
                 scratch: fallback.make_scratch(),
-                out_buf: Vec::with_capacity(policy.output_dim()),
-                policy,
+                out_buf: Vec::with_capacity(table.policy().output_dim()),
                 fallback,
                 table,
                 demoted: false,
@@ -642,6 +586,7 @@ impl ProposedPlanner {
         Ok((cap, alpha, allowed))
     }
 
+    #[allow(clippy::disallowed_methods)] // the sequential one-decision path is predict_into's home
     fn plan_dbn(
         &mut self,
         obs: &PlannerObservation<'_>,
@@ -657,7 +602,6 @@ impl ProposedPlanner {
             return Ok((obs.bank.active_index(), 1.0, obs.graph.all_tasks()));
         }
         Self::gather_dbn_input(obs, &mut self.input_buf);
-        let flat = obs.grid.period_index(obs.period);
         // One DBN inference ≈ one state expansion worth of work.
         self.complexity += 1;
         let input = &self.input_buf;
@@ -671,47 +615,17 @@ impl ProposedPlanner {
                 compiled,
                 scratch,
                 out_buf,
-                fold,
-            } => {
-                // The first forward of a period runs the fused full
-                // pass; a re-decision under the same flat index folds
-                // the run-constant feature prefix (previous period's
-                // slot powers) once and resumes from the partial sums.
-                // `fold_prefix` declining (non-resident SIMD shapes)
-                // or erroring routes through the plain forward.
-                match fold {
-                    Some((f, l)) if *f == flat => {
-                        if l.is_none() {
-                            let prefix = obs.grid.slots_per_period().min(compiled.input_dim());
-                            *l = compiled
-                                .fold_prefix(input, prefix)
-                                .ok()
-                                .flatten()
-                                .map(Box::new);
-                        }
-                        match l {
-                            Some(l) => compiled.forward_from_fold(l, input, scratch, out_buf),
-                            None => compiled.forward_into(input, scratch, out_buf),
-                        }
-                    }
-                    _ => {
-                        *fold = Some((flat, None));
-                        compiled.forward_into(input, scratch, out_buf)
-                    }
-                }
-                .is_err()
-            }
+            } => compiled.forward_into(input, scratch, out_buf).is_err(),
             Backend::Distilled {
-                policy,
+                table,
                 fallback,
                 scratch,
                 out_buf,
-                table,
                 demoted,
                 tier_fallbacks,
             } => {
                 if !*demoted && !unavailable {
-                    match distilled_forward(policy, table, input, out_buf) {
+                    match table.policy().predict_into(input, out_buf) {
                         Ok(()) => false,
                         Err(_) => {
                             // The artifact broke its contract (shape
@@ -819,9 +733,9 @@ impl PeriodPlanner for ProposedPlanner {
         // The distilled tier does not get a violation budget: one
         // decision the engine had to drop demotes the artifact to its
         // compiled fallback for the rest of the run (the resilient
-        // wrapper's own budget then guards the compiled tier). The
-        // shared fold table is left alone — other planners on the
-        // same table are unaffected by this planner's demotion.
+        // wrapper's own budget then guards the compiled tier). Other
+        // planners sharing the artifact are unaffected by this
+        // planner's demotion.
         if let Backend::Distilled { demoted, .. } = &mut self.backend {
             *demoted = true;
         }
@@ -915,12 +829,6 @@ impl PeriodPlanner for ProposedPlanner {
                 };
                 *demoted = d.demoted;
                 *tier_fallbacks = d.tier_fallbacks;
-                // The shared fold table is a rebuilt cache, not
-                // checkpoint state: the checkpoint carries the key
-                // (the run-constant trace prefixes), and a resumed
-                // run re-folds deterministically — or keeps reading a
-                // live shared table, which is bit-identical either
-                // way.
             }
             Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => {
                 if c.distilled.is_some() {
@@ -973,10 +881,7 @@ impl PeriodPlanner for ProposedPlanner {
         obs: &PlannerObservation<'_>,
         input: &mut Vec<f64>,
     ) -> bool {
-        let Backend::Distilled {
-            policy, demoted, ..
-        } = &self.backend
-        else {
+        let Backend::Distilled { table, demoted, .. } = &self.backend else {
             return false;
         };
         // A demoted artifact serves from its compiled fallback, and
@@ -988,7 +893,7 @@ impl PeriodPlanner for ProposedPlanner {
         if *demoted || self.injected == Some(DbnFaultMode::Unavailable) {
             return false;
         }
-        let input_dim = policy.input_dim();
+        let input_dim = table.policy().input_dim();
         Self::gather_dbn_input(obs, input);
         if input.len() != input_dim {
             // The sequential path pays the complexity increment and

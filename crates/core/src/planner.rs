@@ -234,10 +234,10 @@ pub trait PeriodPlanner: Send {
         false
     }
 
-    /// The shared fold table behind
+    /// The shared handle behind
     /// [`PeriodPlanner::batch_distilled_input`], used by the batch
     /// engine to group scenarios into one batched leaf-kernel call
-    /// (grouping is by `Arc` pointer identity; the table carries the
+    /// (grouping is by `Arc` pointer identity; the handle carries the
     /// artifact).
     fn batch_distilled(&self) -> Option<Arc<FoldTable>> {
         None

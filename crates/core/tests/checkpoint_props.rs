@@ -80,11 +80,8 @@ fn shared_dbn(graph: &TaskGraph) -> Arc<Dbn> {
 }
 
 /// The distilled artifact, its compiled fallback tier, and the shared
-/// fold table, distilled once from the shared DBN and reused by every
-/// proptest case. One live table serves the uninterrupted, interrupted
-/// and resumed runs of every case — the strongest form of the sharing
-/// contract, legal because the folded and flat decision paths are
-/// bit-identical.
+/// handle carrying it, distilled once from the shared DBN and reused by
+/// every proptest case.
 fn shared_distilled(graph: &TaskGraph) -> (Arc<DistilledPolicy>, Arc<CompiledDbn>, Arc<FoldTable>) {
     static CELL: OnceLock<(Arc<DistilledPolicy>, Arc<CompiledDbn>, Arc<FoldTable>)> =
         OnceLock::new();
@@ -257,12 +254,10 @@ proptest! {
 
 #[test]
 fn distilled_resume_is_byte_identical_at_1_3_8_shards() {
-    // An all-distilled batch on one shared fold table — plain and
+    // An all-distilled batch on one shared artifact handle — plain and
     // resilient-wrapped lanes, one lane under a NaN inference-fault
     // window — interrupted mid-run and resumed at every pinned shard
-    // count. The resumed engines read the live table the interrupted
-    // run warmed (the checkpoint carries the key, never the table), so
-    // every partition of the batched leaf kernel's lanes must
+    // count: every partition of the batched leaf kernel's lanes must
     // reproduce the uninterrupted reports byte for byte.
     let node = node();
     let graph = benchmarks::ecg();

@@ -1,10 +1,12 @@
-//! Counting-allocator check that a finished report's period log is one
-//! allocation of exactly its encoded length: the live log's horizon-long
-//! reserve never outlives the run, whether the report comes from
-//! `Engine::run` or from a sharded `BatchEngine`.
+//! Counting-allocator checks on the period log: a finished report's log
+//! is one allocation of exactly its encoded length (the live log's
+//! horizon-long reserve never outlives the run, whether the report comes
+//! from `Engine::run` or from a sharded `BatchEngine`), and pausing a
+//! batch moves each lane's log into its checkpoint instead of copying it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
@@ -56,6 +58,9 @@ unsafe impl GlobalAlloc for RecordingAlloc {
 #[global_allocator]
 static ALLOC: RecordingAlloc = RecordingAlloc;
 
+/// Serialises the tests: each reads the ring its own run wrote.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Size of the most recent allocation at `ptr`, if it is in the ring.
 fn allocated_size(ptr: *const u8) -> Option<usize> {
     let end = NEXT.load(Ordering::Relaxed);
@@ -84,6 +89,9 @@ fn assert_exact(report: &SimReport, tag: &str) {
 
 #[test]
 fn finished_report_logs_are_exact_single_allocations() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let grid = TimeGrid::new(2, 24, 10, Seconds::new(60.0)).unwrap();
     let node = NodeConfig::builder(grid)
         .capacitors(&[Farads::new(2.0), Farads::new(15.0)])
@@ -114,6 +122,54 @@ fn finished_report_logs_are_exact_single_allocations() {
         }
         for (k, report) in batch.run_sharded(shards).unwrap().iter().enumerate() {
             assert_exact(report, &format!("{shards} shards, scenario {k}"));
+        }
+    }
+}
+
+/// Every recorded allocation size since the ring position `from`.
+fn sizes_since(from: usize) -> Vec<usize> {
+    let end = NEXT.load(Ordering::Relaxed);
+    assert!(end - from <= RING, "the ring overflowed");
+    (from..end)
+        .map(|n| SIZES[n % RING].load(Ordering::Relaxed))
+        .collect()
+}
+
+#[test]
+fn pausing_a_batch_copies_no_period_log() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let grid = TimeGrid::new(2, 24, 10, Seconds::new(60.0)).unwrap();
+    let node = NodeConfig::builder(grid)
+        .capacitors(&[Farads::new(2.0), Farads::new(15.0)])
+        .build()
+        .unwrap();
+    let trace = TraceBuilder::new(grid, SolarPanel::paper_panel())
+        .seed(11)
+        .days(&[DayArchetype::Storm, DayArchetype::Clear])
+        .build();
+    let graph = benchmarks::ecg();
+    let mut batch = BatchEngine::new(&node, &graph).unwrap();
+    for pattern in [Pattern::Asap, Pattern::Inter, Pattern::Intra] {
+        batch
+            .push(BatchScenario::new(
+                &trace,
+                Box::new(FixedPlanner::new(pattern, 1)),
+            ))
+            .unwrap();
+    }
+    for pause in [13, 30] {
+        let from = NEXT.load(Ordering::Relaxed);
+        let ckpt = batch.run_until(pause).unwrap();
+        let sizes = sizes_since(from);
+        for (k, lane) in ckpt.scenarios.iter().enumerate() {
+            let len = lane.periods().as_bytes().len();
+            assert_eq!(lane.periods().len(), pause, "lane {k}");
+            assert!(
+                !sizes.contains(&len),
+                "pausing at {pause} allocated a buffer of lane {k}'s log length ({len} B)"
+            );
         }
     }
 }

@@ -790,18 +790,12 @@ pub struct FleetService {
     /// `Arc`, never the packed weights.
     compiled_f32: Option<Arc<CompiledDbn>>,
     compiled_i8: Option<Arc<CompiledDbn>>,
-    /// The fold table over the distilled decision artifact (distilled
-    /// and validated at startup, and reachable as
-    /// `fold_table.policy()`): every `distilled` scenario of a request
-    /// shares it across lanes, shards and segments, so a constant
-    /// prefix is prewalked and folded once per request, not once per
-    /// scenario. Requests bring their own traces, so
-    /// [`FleetService::handle_with`] clears the table before each one:
-    /// its folds live for their request while its storage lives for
-    /// the session. Sharing is byte-invisible (the folded and flat
-    /// paths are bit-identical) and survives checkpoint/resume — the
-    /// checkpoint carries the key, never the table.
-    fold_table: Option<Arc<FoldTable>>,
+    /// The handle carrying the distilled decision artifact (distilled
+    /// and validated at startup, reachable as `distilled.policy()`):
+    /// every `distilled` scenario of every request shares it, so the
+    /// engine serves a request's distilled lanes in one batched call
+    /// per shard and period.
+    distilled: Option<Arc<FoldTable>>,
     delta: f64,
     dp: DpConfig,
     scratches: Vec<BatchScratch>,
@@ -887,9 +881,7 @@ impl FleetService {
             }
             (None, _) => None,
         };
-        let fold_table = distilled
-            .as_ref()
-            .map(|p| Arc::new(FoldTable::new(Arc::clone(p), FoldTable::DEFAULT_CAPACITY)));
+        let distilled = distilled.map(|p| Arc::new(FoldTable::new(p, FoldTable::DEFAULT_CAPACITY)));
         let workers = cfg
             .threads
             .unwrap_or_else(helio_par::configured_threads)
@@ -903,7 +895,7 @@ impl FleetService {
             dbn,
             compiled_f32,
             compiled_i8,
-            fold_table,
+            distilled,
             delta: cfg.delta,
             dp: cfg.dp,
             scratches,
@@ -975,12 +967,6 @@ impl FleetService {
     ) -> Result<RequestDisposition, FleetError> {
         let total = self.node.grid.total_periods();
         let periods_per_day = self.node.grid.periods_per_day();
-        // Folds follow the request, not the session: each request
-        // brings its own traces, so the last one's folds are memory
-        // this one hardly reads. The table keeps its storage.
-        if let Some(table) = &self.fold_table {
-            table.clear();
-        }
         let (built, lane_trace) = distinct_traces(self.node.grid, &req.scenarios);
         let traces: Vec<&SolarTrace> = lane_trace.iter().map(|&k| &built[k]).collect();
         let harnesses: Vec<Option<FaultHarness>> = req
@@ -1002,7 +988,7 @@ impl FleetService {
             dbn,
             compiled_f32,
             compiled_i8,
-            fold_table,
+            distilled,
             delta,
             dp,
             scratches,
@@ -1012,7 +998,7 @@ impl FleetService {
         let compiled = CompiledHandles {
             f32: compiled_f32.as_ref(),
             i8: compiled_i8.as_ref(),
-            fold_table: fold_table.as_ref(),
+            distilled: distilled.as_ref(),
         };
         let seg = segment.unwrap_or(total).max(1);
         let mut ckpt = resume;
@@ -1273,10 +1259,10 @@ fn train_dbn(
 struct CompiledHandles<'a> {
     f32: Option<&'a Arc<CompiledDbn>>,
     i8: Option<&'a Arc<CompiledDbn>>,
-    /// The service-wide fold table carrying the distilled artifact
+    /// The service-wide handle carrying the distilled artifact
     /// `distilled` scenarios run (with `f32` as the next tier down);
     /// every scenario shares the one table.
-    fold_table: Option<&'a Arc<FoldTable>>,
+    distilled: Option<&'a Arc<FoldTable>>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1337,7 +1323,7 @@ fn make_planner(
             ))
         }
         "distilled" => {
-            let table = compiled.fold_table.ok_or_else(|| {
+            let table = compiled.distilled.ok_or_else(|| {
                 FleetError::Protocol(
                     "scenario requests the distilled planner but the fleet config has no \
                      `distill` spec"
@@ -1700,44 +1686,11 @@ mod tests {
     fn distilled_artifact_round_trips() {
         let cfg: FleetConfig = serde_json::from_str(BENCH_CONFIG).expect("config parses");
         let service = FleetService::new(&cfg).expect("service starts");
-        let policy = service.fold_table.as_ref().expect("an artifact").policy();
+        let policy = service.distilled.as_ref().expect("an artifact").policy();
         let json = policy.to_json().expect("serialises");
         let reloaded = DistilledPolicy::from_json(&json).expect("reloads");
         assert_eq!(&reloaded, policy.as_ref());
         assert_eq!(reloaded.to_json().expect("re-serialises"), json);
-    }
-
-    /// The fold table holds the current request's prefixes alone:
-    /// after each what-if request (one fresh trace, several planners
-    /// and fault plans), whole or in crash-safe segments, its length
-    /// is what a fresh service's table holds after that request only.
-    #[test]
-    fn fold_table_holds_only_the_current_requests_prefixes() {
-        const CONFIG: &str = r#"{"grid":{"days":2,"periods":8,"slots":10},"capacitors_farads":[2.0,15.0],"threads":2,"dbn":{"seed":7,"bp_epochs":10},"distill":{"seed":7,"depth_const":3,"depth_vary":3,"samples":1024,"holdout":256}}"#;
-        let cfg: FleetConfig = serde_json::from_str(CONFIG).expect("config parses");
-        let whatif = |id: u64, seed: u64| -> FleetRequest {
-            let line = format!(
-                r#"{{"id":{id},"scenarios":[{{"planner":"distilled","seed":{seed}}},{{"planner":"distilled","seed":{seed},"resilient":true}},{{"planner":"distilled","seed":{seed},"faults":{{"seed":{seed},"random_blackouts":{{"per_period_probability":0.3,"min_periods":1,"max_periods":2}}}}}},{{"planner":"inter","seed":{seed}}}]}}"#
-            );
-            serde_json::from_str(&line).expect("request parses")
-        };
-        let table_len = |s: &FleetService| s.fold_table.as_ref().expect("an artifact").len();
-        let mut service = FleetService::new(&cfg).expect("service starts");
-        for (k, seed) in [31_u64, 32, 33, 34].into_iter().enumerate() {
-            let req = whatif(k as u64, seed);
-            if k % 2 == 0 {
-                service.handle(&req).expect("request runs");
-            } else {
-                let out = service
-                    .handle_with(&req, None, Some(3), None, None, None, &mut |_| Ok(()))
-                    .expect("request runs");
-                assert!(matches!(out, RequestDisposition::Answered(_)));
-            }
-            let mut alone = FleetService::new(&cfg).expect("service starts");
-            alone.handle(&req).expect("request runs");
-            assert!(table_len(&alone) > 0);
-            assert_eq!(table_len(&service), table_len(&alone), "request {k}");
-        }
     }
 
     fn small_checkpoint(next: usize) -> BatchCheckpoint {

@@ -17,7 +17,7 @@
 //! All predictors forecast *per-period harvested energy* for a horizon
 //! of future periods, which is the granularity the planners consume.
 
-use helio_common::rng::derive;
+use helio_common::rng::derive_fmt;
 use helio_common::time::PeriodRef;
 use helio_common::units::Joules;
 use rand::Rng;
@@ -360,7 +360,7 @@ impl NoisyOracle {
         // consecutive plans see a consistent (if wrong) future, and to
         // the forecast origin's day so errors refresh as real
         // information arrives.
-        let mut rng = derive(self.seed, &format!("oracle-{idx}-{origin_day}"));
+        let mut rng = derive_fmt(self.seed, format_args!("oracle-{idx}-{origin_day}"));
         let eps = gaussian(&mut rng) * sigma;
         Joules::new((truth * (1.0 + eps)).max(0.0))
     }
