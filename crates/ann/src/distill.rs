@@ -415,16 +415,6 @@ impl DistilledPolicy {
         (self.depth_const + self.depth_vary) as usize
     }
 
-    /// Tree levels that split on the run-constant prefix.
-    pub fn depth_const_levels(&self) -> usize {
-        self.depth_const as usize
-    }
-
-    /// Tree levels that split on the varying features.
-    pub fn depth_vary_levels(&self) -> usize {
-        self.depth_vary as usize
-    }
-
     /// Teacher/student decision match rate on the distillation holdout
     /// (1.0 = every held-out sample produced the identical decision).
     pub fn agreement(&self) -> f64 {

@@ -16,15 +16,15 @@ use helio_common::units::Joules;
 use helio_solar::NoisyOracle;
 use helio_tasks::{benchmarks, scale_graph, DvfsLaw};
 use heliosched::{
-    train_proposed, DpConfig, Engine, FixedPlanner, NodeConfig, OfflineConfig, OptimalPlanner,
-    Pattern, PeriodPlanner, ProposedPlanner, SwitchRule,
+    train_proposed, DpConfig, Engine, FixedPlanner, MpcPlanner, NodeConfig, OfflineConfig,
+    OptimalPlanner, Pattern, PeriodPlanner, SwitchRule,
 };
 
 const PERIODS: usize = 48;
 const DAYS: usize = 6;
 
-fn mpc(noise: (f64, f64), switch: SwitchRule, delta: f64) -> ProposedPlanner {
-    ProposedPlanner::mpc(
+fn mpc(noise: (f64, f64), switch: SwitchRule, delta: f64) -> MpcPlanner {
+    MpcPlanner::new(
         Box::new(NoisyOracle::new(77, noise.0, noise.1)),
         PERIODS,
         DpConfig::default(),

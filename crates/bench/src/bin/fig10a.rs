@@ -1,7 +1,7 @@
 //! Fig. 10(a) — DMR and complexity under different solar prediction
 //! lengths (random case 1, one month).
 //!
-//! The proposed planner's MPC backend re-plans daily over a horizon of
+//! The MPC planner (`MpcPlanner`) re-plans daily over a horizon of
 //! forecast solar whose error grows with distance. Paper headline: DMR
 //! improves with the horizon up to an optimum (48 h in the paper),
 //! degrades slowly beyond it (long predictions are inaccurate, but
@@ -11,7 +11,7 @@
 use helio_bench::{fast_mode, node_for_eval, pct, run_planner_batch, sized_node, weather_trace};
 use helio_solar::NoisyOracle;
 use helio_tasks::benchmarks;
-use heliosched::{DpConfig, PeriodPlanner, ProposedPlanner, SwitchRule};
+use heliosched::{DpConfig, MpcPlanner, PeriodPlanner, SwitchRule};
 
 fn main() {
     let (periods, days) = if fast_mode() { (48, 5) } else { (144, 30) };
@@ -44,7 +44,7 @@ fn main() {
             // floor — the controllable stand-in for "long predictions
             // are inaccurate".
             let oracle = NoisyOracle::new(777, 0.02, 0.12);
-            Box::new(ProposedPlanner::mpc(
+            Box::new(MpcPlanner::new(
                 Box::new(oracle),
                 horizon_periods,
                 dp,

@@ -19,8 +19,9 @@ use helio_common::units::{Farads, Seconds};
 use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilder};
 use helio_tasks::benchmarks;
 use heliosched::{
-    BatchCheckpoint, BatchEngine, BatchScenario, BatchScratch, DpConfig, Engine, FixedPlanner,
-    NodeConfig, OptimalPlanner, Pattern, ProposedPlanner, SimReport, SwitchRule,
+    BatchCheckpoint, BatchEngine, BatchRunState, BatchScenario, BatchScratch, DpConfig, Engine,
+    FixedPlanner, MpcPlanner, NodeConfig, OptimalPlanner, Pattern, ProposedPlanner, SimReport,
+    SwitchRule,
 };
 
 /// Seed of the golden trace (matches the online planner unit tests).
@@ -114,7 +115,7 @@ pub fn golden_reports_with(
             .run_with_faults(&mut optimal, harness)
             .expect("golden optimal run"),
     ));
-    let mut mpc = ProposedPlanner::mpc(
+    let mut mpc = MpcPlanner::new(
         Box::new(NoisyOracle::perfect()),
         24,
         dp,
@@ -179,7 +180,7 @@ pub fn golden_compiled_reports(tier: CompiledTier) -> Vec<(String, SimReport)> {
         "ecg_optimal".into(),
         engine.run(&mut optimal).expect("golden optimal run"),
     ));
-    let mut mpc = ProposedPlanner::mpc(
+    let mut mpc = MpcPlanner::new(
         Box::new(NoisyOracle::perfect()),
         24,
         dp,
@@ -316,7 +317,7 @@ pub fn golden_distilled_reports() -> Vec<(String, SimReport)> {
         "ecg_optimal".into(),
         engine.run(&mut optimal).expect("golden optimal run"),
     ));
-    let mut mpc = ProposedPlanner::mpc(
+    let mut mpc = MpcPlanner::new(
         Box::new(NoisyOracle::perfect()),
         24,
         dp,
@@ -355,12 +356,41 @@ pub fn golden_batch_reports() -> Vec<(String, SimReport)> {
 }
 
 /// The same 21 cases as [`golden_batch_reports`] through
-/// [`BatchEngine::run_sharded`] with `shards` workers: the sharded
+/// [`BatchEngine::run_sharded_with`] on `shards` workers: the sharded
 /// engine's byte-identity contract means these reports must also
 /// render to exactly the committed golden files, for every shard
 /// count (CI-gated by `tests/golden_online.rs`).
 pub fn golden_sharded_reports(shards: usize) -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&move |engine| engine.run_sharded(shards).expect("golden sharded run"))
+    golden_batch_reports_via(&move |engine| {
+        engine
+            .run_sharded_with(&mut scratches(shards))
+            .expect("golden sharded run")
+    })
+}
+
+/// `shards` fresh worker scratches.
+fn scratches(shards: usize) -> Vec<BatchScratch> {
+    (0..shards).map(|_| BatchScratch::default()).collect()
+}
+
+/// Runs `engine` to flat period `kill`, JSON-round-trips the
+/// checkpoint and resumes it to the end on `shards` scratches.
+fn kill_and_resume(mut engine: BatchEngine<'_>, kill: usize, shards: usize) -> Vec<SimReport> {
+    let paused = engine
+        .run_span_with(None, Some(kill), &mut scratches(1))
+        .expect("golden checkpoint");
+    let BatchRunState::Paused(ckpt) = paused else {
+        panic!("golden run did not pause at {kill}");
+    };
+    let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
+    let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
+    match engine
+        .run_span_with(Some(&ckpt), None, &mut scratches(shards))
+        .expect("golden checkpoint resume")
+    {
+        BatchRunState::Done(reports) => reports,
+        BatchRunState::Paused(_) => panic!("golden resume paused without a stop period"),
+    }
 }
 
 /// The same 21 cases as [`golden_batch_reports`], each batch killed at
@@ -370,16 +400,7 @@ pub fn golden_sharded_reports(shards: usize) -> Vec<(String, SimReport)> {
 /// byte-identically — means these reports must render to exactly the
 /// committed golden files (CI-gated by `tests/golden_online.rs`).
 pub fn golden_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&move |mut engine| {
-        let ckpt = engine.run_until(kill).expect("golden checkpoint");
-        let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
-        let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
-        let mut scratches: Vec<BatchScratch> = Vec::new();
-        scratches.resize_with(shards, BatchScratch::default);
-        engine
-            .run_from_checkpoint_sharded_with(&ckpt, &mut scratches)
-            .expect("golden checkpoint resume")
-    })
+    golden_batch_reports_via(&move |engine| kill_and_resume(engine, kill, shards))
 }
 
 /// The 18 fixed-pattern cases (six benchmarks × three patterns) built
@@ -433,7 +454,7 @@ fn golden_batch_reports_via(
     engine
         .push(BatchScenario::new(
             &trace,
-            Box::new(ProposedPlanner::mpc(
+            Box::new(MpcPlanner::new(
                 Box::new(NoisyOracle::perfect()),
                 24,
                 dp,
@@ -460,7 +481,7 @@ fn golden_batch_reports_via(
 }
 
 /// The same 21 cases as [`golden_distilled_reports`], in the same
-/// order, built through [`BatchEngine::run_sharded`] with `shards`
+/// order, built through [`BatchEngine::run_sharded_with`] on `shards`
 /// workers — the `ecg_dbn` case runs the *batched* distilled decision
 /// path: its planners share one [`FoldTable`] handle, so its leaf
 /// evaluation goes through the multi-lane kernel. The
@@ -470,7 +491,7 @@ fn golden_batch_reports_via(
 pub fn golden_distilled_batch_reports(shards: usize) -> Vec<(String, SimReport)> {
     golden_distilled_batch_via(&move |engine| {
         engine
-            .run_sharded(shards)
+            .run_sharded_with(&mut scratches(shards))
             .expect("golden distilled sharded run")
     })
 }
@@ -480,16 +501,7 @@ pub fn golden_distilled_batch_reports(shards: usize) -> Vec<(String, SimReport)>
 /// scratches — and must still match [`golden_distilled_reports`] byte
 /// for byte.
 pub fn golden_distilled_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
-    golden_distilled_batch_via(&move |mut engine| {
-        let ckpt = engine.run_until(kill).expect("golden distilled checkpoint");
-        let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
-        let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
-        let mut scratches: Vec<BatchScratch> = Vec::new();
-        scratches.resize_with(shards, BatchScratch::default);
-        engine
-            .run_from_checkpoint_sharded_with(&ckpt, &mut scratches)
-            .expect("golden distilled checkpoint resume")
-    })
+    golden_distilled_batch_via(&move |engine| kill_and_resume(engine, kill, shards))
 }
 
 fn golden_distilled_batch_via(
@@ -519,7 +531,7 @@ fn golden_distilled_batch_via(
     engine
         .push(BatchScenario::new(
             &trace,
-            Box::new(ProposedPlanner::mpc(
+            Box::new(MpcPlanner::new(
                 Box::new(NoisyOracle::perfect()),
                 24,
                 dp,

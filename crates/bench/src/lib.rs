@@ -17,8 +17,8 @@
 //! | `robustness` | DMR and fallbacks under injected faults (`results/ROBUSTNESS.json`) |
 //!
 //! Run with `cargo run --release -p helio-bench --bin <name>`. The
-//! library half holds the shared experiment plumbing; the Criterion
-//! benches in `benches/` time the underlying kernels.
+//! library half holds the shared experiment plumbing; the `benchmark`
+//! binary times the end-to-end workloads and their layers.
 
 pub mod golden;
 pub mod robustness;
@@ -28,8 +28,8 @@ use helio_common::units::Seconds;
 use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder, WeatherProcess};
 use helio_tasks::TaskGraph;
 use heliosched::{
-    size_capacitors, BatchEngine, BatchScenario, CoreError, DpConfig, NodeConfig, OfflineConfig,
-    PeriodPlanner, SimReport,
+    size_capacitors, BatchEngine, BatchScenario, BatchScratch, CoreError, DpConfig, NodeConfig,
+    OfflineConfig, PeriodPlanner, SimReport,
 };
 
 /// The paper's experiment grid: 10-minute periods of ten 60 s slots.
@@ -138,7 +138,16 @@ pub fn run_planner_batch<'a>(
     }
     // Shard across the worker pool: byte-identical to `run()` at any
     // shard count, so every figure binary gets the cores for free.
-    engine.run_parallel()
+    engine.run_sharded_with(&mut worker_scratches())
+}
+
+/// One [`BatchScratch`] per configured worker (`HELIO_THREADS` /
+/// `HELIO_SERIAL`, else available parallelism), at least one: hand
+/// them to [`BatchEngine::run_sharded_with`] to spread a batch over
+/// the whole worker pool.
+pub fn worker_scratches() -> Vec<BatchScratch> {
+    let workers = helio_par::configured_threads().max(1);
+    (0..workers).map(|_| BatchScratch::default()).collect()
 }
 
 /// Maps `f` over `items` on the worker pool, preserving input order in

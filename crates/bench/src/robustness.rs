@@ -35,7 +35,7 @@ use helio_faults::{
 use helio_solar::NoisyOracle;
 use helio_tasks::benchmarks;
 use heliosched::{
-    BatchEngine, BatchScenario, FixedPlanner, OptimalPlanner, Pattern, PeriodPlanner,
+    BatchEngine, BatchScenario, FixedPlanner, MpcPlanner, OptimalPlanner, Pattern, PeriodPlanner,
     ProposedPlanner, ResilientPlanner, SimReport, SwitchRule,
 };
 use serde::Serialize;
@@ -124,7 +124,7 @@ fn make_planner<'a>(backend: &str, assets: &Assets) -> ResilientPlanner<'a> {
             GOLDEN_DELTA,
             SwitchRule::default(),
         )),
-        "mpc" => Box::new(ProposedPlanner::mpc(
+        "mpc" => Box::new(MpcPlanner::new(
             Box::new(NoisyOracle::perfect()),
             24,
             golden_dp(),
@@ -231,7 +231,9 @@ pub fn robustness_report() -> RobustnessReport {
                 ))
                 .expect("clean scenario");
         }
-        engine.run_parallel().expect("clean runs")
+        engine
+            .run_sharded_with(&mut crate::worker_scratches())
+            .expect("clean runs")
     };
 
     let cells: Vec<(usize, usize, &str)> = (0..BACKENDS.len())
@@ -267,7 +269,9 @@ pub fn robustness_report() -> RobustnessReport {
                 )
                 .expect("faulted scenario");
         }
-        engine.run_parallel().expect("faulted runs")
+        engine
+            .run_sharded_with(&mut crate::worker_scratches())
+            .expect("faulted runs")
     };
 
     let sweep = cells

@@ -16,9 +16,9 @@
 //! (grouping scenarios by `Arc` pointer identity of their shared
 //! network), runs a single batched forward per group, and hands each
 //! scenario its output row. Scenarios whose planner declines the batch
-//! slot — MPC backends, fixed baselines, demoted
-//! [`ResilientPlanner`](crate::resilient::ResilientPlanner)s, periods
-//! with an injected `Unavailable` fault — fall back to a plain
+//! slot — the [`MpcPlanner`](crate::mpc::MpcPlanner), fixed baselines,
+//! demoted [`ResilientPlanner`](crate::resilient::ResilientPlanner)s,
+//! periods with an injected `Unavailable` fault — fall back to a plain
 //! [`PeriodPlanner::plan`] call for that period.
 //!
 //! Correctness is absolute: because the batched forward is bitwise
@@ -26,12 +26,16 @@
 //! sequential engine's own period step, a batched run is byte-identical
 //! to B sequential [`Engine::run`](crate::engine::Engine::run) calls.
 //!
-//! On top of the lockstep batch, [`BatchEngine::run_sharded`]
-//! partitions the pushed scenarios into contiguous per-worker shards
-//! and fans them out across the `helio-par` scoped-thread pool. Each
-//! worker owns its shard's SoA state plus one [`BatchScratch`] (reused
-//! across periods, and — via [`BatchEngine::run_sharded_with`] —
-//! across whole runs, which is what the long-lived `helio-fleet`
+//! The engine has three run entry points. [`BatchEngine::run`] runs
+//! the whole batch on the calling thread.
+//! [`BatchEngine::run_sharded_with`] partitions the pushed scenarios
+//! into contiguous shards, one per caller-owned [`BatchScratch`], and
+//! fans them out across the `helio-par` scoped-thread pool.
+//! [`BatchEngine::run_span_with`] is the primitive under both: it runs
+//! a span of periods, from a fresh start or a [`BatchCheckpoint`], to
+//! the end of the horizon or a pause. Each worker owns its shard's SoA
+//! state plus its scratch (reused across periods, and across whole
+//! runs when the caller keeps it, as the long-lived `helio-fleet`
 //! service does between requests); the [`PlanContext`] and any shared
 //! DBN `Arc`s are shared read-only across all workers. Because
 //! scenarios never interact — grouping only changes *how* inference is
@@ -527,34 +531,17 @@ impl<'a> BatchEngine<'a> {
     ///
     /// Returns the first [`CoreError`] any scenario produces (the same
     /// errors the sequential engine can return).
-    pub fn run(mut self) -> Result<Vec<SimReport>, CoreError> {
-        match self.run_span_with(None, None, &mut [BatchScratch::default()])? {
-            BatchRunState::Done(reports) => Ok(reports),
-            BatchRunState::Paused(_) => Err(CoreError::Config(
-                "full run paused without a stop period".into(),
-            )),
-        }
+    pub fn run(self) -> Result<Vec<SimReport>, CoreError> {
+        self.run_sharded_with(&mut [BatchScratch::default()])
     }
 
-    /// Partitions the batch into at most `shards` contiguous shards and
-    /// runs them on the `helio-par` worker pool, one worker per shard
-    /// with its own scratch. Reports come back in push order,
-    /// byte-identical to [`BatchEngine::run`] for every shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError`] any shard produces.
-    pub fn run_sharded(self, shards: usize) -> Result<Vec<SimReport>, CoreError> {
-        let shards = shards.max(1).min(self.scenarios.len().max(1));
-        let mut scratches: Vec<BatchScratch> = Vec::new();
-        scratches.resize_with(shards, BatchScratch::default);
-        self.run_sharded_with(&mut scratches)
-    }
-
-    /// [`BatchEngine::run_sharded`] with caller-owned per-worker
-    /// scratches — one shard per scratch. The fleet service keeps one
-    /// scratch per worker alive across requests, so steady-state
-    /// requests run with zero per-request setup cost.
+    /// Partitions the batch into contiguous shards, one per
+    /// caller-owned scratch (never more shards than scenarios), and
+    /// runs them on the `helio-par` worker pool. Reports come back in
+    /// push order, byte-identical to [`BatchEngine::run`] for every
+    /// shard count. The fleet service keeps one scratch per worker
+    /// alive across requests, so steady-state requests run with zero
+    /// per-request setup cost.
     ///
     /// # Errors
     ///
@@ -695,57 +682,6 @@ impl<'a> BatchEngine<'a> {
             None => Ok(BatchRunState::Done(reports)),
         }
     }
-
-    /// Runs periods `0..stop` and freezes the batch there, returning a
-    /// serializable [`BatchCheckpoint`]. `stop` at or past the end of
-    /// the horizon runs the whole simulation loop and freezes just
-    /// before report assembly.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchEngine::run_span_with`].
-    pub fn run_until(&mut self, stop: usize) -> Result<BatchCheckpoint, CoreError> {
-        let mut scratch = BatchScratch::default();
-        match self.run_span_with(None, Some(stop), std::slice::from_mut(&mut scratch))? {
-            BatchRunState::Paused(ckpt) => Ok(ckpt),
-            BatchRunState::Done(_) => Err(CoreError::Config(
-                "bounded run completed without pausing".into(),
-            )),
-        }
-    }
-
-    /// Restores every scenario from `ckpt` and runs the rest of the
-    /// horizon to completion, sharded across caller-owned scratches,
-    /// one shard per scratch (the fleet service resumes with its
-    /// long-lived worker scratches) — byte-identical to the reports an
-    /// uninterrupted [`BatchEngine::run`] would have produced.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchEngine::run_span_with`].
-    pub fn run_from_checkpoint_sharded_with(
-        mut self,
-        ckpt: &BatchCheckpoint,
-        scratches: &mut [BatchScratch],
-    ) -> Result<Vec<SimReport>, CoreError> {
-        match self.run_span_with(Some(ckpt), None, scratches)? {
-            BatchRunState::Done(reports) => Ok(reports),
-            BatchRunState::Paused(_) => Err(CoreError::Config(
-                "full run paused without a stop period".into(),
-            )),
-        }
-    }
-
-    /// [`BatchEngine::run_sharded`] across every configured worker
-    /// (`HELIO_THREADS` / `HELIO_SERIAL`, else available parallelism).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError`] any shard produces.
-    pub fn run_parallel(self) -> Result<Vec<SimReport>, CoreError> {
-        let shards = helio_par::configured_threads();
-        self.run_sharded(shards)
-    }
 }
 
 #[cfg(test)]
@@ -753,6 +689,7 @@ mod tests {
     use super::*;
     use crate::config::NodeConfig;
     use crate::engine::Engine;
+    use crate::mpc::MpcPlanner;
     use crate::online::{ProposedPlanner, SwitchRule};
     use crate::planner::{FixedPlanner, Pattern, PlannerObservation};
     use crate::resilient::ResilientPlanner;
@@ -796,6 +733,18 @@ mod tests {
             })
             .collect();
         Arc::new(Dbn::train(&inputs, &targets, &helio_ann::DbnConfig::small(2)).unwrap())
+    }
+
+    fn scratches(n: usize) -> Vec<BatchScratch> {
+        (0..n).map(|_| BatchScratch::default()).collect()
+    }
+
+    /// Runs periods `0..stop` on one worker and returns the pause.
+    fn pause_at(engine: &mut BatchEngine<'_>, stop: usize) -> BatchCheckpoint {
+        match engine.run_span_with(None, Some(stop), &mut scratches(1)) {
+            Ok(BatchRunState::Paused(ckpt)) => ckpt,
+            other => panic!("expected a pause at {stop}, got {other:?}"),
+        }
     }
 
     fn dbn_planner(dbn: &Arc<Dbn>) -> ProposedPlanner {
@@ -914,7 +863,7 @@ mod tests {
         engine
             .push(BatchScenario::new(
                 &traces[3],
-                Box::new(ProposedPlanner::mpc(
+                Box::new(MpcPlanner::new(
                     Box::new(NoisyOracle::perfect()),
                     24,
                     crate::longterm::DpConfig {
@@ -938,7 +887,7 @@ mod tests {
                 Box::new(FixedPlanner::new(Pattern::Asap, 0)),
                 Box::new(dbn_planner(&dbn)),
                 Box::new(ResilientPlanner::new(Box::new(dbn_planner(&dbn)))),
-                Box::new(ProposedPlanner::mpc(
+                Box::new(MpcPlanner::new(
                     Box::new(NoisyOracle::perfect()),
                     24,
                     crate::longterm::DpConfig {
@@ -1113,7 +1062,7 @@ mod tests {
         let shared_ctx = Arc::clone(build(None).plan_context());
         for shards in [1, 2, 3, 5, 8] {
             let sharded = build(Some(Arc::clone(&shared_ctx)))
-                .run_sharded(shards)
+                .run_sharded_with(&mut scratches(shards))
                 .unwrap();
             assert_eq!(sharded.len(), whole.len());
             for (i, (a, b)) in sharded.iter().zip(&whole).enumerate() {
@@ -1124,7 +1073,9 @@ mod tests {
                 );
             }
         }
-        let parallel = build(None).run_parallel().unwrap();
+        let parallel = build(None)
+            .run_sharded_with(&mut scratches(helio_par::configured_threads()))
+            .unwrap();
         assert_eq!(parallel, whole);
     }
 
@@ -1169,11 +1120,11 @@ mod tests {
             let planner: Box<dyn PeriodPlanner> = match i % 5 {
                 0 => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
                 1 => Box::new(dbn_planner(dbn)),
-                2 => Box::new(ResilientPlanner::new(Box::new(dbn_planner(dbn))).with_probation(3)),
+                2 => Box::new(ResilientPlanner::new(Box::new(dbn_planner(dbn)))),
                 // Odd index, so this scenario also runs under the fault
                 // harness (NaN-window inference faults stay batchable).
                 3 => Box::new(distilled_planner(table, fallback)),
-                _ => Box::new(ProposedPlanner::mpc(
+                _ => Box::new(MpcPlanner::new(
                     Box::new(NoisyOracle::perfect()),
                     24,
                     crate::longterm::DpConfig {
@@ -1222,15 +1173,16 @@ mod tests {
             // through JSON (as the fleet's on-disk resume does), then
             // finish on a fresh engine with a different shard count.
             let mut engine = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness);
-            let ckpt = engine.run_until(kill).unwrap();
+            let ckpt = pause_at(&mut engine, kill);
             assert_eq!(ckpt.next_period, kill);
             let json = serde_json::to_string(&ckpt).unwrap();
             let restored: crate::checkpoint::BatchCheckpoint = serde_json::from_str(&json).unwrap();
             assert_eq!(restored, ckpt);
-            let mut scratches = [BatchScratch::default(), BatchScratch::default()];
             let resumed = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-                .run_from_checkpoint_sharded_with(&restored, &mut scratches)
-                .unwrap();
+                .run_span_with(Some(&restored), None, &mut scratches(2));
+            let Ok(BatchRunState::Done(resumed)) = resumed else {
+                panic!("expected completion, got {resumed:?}");
+            };
             for (i, (a, b)) in resumed.iter().zip(&whole).enumerate() {
                 assert_eq!(
                     serde_json::to_string(a).unwrap(),
@@ -1261,7 +1213,7 @@ mod tests {
             .unwrap();
         let total = node.grid.total_periods();
         let mut engine = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness);
-        let mut ckpt = engine.run_until(7).unwrap();
+        let mut ckpt = pause_at(&mut engine, 7);
         let mut at = 7;
         while at < total {
             at = (at + 13).min(total);
@@ -1296,7 +1248,7 @@ mod tests {
         let traces: Vec<SolarTrace> = (0..3).map(|s| trace(71 + s)).collect();
         let harness = helio_faults::FaultHarness::empty();
         let mut engine = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness);
-        let mut ckpt = engine.run_until(5).unwrap();
+        let mut ckpt = pause_at(&mut engine, 5);
 
         // Wrong scenario count.
         let mut short = ckpt.clone();

@@ -17,8 +17,8 @@
 //!   tasks survive period boundaries; backup/restore counters), period
 //!   records, accumulated misses, degraded counters, applied
 //!   aging/leakage factors, and planner state (complexity, health,
-//!   injected fault, MPC day-plan cache, resilience
-//!   demotion/probation).
+//!   injected fault, the distilled tier's demotion latch, the MPC
+//!   planner's day-plan cache, the resilient wrapper's demotion).
 //! * **Rebuilt** — schedulers and executor state (reset at every
 //!   period boundary anyway), scratch buffers, the shared
 //!   [`PlanContext`](crate::batch::PlanContext), DBN weights and
@@ -83,9 +83,9 @@ impl ScenarioCheckpoint {
     }
 }
 
-/// The MPC backend's day-plan cache (`ProposedPlanner::mpc`). Without
-/// it a resumed run would replan mid-day from a different base period
-/// and double-count DP complexity.
+/// The [`MpcPlanner`](crate::mpc::MpcPlanner)'s day-plan cache.
+/// Without it a resumed run would replan mid-day from a different base
+/// period and double-count DP complexity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MpcCacheState {
     /// Day the cached plan sequence was computed for.
@@ -100,7 +100,7 @@ pub struct MpcCacheState {
 
 /// [`ProposedPlanner`](crate::online::ProposedPlanner) state: the
 /// complexity counter, health latch, injected inference fault, and
-/// (for the MPC backend) the day-plan cache.
+/// (for the distilled backend) the tier state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProposedCheckpoint {
     /// Cumulative planning complexity (Fig. 10(a) metric).
@@ -109,11 +109,23 @@ pub struct ProposedCheckpoint {
     pub health: PlannerHealth,
     /// Inference fault injected for the upcoming period, if any.
     pub injected: Option<DbnFaultMode>,
-    /// MPC day-plan cache; `None` for DBN backends or before the
-    /// first MPC plan.
-    pub mpc: Option<MpcCacheState>,
     /// Distilled-tier demotion state; `None` for other backends.
     pub distilled: Option<DistilledState>,
+}
+
+/// [`MpcPlanner`](crate::mpc::MpcPlanner) state: the complexity
+/// counter, health latch, injected compute fault and the day-plan
+/// cache.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MpcCheckpoint {
+    /// Cumulative planning complexity (Fig. 10(a) metric).
+    pub complexity: u64,
+    /// Health of the most recent decision.
+    pub health: PlannerHealth,
+    /// Compute fault injected for the upcoming period, if any.
+    pub injected: Option<DbnFaultMode>,
+    /// The day-plan cache; `None` before the first plan.
+    pub cache: Option<MpcCacheState>,
 }
 
 /// The distilled backend's cross-period degradation state. The artifact
@@ -130,8 +142,8 @@ pub struct DistilledState {
 }
 
 /// [`ResilientPlanner`](crate::resilient::ResilientPlanner) state:
-/// demotion/probation progress, its event log, and the wrapped inner
-/// planner's own checkpoint.
+/// demotion progress, its event log, and the wrapped inner planner's
+/// own checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientCheckpoint {
     /// Scheduler-contract violations charged to the inner planner.
@@ -140,10 +152,6 @@ pub struct ResilientCheckpoint {
     pub demoted: bool,
     /// Periods served from the fallback baseline.
     pub fallback_periods: usize,
-    /// Consecutive healthy inner decisions observed while demoted.
-    pub healthy_streak: usize,
-    /// Times the inner planner has been re-promoted.
-    pub repromotions: usize,
     /// Events elided from the bounded internal log.
     pub dropped_events: usize,
     /// The (bounded) internal event log.
@@ -160,8 +168,10 @@ pub enum PlannerCheckpoint {
     /// The planner carries no cross-period state.
     Stateless,
     /// A [`ProposedPlanner`](crate::online::ProposedPlanner) (DBN,
-    /// compiled DBN, or MPC backend).
+    /// compiled DBN, or distilled backend).
     Proposed(ProposedCheckpoint),
+    /// An [`MpcPlanner`](crate::mpc::MpcPlanner).
+    Mpc(MpcCheckpoint),
     /// A [`ResilientPlanner`](crate::resilient::ResilientPlanner)
     /// wrapper (recursively carries its inner planner's state).
     Resilient(ResilientCheckpoint),
@@ -180,6 +190,11 @@ impl Serialize for PlannerCheckpoint {
                 p.serialize_json(out);
                 out.push('}');
             }
+            PlannerCheckpoint::Mpc(m) => {
+                out.push_str("{\"kind\":\"mpc\",\"state\":");
+                m.serialize_json(out);
+                out.push('}');
+            }
             PlannerCheckpoint::Resilient(r) => {
                 out.push_str("{\"kind\":\"resilient\",\"state\":");
                 r.serialize_json(out);
@@ -196,6 +211,9 @@ impl Deserialize for PlannerCheckpoint {
             "proposed" => Ok(PlannerCheckpoint::Proposed(
                 ProposedCheckpoint::deserialize_json(v.field("state")?)?,
             )),
+            "mpc" => Ok(PlannerCheckpoint::Mpc(MpcCheckpoint::deserialize_json(
+                v.field("state")?,
+            )?)),
             "resilient" => Ok(PlannerCheckpoint::Resilient(
                 ResilientCheckpoint::deserialize_json(v.field("state")?)?,
             )),
@@ -214,10 +232,6 @@ impl Serialize for ResilientCheckpoint {
         self.demoted.serialize_json(out);
         out.push_str(",\"fallback_periods\":");
         self.fallback_periods.serialize_json(out);
-        out.push_str(",\"healthy_streak\":");
-        self.healthy_streak.serialize_json(out);
-        out.push_str(",\"repromotions\":");
-        self.repromotions.serialize_json(out);
         out.push_str(",\"dropped_events\":");
         self.dropped_events.serialize_json(out);
         out.push_str(",\"events\":");
@@ -234,8 +248,6 @@ impl Deserialize for ResilientCheckpoint {
             contract_violations: usize::deserialize_json(v.field("contract_violations")?)?,
             demoted: bool::deserialize_json(v.field("demoted")?)?,
             fallback_periods: usize::deserialize_json(v.field("fallback_periods")?)?,
-            healthy_streak: usize::deserialize_json(v.field("healthy_streak")?)?,
-            repromotions: usize::deserialize_json(v.field("repromotions")?)?,
             dropped_events: usize::deserialize_json(v.field("dropped_events")?)?,
             events: Vec::<FaultEvent>::deserialize_json(v.field("events")?)?,
             inner: Box::new(PlannerCheckpoint::deserialize_json(v.field("inner")?)?),
@@ -281,15 +293,12 @@ mod tests {
             contract_violations: 2,
             demoted: true,
             fallback_periods: 9,
-            healthy_streak: 1,
-            repromotions: 1,
             dropped_events: 3,
             events: vec![FaultEvent::at(4, FaultKind::PlannerFallback, "x")],
             inner: Box::new(PlannerCheckpoint::Proposed(ProposedCheckpoint {
                 complexity: 77,
                 health: PlannerHealth::DbnUnavailable,
                 injected: Some(DbnFaultMode::Nan),
-                mpc: None,
                 distilled: Some(DistilledState {
                     demoted: true,
                     tier_fallbacks: 5,
@@ -299,6 +308,22 @@ mod tests {
         let json = serde_json::to_string(&ckpt).expect("serialises");
         let back: PlannerCheckpoint = serde_json::from_str(&json).expect("deserialises");
         assert_eq!(back, ckpt);
+
+        let mpc = PlannerCheckpoint::Mpc(MpcCheckpoint {
+            complexity: 12,
+            health: PlannerHealth::Healthy,
+            injected: None,
+            cache: Some(MpcCacheState {
+                day: 1,
+                capacitor: 0,
+                base_flat: 24,
+                plans: Vec::new(),
+            }),
+        });
+        let json = serde_json::to_string(&mpc).expect("serialises");
+        assert!(json.starts_with("{\"kind\":\"mpc\""), "{json}");
+        let back: PlannerCheckpoint = serde_json::from_str(&json).expect("deserialises");
+        assert_eq!(back, mpc);
 
         let json = serde_json::to_string(&PlannerCheckpoint::Stateless).expect("serialises");
         let back: PlannerCheckpoint = serde_json::from_str(&json).expect("deserialises");

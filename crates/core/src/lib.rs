@@ -19,9 +19,10 @@
 //! * [`optimal`] — the static optimal planner (the paper's upper
 //!   bound): the long-term DP run on the *true* solar trace.
 //! * [`online`] — the proposed online planner: a DBN trained on optimal
-//!   samples (Fig. 6) or a model-predictive backend on forecast solar,
-//!   plus the Eq. 22 capacitor-switch rule and the `δ` pattern-selection
-//!   threshold.
+//!   samples (Fig. 6), plus the Eq. 22 capacitor-switch rule and the `δ`
+//!   pattern-selection threshold.
+//! * [`mpc`] — the model-predictive variant on forecast solar
+//!   (Fig. 10(a)), through the same switch rule and threshold.
 //! * [`offline`] — the design-time pipeline: capacitor sizing
 //!   (Section 4.1), optimal-sample generation, and DBN training.
 //! * [`overhead`] — the Section 6.5 algorithm-overhead model for the
@@ -60,6 +61,7 @@ pub mod engine;
 pub mod error;
 pub mod longterm;
 pub mod metrics;
+pub mod mpc;
 pub mod offline;
 pub mod online;
 pub mod optimal;
@@ -73,8 +75,8 @@ pub use analysis::{
 };
 pub use batch::{BatchEngine, BatchRunState, BatchScenario, BatchScratch, PlanContext};
 pub use checkpoint::{
-    BatchCheckpoint, MpcCacheState, PlannerCheckpoint, ProposedCheckpoint, ResilientCheckpoint,
-    ScenarioCheckpoint,
+    BatchCheckpoint, MpcCacheState, MpcCheckpoint, PlannerCheckpoint, ProposedCheckpoint,
+    ResilientCheckpoint, ScenarioCheckpoint,
 };
 pub use config::NodeConfig;
 pub use engine::Engine;
@@ -83,6 +85,7 @@ pub use longterm::{
     optimize_horizon, optimize_horizon_serial, CacheStats, DpConfig, DpResult, PeriodPlan,
 };
 pub use metrics::{LogError, PeriodLog, PeriodRecord, SimReport};
+pub use mpc::MpcPlanner;
 pub use offline::{size_capacitors, train_proposed, OfflineConfig};
 pub use online::{ProposedPlanner, SwitchRule};
 pub use optimal::OptimalPlanner;
@@ -101,6 +104,7 @@ pub mod prelude {
     pub use crate::engine::Engine;
     pub use crate::error::CoreError;
     pub use crate::metrics::SimReport;
+    pub use crate::mpc::MpcPlanner;
     pub use crate::offline::{size_capacitors, train_proposed, OfflineConfig};
     pub use crate::online::ProposedPlanner;
     pub use crate::optimal::OptimalPlanner;

@@ -270,7 +270,7 @@ pub fn alpha_index(graph: &TaskGraph, subset: TaskSet, solar_energy: Joules) -> 
 ///
 /// `solar[p]` holds the per-slot harvested energies of period `p`
 /// (true values for the offline optimum, predicted values for the
-/// online MPC backend). Returns the per-period plans obtained by
+/// online [`MpcPlanner`](crate::mpc::MpcPlanner)). Returns the per-period plans obtained by
 /// backward value iteration plus a forward replay from
 /// `initial` (the replay uses exact voltages, so the plans line up
 /// with what a simulator will actually see).

@@ -1,18 +1,18 @@
 //! The proposed online planner (paper Section 5).
 //!
-//! Two interchangeable backends produce the coarse per-period decision:
+//! [`ProposedPlanner`] produces the coarse per-period decision from the
+//! deep belief network trained offline on optimal samples: it maps
+//! (previous-period solar, capacitor voltages, accumulated DMR) to
+//! (capacitor, α, task bits), at a cost of microjoules on the node. The
+//! network is served by one of three backends: the f64 reference, a
+//! compiled (packed f32 or int8) forward, or a distilled decision
+//! artifact with the compiled forward as its fallback tier.
 //!
-//! * **DBN** — the paper's headline design: the deep belief network
-//!   trained offline on optimal samples maps (previous-period solar,
-//!   capacitor voltages, accumulated DMR) to (capacitor, α, task
-//!   bits). Inference costs microjoules on the node.
-//! * **MPC** — a model-predictive variant that reruns the long-term DP
-//!   each day on *forecast* solar over a configurable horizon. It is
-//!   the knob behind the prediction-length experiment (Fig. 10a).
-//!
-//! Both backends pass through the Eq. 22 capacitor-switch rule (don't
-//! abandon a charged capacitor) and the `δ` pattern-selection
-//! threshold of Section 5.2.
+//! Every decision passes through the Eq. 22 capacitor-switch rule
+//! (don't abandon a charged capacitor) and the `δ` pattern-selection
+//! threshold of Section 5.2. The forecast-driven variant of Fig. 10(a)
+//! is a planner of its own, [`MpcPlanner`](crate::mpc::MpcPlanner),
+//! and shares this module's `decision` step.
 
 use std::sync::Arc;
 
@@ -22,18 +22,14 @@ use helio_ann::{
 use helio_common::units::Joules;
 use helio_common::TaskSet;
 use helio_faults::DbnFaultMode;
-use helio_solar::SolarPredictor;
-use helio_storage::SuperCap;
 use helio_tasks::TaskId;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::PlanContext;
-use crate::checkpoint::{DistilledState, MpcCacheState, PlannerCheckpoint, ProposedCheckpoint};
+use crate::checkpoint::{DistilledState, PlannerCheckpoint, ProposedCheckpoint};
 use crate::error::CoreError;
-use crate::longterm::{optimize_horizon, DpConfig, PeriodPlan};
 use crate::optimal::OptimalPlanner;
 use crate::planner::{PeriodPlanner, PlanDecision, PlannerHealth, PlannerObservation};
-use crate::subsets::dmr_level_subsets;
 
 /// The Eq. 22 capacitor-switch rule: switch to the suggested capacitor
 /// only when the one in use has less than `threshold` usable energy —
@@ -121,27 +117,17 @@ enum Backend {
         /// Periods served by the compiled fallback tier.
         tier_fallbacks: u64,
     },
-    Mpc {
-        predictor: Box<dyn SolarPredictor + Send>,
-        horizon_periods: usize,
-        dp: DpConfig,
-        cache: Option<MpcCache>,
-        /// Forecast scratch reused across replans: per-period predicted
-        /// energies and the per-slot spread the DP consumes.
-        forecast_buf: Vec<Joules>,
-        solar_buf: Vec<Vec<Joules>>,
-        /// The DMR-level subset table, built on first use; the graph
-        /// and `keep_per_level` never change within a run, so the
-        /// table is identical for every replan.
-        subsets: Option<Vec<TaskSet>>,
-    },
 }
 
-struct MpcCache {
-    day: usize,
-    capacitor: usize,
-    base_flat: usize,
-    plans: Vec<PeriodPlan>,
+impl Backend {
+    /// The network output of the period being decided.
+    fn out_buf(&mut self) -> &mut Vec<f64> {
+        match self {
+            Backend::Dbn { out_buf, .. }
+            | Backend::Compiled { out_buf, .. }
+            | Backend::Distilled { out_buf, .. } => out_buf,
+        }
+    }
 }
 
 /// The proposed long-term deadline-aware online planner.
@@ -160,10 +146,10 @@ pub struct ProposedPlanner {
     /// [`BatchEngine`](crate::batch::BatchEngine).
     ctx: Option<Arc<PlanContext>>,
     /// Run-constant tables for the per-period decision, computed on
-    /// first use. Like the MPC subset table, this relies on the graph
-    /// never changing within a run — re-deriving the dependency
-    /// closure every period dominated the decision latency. (Period
-    /// energies come from the trace's own table.)
+    /// first use. This relies on the graph never changing within a
+    /// run — re-deriving the dependency closure every period dominated
+    /// the decision latency. (Period energies come from the trace's own
+    /// table.)
     decide_cache: Option<DbnDecideCache>,
 }
 
@@ -230,25 +216,6 @@ impl ProposedPlanner {
         }
     }
 
-    /// Compiles `dbn` at `tier` and builds the planner around the
-    /// artifact in one step (the sequential-engine convenience;
-    /// batches and fleets should compile once and use
-    /// [`ProposedPlanner::from_compiled_dbn`] to share the `Arc`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the compile error when the network holds non-finite
-    /// weights.
-    pub fn compile_dbn(
-        dbn: &Dbn,
-        tier: CompiledTier,
-        delta: f64,
-        switch: SwitchRule,
-    ) -> Result<Self, helio_ann::AnnError> {
-        let compiled = Arc::new(CompiledDbn::compile(dbn, tier)?);
-        Ok(Self::from_compiled_dbn(compiled, delta, switch))
-    }
-
     /// Builds the planner around a distilled decision artifact with a
     /// compiled network as the next tier down: the artifact serves the
     /// per-decision hot path; the compiled forward takes over when the
@@ -296,141 +263,9 @@ impl ProposedPlanner {
         }
     }
 
-    /// Creates the MPC-backed planner: re-plan each day over
-    /// `horizon_periods` of forecast solar.
-    pub fn mpc(
-        predictor: Box<dyn SolarPredictor + Send>,
-        horizon_periods: usize,
-        dp: DpConfig,
-        delta: f64,
-        switch: SwitchRule,
-    ) -> Self {
-        Self {
-            backend: Backend::Mpc {
-                predictor,
-                horizon_periods: horizon_periods.max(1),
-                dp,
-                cache: None,
-                forecast_buf: Vec::new(),
-                solar_buf: Vec::new(),
-                subsets: None,
-            },
-            switch,
-            delta,
-            complexity: 0,
-            input_buf: Vec::new(),
-            injected: None,
-            health: PlannerHealth::Healthy,
-            ctx: None,
-            decide_cache: None,
-        }
-    }
-
     /// The `δ` threshold in use.
     pub fn delta(&self) -> f64 {
         self.delta
-    }
-
-    fn plan_mpc(&mut self, obs: &PlannerObservation<'_>) -> Result<(usize, PeriodPlan), CoreError> {
-        let grid = obs.grid;
-        let flat = grid.period_index(obs.period);
-        let (predictor, horizon_periods, dp, cache, forecast_buf, solar_buf, subset_cache) =
-            match &mut self.backend {
-                Backend::Mpc {
-                    predictor,
-                    horizon_periods,
-                    dp,
-                    cache,
-                    forecast_buf,
-                    solar_buf,
-                    subsets,
-                } => (
-                    predictor,
-                    *horizon_periods,
-                    *dp,
-                    cache,
-                    forecast_buf,
-                    solar_buf,
-                    subsets,
-                ),
-                Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
-                    return Err(Self::wrong_backend("an MPC plan", "DBN"));
-                }
-            };
-
-        let c = match cache {
-            Some(c) if c.day == obs.period.day && flat >= c.base_flat => c,
-            stale => {
-                // Forecast per-period energies over the horizon and spread
-                // each evenly over its slots (the DP only needs period
-                // granularity; intra-period shape comes from the real slots
-                // at execution time). Both buffers are refilled in place, so
-                // replans after the first allocate nothing here.
-                let slots = grid.slots_per_period();
-                predictor.forecast_into(obs.trace, obs.period, horizon_periods, forecast_buf);
-                solar_buf.resize_with(forecast_buf.len(), || Vec::with_capacity(slots));
-                for (row, &e) in solar_buf.iter_mut().zip(forecast_buf.iter()) {
-                    row.clear();
-                    row.resize(slots, e / slots as f64);
-                }
-                let solar = &*solar_buf;
-                let subsets = &*subset_cache
-                    .get_or_insert_with(|| dmr_level_subsets(obs.graph, dp.keep_per_level));
-
-                let mut best: Option<(usize, crate::longterm::DpResult)> = None;
-                for h in 0..obs.bank.len() {
-                    let size = obs.bank.cap(h)?.capacitance();
-                    let cap = SuperCap::new(size, obs.storage)?;
-                    let v0 = obs.bank.state(h)?.voltage();
-                    let r = optimize_horizon(
-                        obs.graph,
-                        subsets,
-                        solar,
-                        grid.slot_duration(),
-                        &cap,
-                        cap.state_at(v0),
-                        obs.storage,
-                        obs.pmu,
-                        &dp,
-                    );
-                    self.complexity += r.complexity;
-                    let better = match &best {
-                        None => true,
-                        Some((_, br)) => {
-                            (r.total_misses, -r.final_voltage.value())
-                                < (br.total_misses, -br.final_voltage.value())
-                        }
-                    };
-                    if better {
-                        best = Some((h, r));
-                    }
-                }
-                let Some((h, r)) = best else {
-                    return Err(CoreError::Config(
-                        "the MPC planner needs a nonempty capacitor bank".into(),
-                    ));
-                };
-                stale.insert(MpcCache {
-                    day: obs.period.day,
-                    capacitor: h,
-                    base_flat: flat,
-                    plans: r.plans,
-                })
-            }
-        };
-        let idx = flat - c.base_flat;
-        let plan = c.plans.get(idx).copied().unwrap_or(PeriodPlan {
-            subset: obs.graph.all_tasks(),
-            alpha: 1.0,
-            expected_misses: 0,
-            cap_energy: Joules::ZERO,
-        });
-        Ok((c.capacitor, plan))
-    }
-
-    /// The error of a backend asked for the other backend's work.
-    fn wrong_backend(work: &str, backend: &str) -> CoreError {
-        CoreError::Config(format!("{work} was asked of the {backend} backend"))
     }
 
     /// Builds the DBN feature vector (previous-period solar powers,
@@ -520,12 +355,10 @@ impl ProposedPlanner {
         if self.injected == Some(DbnFaultMode::Nan) {
             // Bit-flipped weights / numerical blow-up: the inference
             // completes but every output is garbage.
-            if let Backend::Dbn { out_buf, .. }
-            | Backend::Compiled { out_buf, .. }
-            | Backend::Distilled { out_buf, .. } = &mut self.backend
-            {
-                out_buf.iter_mut().for_each(|o| *o = f64::NAN);
-            }
+            self.backend
+                .out_buf()
+                .iter_mut()
+                .for_each(|o| *o = f64::NAN);
         }
         // Run-constant decision tables, built once (out of line — the
         // build machinery would otherwise keep this whole body from
@@ -535,12 +368,7 @@ impl ProposedPlanner {
             none => &*none.insert(Self::build_decide_cache(self.ctx.as_deref(), obs)?),
         };
         let heads = {
-            let out: &[f64] = match &self.backend {
-                Backend::Dbn { out_buf, .. }
-                | Backend::Compiled { out_buf, .. }
-                | Backend::Distilled { out_buf, .. } => out_buf,
-                Backend::Mpc { .. } => return Err(Self::wrong_backend("a DBN decision", "MPC")),
-            };
+            let out: &[f64] = self.backend.out_buf();
             let head_cap = out.first().copied().unwrap_or(f64::NAN);
             let head_alpha = out.get(1).copied().unwrap_or(f64::NAN);
             if head_cap.is_finite() && head_alpha.is_finite() {
@@ -642,7 +470,6 @@ impl ProposedPlanner {
                     fallback.forward_into(input, scratch, out_buf).is_err()
                 }
             }
-            Backend::Mpc { .. } => return Err(Self::wrong_backend("a DBN plan", "MPC")),
         };
         if predict_failed {
             // Shape mismatch (e.g. trained on another node) — fall
@@ -652,30 +479,33 @@ impl ProposedPlanner {
         }
         self.decide_dbn(obs)
     }
+}
 
-    /// The period decision for a planned `(capacitor, α, subset)`,
-    /// through the Eq. 22 switch rule. An internal error (a bank index
-    /// out of range, a cyclic graph, a backend asked for the other
-    /// backend's work) does not abort the run: it degrades to the
-    /// conservative run-everything decision on the active capacitor,
-    /// reported as [`PlannerHealth::DbnUnavailable`].
-    fn decision(
-        &mut self,
-        obs: &PlannerObservation<'_>,
-        planned: Result<(usize, f64, TaskSet), CoreError>,
-    ) -> PlanDecision {
-        let decided = planned.and_then(|(suggested, alpha, allowed)| {
-            Ok((self.switch.decide(obs, suggested)?, alpha, allowed))
-        });
-        let (capacitor, alpha, allowed) = decided.unwrap_or_else(|_| {
-            self.health = PlannerHealth::DbnUnavailable;
-            (Some(obs.bank.active_index()), 1.0, obs.graph.all_tasks())
-        });
-        PlanDecision {
-            capacitor,
-            allowed: Some(allowed),
-            pattern: OptimalPlanner::pattern_for_alpha(alpha, self.delta),
-        }
+/// The period decision for a planned `(capacitor, α, subset)`: the
+/// Eq. 22 switch rule picks the capacitor and the `δ` threshold picks
+/// the pattern. Both online planners end every period here. An
+/// internal error (a bank index out of range, a cyclic graph) does not
+/// abort the run: it degrades to the conservative run-everything
+/// decision on the active capacitor, reported through `health` as
+/// [`PlannerHealth::DbnUnavailable`].
+pub(crate) fn decision(
+    switch: &SwitchRule,
+    delta: f64,
+    health: &mut PlannerHealth,
+    obs: &PlannerObservation<'_>,
+    planned: Result<(usize, f64, TaskSet), CoreError>,
+) -> PlanDecision {
+    let decided = planned.and_then(|(suggested, alpha, allowed)| {
+        Ok((switch.decide(obs, suggested)?, alpha, allowed))
+    });
+    let (capacitor, alpha, allowed) = decided.unwrap_or_else(|_| {
+        *health = PlannerHealth::DbnUnavailable;
+        (Some(obs.bank.active_index()), 1.0, obs.graph.all_tasks())
+    });
+    PlanDecision {
+        capacitor,
+        allowed: Some(allowed),
+        pattern: OptimalPlanner::pattern_for_alpha(alpha, delta),
     }
 }
 
@@ -688,33 +518,12 @@ impl PeriodPlanner for ProposedPlanner {
                 CompiledTier::Int8 => "compiled-dbn-i8",
             },
             Backend::Distilled { .. } => "distilled",
-            Backend::Mpc { .. } => "proposed-mpc",
         }
     }
 
     fn plan(&mut self, obs: &PlannerObservation<'_>) -> PlanDecision {
-        let planned = match self.backend {
-            Backend::Mpc { .. } => {
-                if let Some(mode) = self.injected {
-                    // The MPC's compute path is its "inference engine":
-                    // either fault degrades to the conservative
-                    // run-everything decision on the current capacitor.
-                    self.health = match mode {
-                        DbnFaultMode::Unavailable => PlannerHealth::DbnUnavailable,
-                        DbnFaultMode::Nan => PlannerHealth::NonFinite,
-                    };
-                    Ok((obs.bank.active_index(), 1.0, obs.graph.all_tasks()))
-                } else {
-                    self.health = PlannerHealth::Healthy;
-                    self.plan_mpc(obs)
-                        .map(|(cap, plan)| (cap, plan.alpha, plan.subset))
-                }
-            }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
-                self.plan_dbn(obs)
-            }
-        };
-        self.decision(obs, planned)
+        let planned = self.plan_dbn(obs);
+        decision(&self.switch, self.delta, &mut self.health, obs, planned)
     }
 
     fn complexity(&self) -> u64 {
@@ -746,7 +555,7 @@ impl PeriodPlanner for ProposedPlanner {
             Backend::Distilled { tier_fallbacks, .. } => {
                 usize::try_from(*tier_fallbacks).unwrap_or(usize::MAX)
             }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => 0,
+            Backend::Dbn { .. } | Backend::Compiled { .. } => 0,
         }
     }
 
@@ -755,18 +564,6 @@ impl PeriodPlanner for ProposedPlanner {
     }
 
     fn save_checkpoint(&self) -> PlannerCheckpoint {
-        let mpc = match &self.backend {
-            Backend::Mpc { cache: Some(c), .. } => Some(MpcCacheState {
-                day: c.day,
-                capacitor: c.capacitor,
-                base_flat: c.base_flat,
-                plans: c.plans.clone(),
-            }),
-            Backend::Mpc { cache: None, .. }
-            | Backend::Dbn { .. }
-            | Backend::Compiled { .. }
-            | Backend::Distilled { .. } => None,
-        };
         let distilled = match &self.backend {
             Backend::Distilled {
                 demoted,
@@ -776,13 +573,12 @@ impl PeriodPlanner for ProposedPlanner {
                 demoted: *demoted,
                 tier_fallbacks: *tier_fallbacks,
             }),
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => None,
+            Backend::Dbn { .. } | Backend::Compiled { .. } => None,
         };
         PlannerCheckpoint::Proposed(ProposedCheckpoint {
             complexity: self.complexity,
             health: self.health,
             injected: self.injected,
-            mpc,
             distilled,
         })
     }
@@ -798,24 +594,6 @@ impl PeriodPlanner for ProposedPlanner {
         self.health = c.health;
         self.injected = c.injected;
         match &mut self.backend {
-            Backend::Mpc { cache, .. } => {
-                *cache = c.mpc.as_ref().map(|m| MpcCache {
-                    day: m.day,
-                    capacitor: m.capacitor,
-                    base_flat: m.base_flat,
-                    plans: m.plans.clone(),
-                });
-            }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
-                if c.mpc.is_some() {
-                    return Err(format!(
-                        "planner `{}` has no MPC cache but the checkpoint carries one",
-                        self.name()
-                    ));
-                }
-            }
-        }
-        match &mut self.backend {
             Backend::Distilled {
                 demoted,
                 tier_fallbacks,
@@ -830,7 +608,7 @@ impl PeriodPlanner for ProposedPlanner {
                 *demoted = d.demoted;
                 *tier_fallbacks = d.tier_fallbacks;
             }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => {
+            Backend::Dbn { .. } | Backend::Compiled { .. } => {
                 if c.distilled.is_some() {
                     return Err(format!(
                         "planner `{}` has no distilled tier but the checkpoint carries one",
@@ -872,7 +650,7 @@ impl PeriodPlanner for ProposedPlanner {
     fn batch_dbn(&self) -> Option<Arc<Dbn>> {
         match &self.backend {
             Backend::Dbn { dbn, .. } => Some(Arc::clone(dbn)),
-            Backend::Compiled { .. } | Backend::Distilled { .. } | Backend::Mpc { .. } => None,
+            Backend::Compiled { .. } | Backend::Distilled { .. } => None,
         }
     }
 
@@ -910,20 +688,16 @@ impl PeriodPlanner for ProposedPlanner {
     fn batch_distilled(&self) -> Option<Arc<FoldTable>> {
         match &self.backend {
             Backend::Distilled { table, .. } => Some(Arc::clone(table)),
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => None,
+            Backend::Dbn { .. } | Backend::Compiled { .. } => None,
         }
     }
 
     fn plan_with_output(&mut self, obs: &PlannerObservation<'_>, out: &[f64]) -> PlanDecision {
-        if let Backend::Dbn { out_buf, .. }
-        | Backend::Compiled { out_buf, .. }
-        | Backend::Distilled { out_buf, .. } = &mut self.backend
-        {
-            out_buf.clear();
-            out_buf.extend_from_slice(out);
-        }
+        let out_buf = self.backend.out_buf();
+        out_buf.clear();
+        out_buf.extend_from_slice(out);
         let planned = self.decide_dbn(obs);
-        self.decision(obs, planned)
+        decision(&self.switch, self.delta, &mut self.health, obs, planned)
     }
 }
 
@@ -932,10 +706,9 @@ mod tests {
     use super::*;
     use crate::config::NodeConfig;
     use crate::engine::Engine;
-    use crate::planner::{FixedPlanner, Pattern};
     use helio_common::time::TimeGrid;
     use helio_common::units::{Farads, Seconds};
-    use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilder};
+    use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder};
     use helio_tasks::benchmarks;
 
     fn grid(days: usize) -> TimeGrid {
@@ -959,32 +732,6 @@ mod tests {
                 DayArchetype::Storm,
             ])
             .build()
-    }
-
-    #[test]
-    fn mpc_with_perfect_oracle_beats_baselines() {
-        let node = node(2);
-        let t = trace(2);
-        let g = benchmarks::ecg();
-        let engine = Engine::new(&node, &g, &t).unwrap();
-        let mut mpc = ProposedPlanner::mpc(
-            Box::new(NoisyOracle::perfect()),
-            2 * 24,
-            DpConfig::default(),
-            0.5,
-            SwitchRule::default(),
-        );
-        let proposed = engine.run(&mut mpc).unwrap();
-        let inter = engine
-            .run(&mut FixedPlanner::new(Pattern::Inter, 1))
-            .unwrap();
-        assert!(
-            proposed.overall_dmr() <= inter.overall_dmr() + 0.02,
-            "proposed {} vs inter {}",
-            proposed.overall_dmr(),
-            inter.overall_dmr()
-        );
-        assert!(proposed.complexity > 0);
     }
 
     #[test]
@@ -1041,106 +788,26 @@ mod tests {
             storage,
             pmu: &node.pmu,
         };
-        let mut mpc = ProposedPlanner::mpc(
-            Box::new(NoisyOracle::perfect()),
-            24,
-            DpConfig::default(),
-            0.5,
-            SwitchRule::default(),
-        );
-        // An MPC backend has no network to plan or decide with: a
-        // typed error, never a panic.
-        assert!(matches!(mpc.plan_dbn(&obs), Err(CoreError::Config(_))));
-        assert!(matches!(mpc.decide_dbn(&obs), Err(CoreError::Config(_))));
-        // Through the planner interface the error becomes the
+        // A planning error does not abort the run: it becomes the
         // run-everything decision on the active capacitor.
-        let decision = mpc.plan_with_output(&obs, &[0.0, 3.0, 1.0]);
-        assert_eq!(mpc.health(), PlannerHealth::DbnUnavailable);
+        let mut health = PlannerHealth::Healthy;
+        let failed = Err(CoreError::Config("cyclic graph".into()));
+        let d = decision(&SwitchRule::default(), 0.5, &mut health, &obs, failed);
+        assert_eq!(health, PlannerHealth::DbnUnavailable);
         assert_eq!(
-            decision,
+            d,
             PlanDecision {
                 capacitor: Some(1),
                 allowed: Some(g.all_tasks()),
                 pattern: OptimalPlanner::pattern_for_alpha(1.0, 0.5),
             }
         );
-        // The MPC's own path still plans.
-        assert!(mpc.plan(&obs).allowed.is_some());
-        assert_eq!(mpc.health(), PlannerHealth::Healthy);
-    }
-
-    #[test]
-    fn mpc_replans_once_per_day() {
-        let node = node(2);
-        let t = trace(2);
-        let g = benchmarks::ecg();
-        let engine = Engine::new(&node, &g, &t).unwrap();
-        let mut mpc = ProposedPlanner::mpc(
-            Box::new(NoisyOracle::perfect()),
-            24,
-            DpConfig {
-                voltage_buckets: 6,
-                keep_per_level: 1,
-            },
-            0.5,
-            SwitchRule::default(),
-        );
-        engine.run(&mut mpc).unwrap();
-        // 2 days × 2 capacitors × 24 periods × 6 buckets × subsets:
-        // complexity must correspond to exactly two replans (not one per
-        // period). With keep=1 ECG has 8 subset levels (incl. empty
-        // level kept once per size 0..=6 → 7) — just bound it loosely.
-        let per_day_upper = 2 * 24 * 6 * 20;
-        assert!(
-            mpc.complexity() <= 2 * per_day_upper as u64,
-            "complexity {} suggests per-period replanning",
-            mpc.complexity()
-        );
-    }
-
-    #[test]
-    fn injected_faults_degrade_conservatively() {
-        let node = node(1);
-        let t = trace(1);
-        let g = benchmarks::ecg();
-        let storage = &node.storage;
-        let bank = helio_storage::CapacitorBank::new(&node.capacitors, storage).unwrap();
-        let obs = PlannerObservation {
-            grid: &node.grid,
-            period: helio_common::time::PeriodRef::new(0, 0),
-            graph: &g,
-            trace: &t,
-            bank: &bank,
-            accumulated_dmr: 0.0,
-            storage,
-            pmu: &node.pmu,
-        };
-        let mut p = ProposedPlanner::mpc(
-            Box::new(NoisyOracle::perfect()),
-            24,
-            DpConfig {
-                voltage_buckets: 4,
-                keep_per_level: 1,
-            },
-            0.5,
-            SwitchRule::default(),
-        );
-        assert_eq!(p.health(), PlannerHealth::Healthy);
-        p.inject_fault(Some(DbnFaultMode::Unavailable));
-        let d = p.plan(&obs);
-        assert_eq!(p.health(), PlannerHealth::DbnUnavailable);
-        assert_eq!(
-            d.allowed,
-            Some(g.all_tasks()),
-            "degraded mode runs everything"
-        );
-        p.inject_fault(Some(DbnFaultMode::Nan));
-        let _ = p.plan(&obs);
-        assert_eq!(p.health(), PlannerHealth::NonFinite);
-        // Clearing the fault restores the nominal path.
-        p.inject_fault(None);
-        let _ = p.plan(&obs);
-        assert_eq!(p.health(), PlannerHealth::Healthy);
+        // A planned decision leaves the health alone.
+        let mut health = PlannerHealth::Healthy;
+        let planned = Ok((1, 0.2, g.all_tasks()));
+        let d = decision(&SwitchRule::default(), 0.5, &mut health, &obs, planned);
+        assert_eq!(health, PlannerHealth::Healthy);
+        assert_eq!(d.capacitor, Some(1));
     }
 
     #[test]
@@ -1227,8 +894,9 @@ mod tests {
             (CompiledTier::F32, "compiled-dbn"),
             (CompiledTier::Int8, "compiled-dbn-i8"),
         ] {
+            let compiled = Arc::new(CompiledDbn::compile(&dbn, tier).unwrap());
             let mut planner =
-                ProposedPlanner::compile_dbn(&dbn, tier, 0.5, SwitchRule::default()).unwrap();
+                ProposedPlanner::from_compiled_dbn(compiled, 0.5, SwitchRule::default());
             let report = engine.run(&mut planner).unwrap();
             assert_eq!(report.planner, name);
             assert!(
@@ -1246,9 +914,8 @@ mod tests {
         let t = trace(1);
         let g = benchmarks::ecg();
         let dbn = trained_dbn(&g);
-        let mut planner =
-            ProposedPlanner::compile_dbn(&dbn, CompiledTier::F32, 0.5, SwitchRule::default())
-                .unwrap();
+        let compiled = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).unwrap());
+        let mut planner = ProposedPlanner::from_compiled_dbn(compiled, 0.5, SwitchRule::default());
         let storage = &node.storage;
         let bank = helio_storage::CapacitorBank::new(&node.capacitors, storage).unwrap();
         let obs = PlannerObservation {
@@ -1412,9 +1079,8 @@ mod tests {
             "restored latch keeps the fallback tier"
         );
         // Tier state is meaningless to other backends.
-        let mut c =
-            ProposedPlanner::compile_dbn(&dbn, CompiledTier::F32, 0.5, SwitchRule::default())
-                .unwrap();
+        let compiled_f32 = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).unwrap());
+        let mut c = ProposedPlanner::from_compiled_dbn(compiled_f32, 0.5, SwitchRule::default());
         assert!(c.restore_checkpoint(&ckpt).is_err());
     }
 }

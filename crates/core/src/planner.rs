@@ -6,8 +6,9 @@
 //! (`te_{i,j}(n)`), and which fine-grained pattern should execute them
 //! (intra-task load matching vs lazy inter-task — the `δ` rule of
 //! Section 5.2). Baselines answer with constants ([`FixedPlanner`]);
-//! the optimal and proposed planners answer from the long-term DP and
-//! the DBN/MPC respectively.
+//! the optimal planner answers from the long-term DP, the proposed
+//! planner from the DBN, and the MPC planner from the DP rerun daily
+//! on forecast solar.
 
 use std::sync::Arc;
 

@@ -9,10 +9,8 @@
 //! acts on it; an unhealthy or invalid decision is replaced by the
 //! conservative inter-task (LSA) baseline decision for that period, and
 //! every engagement is recorded in the report's fault log. Repeated
-//! scheduler-contract violations demote the inner planner — by default
-//! permanently, or (with [`ResilientPlanner::with_probation`]) until it
-//! has produced N consecutive healthy decisions while demoted, at which
-//! point it is re-promoted and trusted again.
+//! scheduler-contract violations demote the inner planner for the rest
+//! of the run.
 
 use std::sync::Arc;
 
@@ -30,18 +28,9 @@ const MAX_CONTRACT_VIOLATIONS: usize = 3;
 /// A graceful-degradation wrapper around any [`PeriodPlanner`].
 pub struct ResilientPlanner<'a> {
     inner: Box<dyn PeriodPlanner + 'a>,
-    fallback_pattern: Pattern,
     contract_violations: usize,
     demoted: bool,
     fallback_periods: usize,
-    /// `Some(n)`: a demoted inner planner is re-promoted after `n`
-    /// consecutive healthy shadow decisions. `None`: demotion is
-    /// permanent (the historical behaviour, and the default).
-    probation: Option<usize>,
-    /// Consecutive healthy shadow decisions observed while demoted.
-    healthy_streak: usize,
-    /// Times the inner planner has been re-promoted.
-    repromotions: usize,
     events: Vec<FaultEvent>,
     /// Events elided from the bounded `events` log.
     dropped: usize,
@@ -53,35 +42,12 @@ impl<'a> ResilientPlanner<'a> {
     pub fn new(inner: Box<dyn PeriodPlanner + 'a>) -> Self {
         Self {
             inner,
-            fallback_pattern: Pattern::Inter,
             contract_violations: 0,
             demoted: false,
             fallback_periods: 0,
-            probation: None,
-            healthy_streak: 0,
-            repromotions: 0,
             events: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// Replaces the fallback pattern (default: [`Pattern::Inter`]).
-    #[must_use]
-    pub fn with_fallback_pattern(mut self, pattern: Pattern) -> Self {
-        self.fallback_pattern = pattern;
-        self
-    }
-
-    /// Enables probation-based re-promotion: while demoted, the inner
-    /// planner keeps planning in the shadow of the fallback, and after
-    /// `periods` consecutive healthy, valid decisions it is re-promoted
-    /// (violation count reset, a [`FaultKind::PlannerRepromoted`] event
-    /// logged). `periods` is clamped to at least 1. Without this knob
-    /// demotion is permanent.
-    #[must_use]
-    pub fn with_probation(mut self, periods: usize) -> Self {
-        self.probation = Some(periods.max(1));
-        self
     }
 
     /// Periods served from the fallback baseline so far.
@@ -92,11 +58,6 @@ impl<'a> ResilientPlanner<'a> {
     /// Whether the inner planner is currently demoted.
     pub fn is_demoted(&self) -> bool {
         self.demoted
-    }
-
-    /// Times the inner planner has been re-promoted after probation.
-    pub fn repromotions(&self) -> usize {
-        self.repromotions
     }
 
     /// Appends to the bounded event log: the first and last
@@ -110,15 +71,15 @@ impl<'a> ResilientPlanner<'a> {
     }
 
     /// The fallback decision: keep the current capacitor, admit every
-    /// task, run the configured baseline pattern.
-    fn fallback_decision(&self) -> PlanDecision {
-        PlanDecision::everything(self.fallback_pattern)
+    /// task, run the inter-task baseline.
+    fn fallback_decision() -> PlanDecision {
+        PlanDecision::everything(Pattern::Inter)
     }
 
     fn engage_fallback(&mut self, flat: usize, reason: String) -> PlanDecision {
         self.fallback_periods += 1;
         self.log_event(FaultEvent::at(flat, FaultKind::PlannerFallback, reason));
-        self.fallback_decision()
+        Self::fallback_decision()
     }
 
     /// Why `decision` cannot be trusted, if anything.
@@ -161,40 +122,13 @@ impl PeriodPlanner for ResilientPlanner<'_> {
     }
 
     fn plan(&mut self, obs: &PlannerObservation<'_>) -> PlanDecision {
-        let flat = obs.grid.period_index(obs.period);
         if self.demoted {
-            let Some(required) = self.probation else {
-                // Permanent demotion: serve the fallback without
-                // consulting the inner planner at all.
-                self.fallback_periods += 1;
-                return self.fallback_decision();
-            };
-            // Probation: the inner planner plans in the shadow of the
-            // fallback; a clean streak earns re-promotion.
-            let decision = self.inner.plan(obs);
-            match self.rejection_reason(obs, &decision) {
-                Some(_) => self.healthy_streak = 0,
-                None => {
-                    self.healthy_streak += 1;
-                    if self.healthy_streak >= required {
-                        self.demoted = false;
-                        self.contract_violations = 0;
-                        self.healthy_streak = 0;
-                        self.repromotions += 1;
-                        self.log_event(FaultEvent::at(
-                            flat,
-                            FaultKind::PlannerRepromoted,
-                            format!("inner planner re-promoted after {required} healthy probation periods"),
-                        ));
-                        // The streak-completing decision is already
-                        // validated — act on it immediately.
-                        return decision;
-                    }
-                }
-            }
+            // Demotion is permanent: serve the fallback without
+            // consulting the inner planner at all.
             self.fallback_periods += 1;
-            return self.fallback_decision();
+            return Self::fallback_decision();
         }
+        let flat = obs.grid.period_index(obs.period);
         let decision = self.inner.plan(obs);
         match self.rejection_reason(obs, &decision) {
             Some(reason) => self.engage_fallback(flat, reason),
@@ -219,7 +153,6 @@ impl PeriodPlanner for ResilientPlanner<'_> {
         self.contract_violations += 1;
         if self.contract_violations >= MAX_CONTRACT_VIOLATIONS && !self.demoted {
             self.demoted = true;
-            self.healthy_streak = 0;
             self.log_event(FaultEvent::at(
                 0,
                 FaultKind::ContractViolation,
@@ -251,8 +184,6 @@ impl PeriodPlanner for ResilientPlanner<'_> {
             contract_violations: self.contract_violations,
             demoted: self.demoted,
             fallback_periods: self.fallback_periods,
-            healthy_streak: self.healthy_streak,
-            repromotions: self.repromotions,
             dropped_events: self.dropped,
             events: self.events.clone(),
             inner: Box::new(self.inner.save_checkpoint()),
@@ -266,8 +197,6 @@ impl PeriodPlanner for ResilientPlanner<'_> {
         self.contract_violations = c.contract_violations;
         self.demoted = c.demoted;
         self.fallback_periods = c.fallback_periods;
-        self.healthy_streak = c.healthy_streak;
-        self.repromotions = c.repromotions;
         self.dropped = c.dropped_events;
         self.events = c.events.clone();
         self.inner.restore_checkpoint(&c.inner)
@@ -451,85 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn probation_repromotes_after_clean_streak() {
-        let parts = obs_parts();
-        let mut planner =
-            ResilientPlanner::new(Box::new(FixedPlanner::new(Pattern::Intra, 0))).with_probation(3);
-        demote(&mut planner);
-        // Two probation periods still serve the fallback.
-        for _ in 0..2 {
-            let d = planner.plan(&obs(&parts));
-            assert_eq!(d, PlanDecision::everything(Pattern::Inter));
-            assert!(planner.is_demoted());
-        }
-        // The third healthy decision completes the streak and is acted
-        // on immediately.
-        let d = planner.plan(&obs(&parts));
-        assert_eq!(d.capacitor, Some(0));
-        assert_eq!(d.pattern, Pattern::Intra);
-        assert!(!planner.is_demoted());
-        assert_eq!(planner.repromotions(), 1);
-        assert_eq!(planner.fallbacks(), 2);
-        assert!(planner
-            .degraded_events()
-            .iter()
-            .any(|e| e.kind == FaultKind::PlannerRepromoted));
-        // Trust is reset, not borrowed: a fresh demotion needs the full
-        // violation budget again.
-        demote(&mut planner);
-    }
-
-    /// Invalid until `healthy_after` calls have happened, then clean.
-    struct FlipPlanner {
-        healthy_after: usize,
-        calls: usize,
-    }
-    impl PeriodPlanner for FlipPlanner {
-        fn name(&self) -> &'static str {
-            "flip"
-        }
-        fn plan(&mut self, obs: &PlannerObservation<'_>) -> PlanDecision {
-            self.calls += 1;
-            if self.calls <= self.healthy_after {
-                PlanDecision {
-                    capacitor: Some(obs.bank.len() + 3),
-                    allowed: None,
-                    pattern: Pattern::Asap,
-                }
-            } else {
-                PlanDecision::everything(Pattern::Intra)
-            }
-        }
-    }
-
-    #[test]
-    fn unhealthy_shadow_decision_resets_the_streak() {
-        let parts = obs_parts();
-        let mut planner = ResilientPlanner::new(Box::new(FlipPlanner {
-            healthy_after: 1,
-            calls: 0,
-        }))
-        .with_probation(2);
-        demote(&mut planner);
-        // Call 1: invalid shadow decision — streak resets, fallback.
-        assert_eq!(
-            planner.plan(&obs(&parts)),
-            PlanDecision::everything(Pattern::Inter)
-        );
-        // Call 2: healthy (streak 1 of 2) — still fallback.
-        assert_eq!(
-            planner.plan(&obs(&parts)),
-            PlanDecision::everything(Pattern::Inter)
-        );
-        assert!(planner.is_demoted());
-        // Call 3: healthy (streak 2 of 2) — re-promoted.
-        let d = planner.plan(&obs(&parts));
-        assert_eq!(d.pattern, Pattern::Intra);
-        assert!(!planner.is_demoted());
-        assert_eq!(planner.fallbacks(), 2);
-    }
-
-    #[test]
     fn without_probation_demotion_never_lifts() {
         let parts = obs_parts();
         let mut planner = ResilientPlanner::new(Box::new(FixedPlanner::new(Pattern::Intra, 0)));
@@ -539,7 +389,6 @@ mod tests {
             assert_eq!(d, PlanDecision::everything(Pattern::Inter));
         }
         assert!(planner.is_demoted());
-        assert_eq!(planner.repromotions(), 0);
     }
 
     #[test]
@@ -556,31 +405,18 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_through_a_fresh_planner() {
         let parts = obs_parts();
-        let mut planner = ResilientPlanner::new(Box::new(FlipPlanner {
-            healthy_after: 2,
-            calls: 0,
-        }))
-        .with_probation(4);
+        let mut planner = ResilientPlanner::new(Box::new(EvilPlanner));
+        planner.plan(&obs(&parts));
         demote(&mut planner);
         planner.plan(&obs(&parts));
         planner.plan(&obs(&parts));
-        planner.plan(&obs(&parts));
         let saved = planner.save_checkpoint();
-        // Note the FlipPlanner call counter is NOT part of the
-        // checkpoint (it is a test double, stateless as far as the
-        // trait knows) — restore only the resilient layer.
-        let mut fresh =
-            ResilientPlanner::new(Box::new(FixedPlanner::new(Pattern::Intra, 0))).with_probation(4);
+        let mut fresh = ResilientPlanner::new(Box::new(FixedPlanner::new(Pattern::Intra, 0)));
         fresh.restore_checkpoint(&saved).unwrap();
         assert!(fresh.is_demoted());
         assert_eq!(fresh.fallbacks(), planner.fallbacks());
-        match (&saved, &fresh.save_checkpoint()) {
-            (PlannerCheckpoint::Resilient(a), PlannerCheckpoint::Resilient(b)) => {
-                assert_eq!(a.healthy_streak, b.healthy_streak);
-                assert_eq!(a.events, b.events);
-            }
-            other => panic!("unexpected checkpoint shapes {other:?}"),
-        }
+        assert_eq!(fresh.degraded_events(), planner.degraded_events());
+        assert_eq!(fresh.save_checkpoint(), saved);
         // A stateless checkpoint cannot restore a resilient planner.
         assert!(fresh
             .restore_checkpoint(&PlannerCheckpoint::Stateless)

@@ -2,8 +2,7 @@
 //! period boundary, JSON-round-tripping the checkpoint (as the fleet's
 //! on-disk resume does) and finishing on a fresh engine with an
 //! arbitrary shard count is byte-identical to the uninterrupted run —
-//! for arbitrary scenario mixes (planner backends × fault plans ×
-//! probation settings).
+//! for arbitrary scenario mixes (planner backends × fault plans).
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,8 +19,8 @@ use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::longterm::DpConfig;
 use heliosched::online::{ProposedPlanner, SwitchRule};
 use heliosched::{
-    BatchCheckpoint, BatchEngine, BatchScenario, BatchScratch, FixedPlanner, NodeConfig, Pattern,
-    PeriodPlanner, ResilientPlanner,
+    BatchCheckpoint, BatchEngine, BatchRunState, BatchScenario, BatchScratch, FixedPlanner,
+    MpcPlanner, NodeConfig, Pattern, PeriodPlanner, ResilientPlanner, SimReport,
 };
 use proptest::prelude::*;
 
@@ -51,6 +50,26 @@ fn trace(seed: u64) -> SolarTrace {
         .seed(seed)
         .days(&[archetypes[(seed % 4) as usize]])
         .build()
+}
+
+/// Runs periods `0..stop` of a fresh batch and returns the pause.
+fn pause_at(mut engine: BatchEngine<'_>, stop: usize) -> BatchCheckpoint {
+    match engine.run_span_with(None, Some(stop), &mut [BatchScratch::default()]) {
+        Ok(BatchRunState::Paused(ckpt)) => ckpt,
+        other => panic!("expected a pause at {stop}, got {other:?}"),
+    }
+}
+
+/// Resumes `ckpt` on a fresh batch and runs it to the end.
+fn resume(
+    mut engine: BatchEngine<'_>,
+    ckpt: &BatchCheckpoint,
+    scratches: &mut [BatchScratch],
+) -> Vec<SimReport> {
+    match engine.run_span_with(Some(ckpt), None, scratches) {
+        Ok(BatchRunState::Done(reports)) => reports,
+        other => panic!("expected completion, got {other:?}"),
+    }
 }
 
 /// One DBN trained once and shared by every proptest case.
@@ -119,19 +138,11 @@ fn make_planner<'a>(kind: u8, dbn: &Arc<Dbn>, graph: &TaskGraph) -> Box<dyn Peri
             0.5,
             SwitchRule::default(),
         )),
-        2 => Box::new(ResilientPlanner::new(Box::new(
+        2 | 3 => Box::new(ResilientPlanner::new(Box::new(
             ProposedPlanner::from_shared_dbn(Arc::clone(dbn), 0.5, SwitchRule::default()),
         ))),
-        3 => Box::new(
-            ResilientPlanner::new(Box::new(ProposedPlanner::from_shared_dbn(
-                Arc::clone(dbn),
-                0.5,
-                SwitchRule::default(),
-            )))
-            .with_probation(2),
-        ),
         4 => Box::new(distilled_planner(graph)),
-        _ => Box::new(ProposedPlanner::mpc(
+        _ => Box::new(MpcPlanner::new(
             Box::new(NoisyOracle::perfect()),
             PERIODS,
             DpConfig {
@@ -230,16 +241,14 @@ proptest! {
 
         // Kill at the boundary, persist the checkpoint as JSON, resume
         // on a fresh engine with an arbitrary shard count.
-        let ckpt = build().run_until(kill).unwrap();
+        let ckpt = pause_at(build(), kill);
         prop_assert_eq!(ckpt.next_period, kill);
         let json = serde_json::to_string(&ckpt).unwrap();
         let restored: BatchCheckpoint = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(&restored, &ckpt);
         let mut scratches: Vec<BatchScratch> = Vec::new();
         scratches.resize_with(shards, BatchScratch::default);
-        let resumed = build()
-            .run_from_checkpoint_sharded_with(&restored, &mut scratches)
-            .unwrap();
+        let resumed = resume(build(), &restored, &mut scratches);
 
         prop_assert_eq!(resumed.len(), whole.len());
         for (i, (a, b)) in resumed.iter().zip(&whole).enumerate() {
@@ -291,14 +300,12 @@ fn distilled_resume_is_byte_identical_at_1_3_8_shards() {
     let whole = build().run().unwrap();
     let kill = total / 2;
     for shards in [1, 3, 8] {
-        let ckpt = build().run_until(kill).unwrap();
+        let ckpt = pause_at(build(), kill);
         let json = serde_json::to_string(&ckpt).unwrap();
         let restored: BatchCheckpoint = serde_json::from_str(&json).unwrap();
         let mut scratches: Vec<BatchScratch> = Vec::new();
         scratches.resize_with(shards, BatchScratch::default);
-        let resumed = build()
-            .run_from_checkpoint_sharded_with(&restored, &mut scratches)
-            .unwrap();
+        let resumed = resume(build(), &restored, &mut scratches);
         assert_eq!(resumed.len(), whole.len());
         for (i, (a, b)) in resumed.iter().zip(&whole).enumerate() {
             assert_eq!(
@@ -308,4 +315,54 @@ fn distilled_resume_is_byte_identical_at_1_3_8_shards() {
             );
         }
     }
+}
+
+#[test]
+fn proposed_and_mpc_planners_refuse_each_others_checkpoints() {
+    // Pause a batch holding a DBN, a distilled and an MPC planner
+    // mid-day, so the MPC lane carries a day-plan cache, then hand
+    // every planner the other lanes' checkpoints: each restore must
+    // fail rather than resume from a foreign state.
+    let node = node();
+    let graph = benchmarks::ecg();
+    let dbn = shared_dbn(&graph);
+    let t = trace(3);
+    let kinds = [1u8, 4, 5]; // proposed DBN, distilled, MPC
+    let build = || {
+        let mut engine = BatchEngine::new(&node, &graph).unwrap();
+        for kind in kinds {
+            engine
+                .push(BatchScenario::new(&t, make_planner(kind, &dbn, &graph)))
+                .unwrap();
+        }
+        engine
+    };
+    let ckpt = pause_at(build(), PERIODS / 2);
+    assert!(
+        matches!(&ckpt.planners[2], heliosched::PlannerCheckpoint::Mpc(m) if m.cache.is_some()),
+        "the MPC lane saves an MPC checkpoint with its day plan: {:?}",
+        ckpt.planners[2]
+    );
+    for (i, &own) in kinds.iter().enumerate() {
+        for (j, foreign) in ckpt.planners.iter().enumerate() {
+            let mut planner = make_planner(own, &dbn, &graph);
+            let restored = planner.restore_checkpoint(foreign);
+            assert_eq!(
+                restored.is_ok(),
+                i == j,
+                "planner kind {own} restoring lane {j}'s checkpoint: {restored:?}"
+            );
+        }
+    }
+    // Through the engine, a swapped checkpoint is a typed error.
+    let mut swapped = ckpt.clone();
+    swapped.planners.swap(0, 2);
+    let err = build().run_span_with(Some(&swapped), None, &mut [BatchScratch::default()]);
+    assert!(
+        matches!(err, Err(heliosched::CoreError::Config(_))),
+        "{err:?}"
+    );
+    // The checkpoint as saved resumes.
+    let resumed = resume(build(), &ckpt, &mut [BatchScratch::default()]);
+    assert_eq!(resumed, build().run().unwrap());
 }

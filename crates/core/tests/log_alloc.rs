@@ -13,7 +13,8 @@ use helio_common::units::{Farads, Seconds};
 use helio_solar::{DayArchetype, SolarPanel, TraceBuilder};
 use helio_tasks::benchmarks;
 use heliosched::{
-    BatchEngine, BatchScenario, Engine, FixedPlanner, NodeConfig, Pattern, SimReport,
+    BatchEngine, BatchRunState, BatchScenario, BatchScratch, Engine, FixedPlanner, NodeConfig,
+    Pattern, SimReport,
 };
 
 /// The last `RING` allocations as (address, size) pairs.
@@ -120,7 +121,10 @@ fn finished_report_logs_are_exact_single_allocations() {
                 ))
                 .unwrap();
         }
-        for (k, report) in batch.run_sharded(shards).unwrap().iter().enumerate() {
+        let mut scratches: Vec<BatchScratch> = Vec::new();
+        scratches.resize_with(shards, BatchScratch::default);
+        let reports = batch.run_sharded_with(&mut scratches).unwrap();
+        for (k, report) in reports.iter().enumerate() {
             assert_exact(report, &format!("{shards} shards, scenario {k}"));
         }
     }
@@ -161,7 +165,10 @@ fn pausing_a_batch_copies_no_period_log() {
     }
     for pause in [13, 30] {
         let from = NEXT.load(Ordering::Relaxed);
-        let ckpt = batch.run_until(pause).unwrap();
+        let state = batch.run_span_with(None, Some(pause), &mut [BatchScratch::default()]);
+        let Ok(BatchRunState::Paused(ckpt)) = state else {
+            panic!("expected a pause at {pause}, got {state:?}");
+        };
         let sizes = sizes_since(from);
         for (k, lane) in ckpt.scenarios.iter().enumerate() {
             let len = lane.periods().as_bytes().len();

@@ -17,8 +17,8 @@ use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder};
 use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::online::{ProposedPlanner, SwitchRule};
 use heliosched::{
-    BatchEngine, BatchScenario, Engine, FixedPlanner, NodeConfig, Pattern, PeriodPlanner,
-    ResilientPlanner,
+    BatchEngine, BatchScenario, BatchScratch, Engine, FixedPlanner, NodeConfig, Pattern,
+    PeriodPlanner, ResilientPlanner,
 };
 use proptest::prelude::*;
 
@@ -179,7 +179,9 @@ proptest! {
                 )
                 .unwrap();
         }
-        let sharded = engine.run_sharded(shards).unwrap();
+        let mut scratches: Vec<BatchScratch> = Vec::new();
+        scratches.resize_with(shards, BatchScratch::default);
+        let sharded = engine.run_sharded_with(&mut scratches).unwrap();
         prop_assert_eq!(sharded.len(), scenarios.len());
 
         for (i, &(planner_kind, _, _)) in scenarios.iter().enumerate() {

@@ -25,9 +25,6 @@ pub enum FaultKind {
     /// The engine dropped a task assignment that violated the
     /// scheduler contract instead of aborting.
     ContractViolation,
-    /// A resilient planner re-promoted its demoted inner planner after
-    /// a clean probation streak.
-    PlannerRepromoted,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -42,7 +39,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::DbnNan => "dbn-nan",
             FaultKind::PlannerFallback => "planner-fallback",
             FaultKind::ContractViolation => "contract-violation",
-            FaultKind::PlannerRepromoted => "planner-repromoted",
         };
         write!(f, "{s}")
     }
@@ -203,10 +199,6 @@ mod tests {
     fn kind_display_is_kebab() {
         assert_eq!(FaultKind::DbnUnavailable.to_string(), "dbn-unavailable");
         assert_eq!(FaultKind::PlannerFallback.to_string(), "planner-fallback");
-        assert_eq!(
-            FaultKind::PlannerRepromoted.to_string(),
-            "planner-repromoted"
-        );
     }
 
     #[test]

@@ -46,9 +46,9 @@ use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilde
 use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::{
     BatchCheckpoint, BatchEngine, BatchRunState, BatchScenario, BatchScratch, CoreError, DpConfig,
-    FixedPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodLog, PeriodPlanner, PlanContext,
-    PlanDecision, PlannerObservation, ProposedPlanner, ResilientPlanner, ScenarioCheckpoint,
-    SimReport, SwitchRule,
+    FixedPlanner, MpcPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodLog, PeriodPlanner,
+    PlanContext, PlanDecision, PlannerObservation, ProposedPlanner, ResilientPlanner,
+    ScenarioCheckpoint, SimReport, SwitchRule,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -234,8 +234,10 @@ struct Inflight {
     log_len: u64,
 }
 
-/// Opens every frame of the in-flight log.
-const FRAME_MAGIC: [u8; 8] = *b"HELIOFR2";
+/// Opens every frame of the in-flight log. It changes whenever the
+/// frame layout or the live-state JSON changes shape, so a log left by
+/// an older release fails the check and its request restarts fresh.
+const FRAME_MAGIC: [u8; 8] = *b"HELIOFR3";
 
 /// Bytes of a frame's fixed header: [`FRAME_MAGIC`], then seven
 /// little-endian `u64`s: ordinal, first period of the frame's records,
@@ -1344,7 +1346,7 @@ fn make_planner(
                 SwitchRule::default(),
             ))
         }
-        "mpc" => Box::new(ProposedPlanner::mpc(
+        "mpc" => Box::new(MpcPlanner::new(
             Box::new(NoisyOracle::perfect()),
             node.grid.periods_per_day(),
             dp,

@@ -383,7 +383,7 @@ fn frames(log: &[u8]) -> Vec<FrameSpan> {
     };
     let mut out = Vec::new();
     let mut start = 0;
-    while log.get(start..start + 8) == Some(b"HELIOFR2".as_slice()) {
+    while log.get(start..start + 8) == Some(b"HELIOFR3".as_slice()) {
         let span = (|| {
             let (from, next, lanes) = (word(start + 16)?, word(start + 24)?, word(start + 32)?);
             let records = word(start + 56)?;
@@ -422,6 +422,19 @@ enum Damage {
     /// release: 56-byte headers without a record-block length and 112
     /// bytes per record.
     StaleFr1,
+    /// The log is in the `HELIOFR2` layout of the previous release:
+    /// the same frames, whose live state still carried MPC lanes as
+    /// proposed checkpoints and the resilient probation counters.
+    StaleFr2,
+}
+
+/// `log` with every frame stamped with the `HELIOFR2` magic.
+fn as_fr2(log: &[u8]) -> Vec<u8> {
+    let mut out = log.to_vec();
+    for f in frames(log) {
+        out[f.start..f.start + 8].copy_from_slice(b"HELIOFR2");
+    }
+    out
 }
 
 /// `log` rewritten frame by frame in the `HELIOFR1` layout: the same
@@ -460,6 +473,7 @@ fn torn_and_stale_checkpoint_state_resumes_byte_identically() {
         Damage::Garbage,
         Damage::StaleJson,
         Damage::StaleFr1,
+        Damage::StaleFr2,
     ];
     for kill in [6, 12, 18, 24, 9] {
         for damage in damages {
@@ -503,6 +517,7 @@ fn torn_and_stale_checkpoint_state_resumes_byte_identically() {
                     std::fs::write(dir.join("inflight.json"), stale).expect("write");
                 }
                 Damage::StaleFr1 => log = as_fr1(&log),
+                Damage::StaleFr2 => log = as_fr2(&log),
             }
             std::fs::write(&log_path, &log).expect("damage the log");
 

@@ -41,17 +41,6 @@ impl DayArchetype {
         DayArchetype::Storm,
     ];
 
-    /// Mean sky transmission factor of the archetype (fraction of
-    /// clear-sky irradiance that reaches the panel on average).
-    pub fn mean_transmission(self) -> f64 {
-        match self {
-            DayArchetype::Clear => 0.97,
-            DayArchetype::BrokenClouds => 0.62,
-            DayArchetype::Overcast => 0.30,
-            DayArchetype::Storm => 0.10,
-        }
-    }
-
     /// Clear-sky irradiance envelope at local hour `h` (W/m²): a sine
     /// arch between sunrise and sunset with smooth twilight shoulders.
     pub fn clear_sky(hour: f64) -> f64 {

@@ -85,7 +85,7 @@ fn mpc_with_noisy_oracle_is_reproducible() {
     let graph = benchmarks::random_case(2);
     let engine = Engine::new(&node, &graph, &t).expect("engine");
     let run = || {
-        let mut p = heliosched::ProposedPlanner::mpc(
+        let mut p = MpcPlanner::new(
             Box::new(NoisyOracle::new(9, 0.05, 0.1)),
             24,
             DpConfig::default(),

@@ -92,7 +92,7 @@ fn mpc_with_perfect_prediction_approaches_optimal() {
         OptimalPlanner::compute(&node, &graph, &trace, &DpConfig::default(), 0.5).expect("optimal");
     let opt = engine.run(&mut optimal).expect("optimal run");
 
-    let mut mpc = heliosched::ProposedPlanner::mpc(
+    let mut mpc = MpcPlanner::new(
         Box::new(NoisyOracle::perfect()),
         24,
         DpConfig::default(),
