@@ -982,6 +982,7 @@ mod kernel {
 mod tests {
     use super::*;
     use crate::dbn::{DbnConfig, PredictScratch};
+    use crate::train::TrainingSet;
 
     /// A quick-to-train scheduler-shaped network: 13 inputs (one held
     /// constant, like a dead sensor channel), 10 outputs.
@@ -1004,7 +1005,11 @@ mod tests {
             .collect();
         let mut cfg = DbnConfig::small(42);
         cfg.bp_epochs = 30;
-        Dbn::train(&inputs, &targets, &cfg).expect("trains")
+        Dbn::train_set(
+            &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+            &cfg,
+        )
+        .expect("trains")
     }
 
     fn max_err(dbn: &Dbn, compiled: &CompiledDbn, inputs: &[Vec<f64>], scalar: bool) -> f64 {
@@ -1152,7 +1157,11 @@ mod tests {
                 bp_lr: 0.4,
                 seed: 3,
             };
-            let dbn = Dbn::train(&inputs, &targets, &cfg).expect("trains");
+            let dbn = Dbn::train_set(
+                &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+                &cfg,
+            )
+            .expect("trains");
             let compiled = CompiledDbn::compile(&dbn, CompiledTier::F32).expect("compiles");
             let probe = in_range_inputs(&dbn);
             let err = max_err(&dbn, &compiled, &probe, false);

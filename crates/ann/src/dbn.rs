@@ -2,6 +2,11 @@
 //! pre-trained greedily with CD-1 (the "hidden layers" extracting
 //! features of the inputs), assembled into a feed-forward network whose
 //! output ("visible") layers are fine-tuned with back-propagation.
+//!
+//! Training takes a packed [`TrainingSet`] ([`Dbn::train_set`]);
+//! inference runs one sample through reused buffers
+//! ([`Dbn::predict_into`]) or a whole batch as blocked matrix products
+//! ([`Dbn::predict_batch_into`]).
 
 use helio_common::rng::seeded;
 use serde::{Deserialize, Serialize};
@@ -96,36 +101,12 @@ pub struct Dbn {
 }
 
 impl Dbn {
-    /// Trains a DBN on `(inputs, targets)` pairs: greedy RBM
+    /// Trains a DBN on a packed [`TrainingSet`]: greedy RBM
     /// pre-training of the hidden stack, then supervised BP fine-tuning
-    /// of the whole network. Thin wrapper over [`Dbn::train_set`] —
-    /// identical results, one extra packing pass over the data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::BadTrainingSet`] for empty or inconsistent
-    /// data and [`AnnError::BadConfig`] for invalid hyper-parameters.
-    pub fn train(
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        cfg: &DbnConfig,
-    ) -> Result<Self, AnnError> {
-        cfg.validate()?;
-        if inputs.len() != targets.len() {
-            return Err(AnnError::BadTrainingSet(format!(
-                "{} inputs vs {} targets",
-                inputs.len(),
-                targets.len()
-            )));
-        }
-        Self::train_set(&TrainingSet::from_rows(inputs, targets)?, cfg)
-    }
-
-    /// Trains a DBN on a packed [`TrainingSet`] — the core training
-    /// entry point. The whole pipeline stays `Matrix`-native: scaler
-    /// fit, transforms, CD-1 sweeps and back-propagation all read the
-    /// packed rows in place, and the per-sample kernels reuse scratch
-    /// buffers, so no stage clones the data set.
+    /// of the whole network. The whole pipeline stays `Matrix`-native:
+    /// scaler fit, transforms, CD-1 sweeps and back-propagation all
+    /// read the packed rows in place, and the per-sample kernels reuse
+    /// scratch buffers, so no stage clones the data set.
     ///
     /// # Errors
     ///
@@ -169,7 +150,7 @@ impl Dbn {
             let mut rbm = Rbm::new(prev_dim, h, &mut rng);
             rbm.train_matrix(&layer_input, cfg.rbm_epochs, cfg.rbm_lr, &mut rng)?;
             // One blocked matmul instead of a matvec per sample;
-            // bitwise identical to mapping `hidden_probs`.
+            // bitwise identical to mapping `hidden_probs_into`.
             layer_input = rbm.hidden_probs_batch_matrix(&layer_input)?;
             prev_dim = h;
             rbms.push(rbm);
@@ -195,29 +176,11 @@ impl Dbn {
         })
     }
 
-    /// Predicts the target vector for one raw (unscaled) input.
-    ///
-    /// **This is the allocating convenience wrapper**: every call
-    /// builds a fresh [`PredictScratch`] and output `Vec`. Hot paths
-    /// that predict once per period (the online planner, benchmarks,
-    /// anything inside a simulation loop) must use
-    /// [`Dbn::predict_into`] with a reused scratch — or the compiled
-    /// fast path, [`crate::compiled::CompiledDbn`] — instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
-    pub fn predict(&self, input: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut scratch = PredictScratch::default();
-        let mut out = Vec::with_capacity(self.output_dim());
-        self.predict_into(input, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Dbn::predict`] writing the prediction into `out` and reusing
+    /// Predicts the target vector for one raw (unscaled) input,
+    /// writing it into `out` (resized to the output width) and reusing
     /// `scratch` for every intermediate, so repeated inference (the
     /// online planner calls this once per period) allocates nothing
-    /// after the first call. Bitwise identical to [`Dbn::predict`].
+    /// after the first call.
     ///
     /// # Errors
     ///
@@ -228,13 +191,15 @@ impl Dbn {
         scratch: &mut PredictScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), AnnError> {
-        self.input_scaler.transform_into(input, &mut scratch.x)?;
+        scratch.x.resize(self.input_dim(), 0.0);
+        self.input_scaler.transform_slice(input, &mut scratch.x)?;
         self.network
             .forward_into(&scratch.x, &mut scratch.hidden, &mut scratch.y)?;
         for v in scratch.y.iter_mut() {
             *v = ((*v - 0.05) / 0.9).clamp(0.0, 1.0);
         }
-        self.output_scaler.inverse_into(&scratch.y, out)
+        out.resize(self.output_dim(), 0.0);
+        self.output_scaler.inverse_slice(&scratch.y, out)
     }
 
     /// Batched [`Dbn::predict_into`]: one prediction per row of
@@ -337,9 +302,19 @@ impl Dbn {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests exercise the allocating wrapper itself
 mod tests {
     use super::*;
+
+    fn train(xs: &[Vec<f64>], ys: &[Vec<f64>], cfg: &DbnConfig) -> Result<Dbn, AnnError> {
+        Dbn::train_set(&TrainingSet::from_rows(xs, ys)?, cfg)
+    }
+
+    fn predict(dbn: &Dbn, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        dbn.predict_into(x, &mut PredictScratch::default(), &mut out)
+            .unwrap();
+        out
+    }
 
     /// A nonlinear two-input function mimicking the scheduler mapping
     /// (bounded inputs, bounded outputs).
@@ -360,13 +335,13 @@ mod tests {
     #[test]
     fn learns_nonlinear_mapping() {
         let (xs, ys) = dataset();
-        let dbn = Dbn::train(&xs, &ys, &DbnConfig::small(3)).unwrap();
+        let dbn = train(&xs, &ys, &DbnConfig::small(3)).unwrap();
         assert!(dbn.final_loss() < 0.01, "loss {}", dbn.final_loss());
         // Spot-check a few points.
-        let y = dbn.predict(&[50.0, 5.0]).unwrap(); // a=1, b=1
+        let y = predict(&dbn, &[50.0, 5.0]); // a=1, b=1
         assert!(y[0] > 0.8, "sqrt(1·1) ≈ 1, got {}", y[0]);
         assert!(y[1] > 0.7, "threshold output should fire, got {}", y[1]);
-        let y = dbn.predict(&[0.0, 1.0]).unwrap(); // a=0, b=0
+        let y = predict(&dbn, &[0.0, 1.0]); // a=0, b=0
         assert!(y[0] < 0.25, "sqrt(0) ≈ 0, got {}", y[0]);
         assert!(
             y[1] < 0.35,
@@ -384,8 +359,8 @@ mod tests {
         with.bp_epochs = 40;
         let mut without = with.clone();
         without.rbm_epochs = 0;
-        let dbn_with = Dbn::train(&xs, &ys, &with).unwrap();
-        let dbn_without = Dbn::train(&xs, &ys, &without).unwrap();
+        let dbn_with = train(&xs, &ys, &with).unwrap();
+        let dbn_without = train(&xs, &ys, &without).unwrap();
         assert!(
             dbn_with.final_loss() < dbn_without.final_loss() * 1.5,
             "pretrained {} vs cold {}",
@@ -397,23 +372,22 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let (xs, ys) = dataset();
-        let a = Dbn::train(&xs, &ys, &DbnConfig::small(5)).unwrap();
-        let b = Dbn::train(&xs, &ys, &DbnConfig::small(5)).unwrap();
-        assert_eq!(
-            a.predict(&[25.0, 3.0]).unwrap(),
-            b.predict(&[25.0, 3.0]).unwrap()
-        );
+        let a = train(&xs, &ys, &DbnConfig::small(5)).unwrap();
+        let b = train(&xs, &ys, &DbnConfig::small(5)).unwrap();
+        assert_eq!(predict(&a, &[25.0, 3.0]), predict(&b, &[25.0, 3.0]));
     }
 
     #[test]
     fn predict_into_is_bitwise_predict() {
         let (xs, ys) = dataset();
-        let dbn = Dbn::train(&xs, &ys, &DbnConfig::small(7)).unwrap();
+        let dbn = train(&xs, &ys, &DbnConfig::small(7)).unwrap();
+        // One scratch and a stale, oversized output serve every call
+        // and give the bits of a fresh call.
         let mut scratch = PredictScratch::default();
-        let mut out = Vec::new();
+        let mut out = vec![9.0; 7];
         for x in xs.iter().step_by(17) {
             dbn.predict_into(x, &mut scratch, &mut out).unwrap();
-            assert_eq!(out, dbn.predict(x).unwrap());
+            assert_eq!(out, predict(&dbn, x));
         }
         assert!(dbn.predict_into(&[1.0], &mut scratch, &mut out).is_err());
     }
@@ -421,7 +395,7 @@ mod tests {
     #[test]
     fn predict_batch_into_is_bitwise_per_row_predict() {
         let (xs, ys) = dataset();
-        let dbn = Dbn::train(&xs, &ys, &DbnConfig::small(8)).unwrap();
+        let dbn = train(&xs, &ys, &DbnConfig::small(8)).unwrap();
         let rows: Vec<Vec<f64>> = xs.iter().step_by(13).cloned().collect();
         let inputs = Matrix::from_rows(&rows).unwrap();
         let mut scratch = BatchPredictScratch::default();
@@ -432,7 +406,7 @@ mod tests {
                 .unwrap();
             assert_eq!((out.rows(), out.cols()), (rows.len(), dbn.output_dim()));
             for (r, x) in rows.iter().enumerate() {
-                assert_eq!(out.row(r), dbn.predict(x).unwrap().as_slice(), "row {r}");
+                assert_eq!(out.row(r), predict(&dbn, x).as_slice(), "row {r}");
             }
         }
         let bad = Matrix::zeros(2, dbn.input_dim() + 1);
@@ -446,18 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn train_set_is_bitwise_train() {
-        let (xs, ys) = dataset();
-        let mut cfg = DbnConfig::small(9);
-        cfg.bp_epochs = 60;
-        let a = Dbn::train(&xs, &ys, &cfg).unwrap();
-        let set = TrainingSet::from_rows(&xs, &ys).unwrap();
-        let b = Dbn::train_set(&set, &cfg).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.final_loss().to_bits(), b.final_loss().to_bits());
-    }
-
-    #[test]
     fn empty_and_mismatched_sets_are_rejected() {
         let cfg = DbnConfig::small(1);
         let empty = TrainingSet::from_rows(&[], &[]).unwrap();
@@ -466,11 +428,11 @@ mod tests {
             Err(AnnError::BadTrainingSet(_))
         ));
         assert!(matches!(
-            Dbn::train(&[vec![1.0]], &[], &cfg),
+            train(&[vec![1.0]], &[], &cfg),
             Err(AnnError::BadTrainingSet(_))
         ));
         assert!(matches!(
-            Dbn::train(&[vec![1.0], vec![1.0, 2.0]], &[vec![0.0], vec![0.0]], &cfg),
+            train(&[vec![1.0], vec![1.0, 2.0]], &[vec![0.0], vec![0.0]], &cfg),
             Err(AnnError::BadTrainingSet(_))
         ));
     }
@@ -478,11 +440,11 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let (xs, ys) = dataset();
-        let dbn = Dbn::train(&xs, &ys, &DbnConfig::small(6)).unwrap();
+        let dbn = train(&xs, &ys, &DbnConfig::small(6)).unwrap();
         let json = dbn.to_json().unwrap();
         let back = Dbn::from_json(&json).unwrap();
-        let a = dbn.predict(&[30.0, 2.0]).unwrap();
-        let b = back.predict(&[30.0, 2.0]).unwrap();
+        let a = predict(&dbn, &[30.0, 2.0]);
+        let b = predict(&back, &[30.0, 2.0]);
         for (x, y) in a.iter().zip(&b) {
             // JSON prints decimal floats; round-trip is close, not exact.
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
@@ -494,12 +456,15 @@ mod tests {
         let (xs, ys) = dataset();
         let mut cfg = DbnConfig::small(1);
         cfg.hidden = vec![];
-        assert!(Dbn::train(&xs, &ys, &cfg).is_err());
+        assert!(train(&xs, &ys, &cfg).is_err());
         let cfg = DbnConfig::small(1);
-        assert!(Dbn::train(&[], &[], &cfg).is_err());
-        assert!(Dbn::train(&xs, &ys[..3], &cfg).is_err());
-        let dbn = Dbn::train(&xs, &ys, &cfg).unwrap();
-        assert!(dbn.predict(&[1.0]).is_err());
+        assert!(train(&[], &[], &cfg).is_err());
+        assert!(train(&xs, &ys[..3], &cfg).is_err());
+        let dbn = train(&xs, &ys, &cfg).unwrap();
+        let mut out = Vec::new();
+        assert!(dbn
+            .predict_into(&[1.0], &mut PredictScratch::default(), &mut out)
+            .is_err());
         assert_eq!(dbn.input_dim(), 2);
         assert_eq!(dbn.output_dim(), 2);
     }

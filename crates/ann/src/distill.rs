@@ -474,19 +474,6 @@ impl DistilledPolicy {
         Ok(())
     }
 
-    /// Allocating convenience wrapper over
-    /// [`DistilledPolicy::predict_into`] (tests and one-off queries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
-    #[allow(clippy::disallowed_methods)] // one decision, by definition
-    pub fn predict(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut out = Vec::with_capacity(self.out_dim);
-        self.predict_into(x, &mut out)?;
-        Ok(out)
-    }
-
     /// Batched decisions over many scenario lanes sharing this
     /// artifact. `inputs` is lane-major (`in_dim` features per lane);
     /// `out` is resized to one `out_dim` row per lane, allocation-free
@@ -1791,6 +1778,7 @@ fn chol_solve_in_place(l: &[f64], stride: usize, w: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::dbn::{DbnConfig, PredictScratch};
+    use crate::train::TrainingSet;
 
     /// A scheduler-shaped teacher: 5 "power" features + 2 "voltages" +
     /// 1 "dmr", mapping to a cap head, an α head and two bits.
@@ -1821,7 +1809,7 @@ mod tests {
         }
         let mut cfg = DbnConfig::small(13);
         cfg.bp_epochs = 120;
-        Dbn::train(&xs, &ys, &cfg).unwrap()
+        Dbn::train_set(&TrainingSet::from_rows(&xs, &ys).unwrap(), &cfg).unwrap()
     }
 
     fn small_cfg() -> DistillConfig {
@@ -1926,11 +1914,10 @@ mod tests {
         assert_eq!(policy, back);
         assert_eq!(json, back.to_json().unwrap());
         let x = [12.0, 20.0, 3.0, 21.0, 8.0, 2.5, 4.0, 0.9];
-        assert_eq!(
-            policy.predict(&x).unwrap(),
-            back.predict(&x).unwrap(),
-            "reloaded artifact must predict bit-identically"
-        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        policy.predict_batch_into(&x, &mut a).unwrap();
+        back.predict_batch_into(&x, &mut b).unwrap();
+        assert_eq!(a, b, "reloaded artifact must predict bit-identically");
     }
 
     #[test]
@@ -2013,7 +2000,7 @@ mod tests {
             .collect();
         let mut cfg = DbnConfig::small(21);
         cfg.bp_epochs = 40;
-        Dbn::train(&xs, &ys, &cfg).unwrap()
+        Dbn::train_set(&TrainingSet::from_rows(&xs, &ys).unwrap(), &cfg).unwrap()
     }
 
     #[test]
@@ -2231,7 +2218,7 @@ mod tests {
             .collect();
         let mut cfg = DbnConfig::small(5);
         cfg.bp_epochs = 60;
-        let dbn = Dbn::train(&xs, &ys, &cfg).unwrap();
+        let dbn = Dbn::train_set(&TrainingSet::from_rows(&xs, &ys).unwrap(), &cfg).unwrap();
         let mut dcfg = DistillConfig::small(7);
         dcfg.depth_const = 5;
         dcfg.depth_vary = 5;
@@ -2240,7 +2227,10 @@ mod tests {
         let policy = DistilledPolicy::distill(&dbn, 1, &[], &dcfg).unwrap();
         policy.validate().unwrap();
         // Far outside the box still lands on a finite leaf model.
-        let y = policy.predict(&[1e6, -1e6, 1e6]).unwrap();
+        let mut y = Vec::new();
+        policy
+            .predict_batch_into(&[1e6, -1e6, 1e6], &mut y)
+            .unwrap();
         assert!(y.iter().all(|v| v.is_finite()));
     }
 

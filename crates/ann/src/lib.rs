@@ -16,7 +16,7 @@
 //! ## Example
 //!
 //! ```
-//! use helio_ann::{Dbn, DbnConfig};
+//! use helio_ann::{Dbn, DbnConfig, PredictScratch, TrainingSet};
 //!
 //! # fn main() -> Result<(), helio_ann::AnnError> {
 //! // Learn y = [mean(x)] from a toy data set.
@@ -27,8 +27,12 @@
 //!     .iter()
 //!     .map(|x| vec![(x[0] + x[1]) / 14.0])
 //!     .collect();
-//! let dbn = Dbn::train(&inputs, &targets, &DbnConfig::small(7))?;
-//! let y = dbn.predict(&[3.0, 4.0])?;
+//! let set = TrainingSet::from_rows(&inputs, &targets)?;
+//! let dbn = Dbn::train_set(&set, &DbnConfig::small(7))?;
+//! // One scratch and one output buffer serve every later prediction.
+//! let mut scratch = PredictScratch::default();
+//! let mut y = Vec::new();
+//! dbn.predict_into(&[3.0, 4.0], &mut scratch, &mut y)?;
 //! assert!((y[0] - 0.5).abs() < 0.2);
 //! # Ok(())
 //! # }

@@ -24,20 +24,13 @@ impl Matrix {
         }
     }
 
-    /// Matrix filled from a closure `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Self { rows, cols, data }
-    }
-
-    /// Matrix with entries drawn uniformly from `[-scale, scale]`.
+    /// Matrix with entries drawn uniformly from `[-scale, scale]`,
+    /// in row-major order.
     pub fn random(rows: usize, cols: usize, scale: f64, rng: &mut impl Rng) -> Self {
-        Self::from_fn(rows, cols, |_, _| rng.gen_range(-scale..=scale))
+        let data = (0..rows * cols)
+            .map(|_| rng.gen_range(-scale..=scale))
+            .collect();
+        Self { rows, cols, data }
     }
 
     /// Builds from an already-flattened row-major buffer — the
@@ -142,19 +135,9 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Matrix–vector product `self · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut out = Vec::with_capacity(self.rows);
-        self.matvec_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Matrix::matvec`] writing into `out` (cleared first), so a
-    /// reused buffer makes repeated products allocation-free.
+    /// Matrix–vector product `self · x` written into `out` (resized to
+    /// `rows`), so a reused buffer makes repeated products
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -189,19 +172,9 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposed matrix–vector product `selfᵀ · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `x.len() != rows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut out = Vec::with_capacity(self.cols);
-        self.matvec_t_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Matrix::matvec_t`] writing into `out` (cleared first), so a
-    /// reused buffer makes repeated products allocation-free.
+    /// Transposed matrix–vector product `selfᵀ · x` written into `out`
+    /// (resized to `cols`), so a reused buffer makes repeated products
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -239,12 +212,13 @@ impl Matrix {
         Ok(())
     }
 
-    /// Rank-1 update `self += scale · a · bᵀ`.
+    /// Rank-1 update `self += scale · a · bᵀ`: the reference the fused
+    /// updates below fall back to.
     ///
     /// # Errors
     ///
     /// Returns [`AnnError::DimensionMismatch`] when shapes do not match.
-    pub fn rank1_update(&mut self, a: &[f64], b: &[f64], scale: f64) -> Result<(), AnnError> {
+    fn rank1_update(&mut self, a: &[f64], b: &[f64], scale: f64) -> Result<(), AnnError> {
         if a.len() != self.rows || b.len() != self.cols {
             return Err(AnnError::dims(
                 format!("{}-vec and {}-vec", self.rows, self.cols),
@@ -390,60 +364,6 @@ impl Matrix {
         self.rank1_update(a, b, scale)
     }
 
-    /// Frobenius norm (for convergence diagnostics in tests).
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// The transpose, row-major.
-    pub fn transposed(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self · other`.
-    ///
-    /// Packs `other` transposed, then runs the cache-blocked row-dot
-    /// kernel of [`Matrix::matmul_bt`]; every output element is the
-    /// same ascending-index dot product [`Matrix::matvec`] computes, so
-    /// batching is bitwise identical to per-column products.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when `self.cols() !=
-    /// other.rows()`.
-    pub fn matmul(&self, other: &Self) -> Result<Self, AnnError> {
-        if self.cols != other.rows {
-            return Err(AnnError::dims(
-                format!("{} rows on the right", self.cols),
-                format!("{}", other.rows),
-            ));
-        }
-        self.matmul_bt(&other.transposed())
-    }
-
-    /// Matrix product `self · other` written into `out` (no
-    /// allocation beyond the transposed packing of `other`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] when the inner
-    /// dimensions or `out`'s shape do not line up.
-    pub fn matmul_into(&self, other: &Self, out: &mut Self) -> Result<(), AnnError> {
-        if self.cols != other.rows {
-            return Err(AnnError::dims(
-                format!("{} rows on the right", self.cols),
-                format!("{}", other.rows),
-            ));
-        }
-        self.matmul_bt_into(&other.transposed(), out)
-    }
-
     /// Matrix product against a pre-transposed right operand:
     /// `self · otherᵀ`, where `other` is stored `cols_out × k`
     /// row-major. Both operands are then read along contiguous rows,
@@ -528,7 +448,7 @@ impl Matrix {
 /// of `LANES` samples, and every step performs the same
 /// `acc[l] += a[l][t] * b[t]` (multiply, then add — never a fused
 /// multiply-add, whose single rounding would change the value) in
-/// ascending `t`, exactly the scalar [`Matrix::matvec`] recurrence.
+/// ascending `t`, exactly the scalar [`Matrix::matvec_into`] recurrence.
 /// The results are therefore bitwise identical to the scalar kernel on
 /// every lane; only the instruction count per sample shrinks.
 mod simd {
@@ -1647,10 +1567,13 @@ mod tests {
     #[test]
     fn matvec_matches_hand_computation() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert_eq!(m.matvec_t(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-        assert!(m.matvec_t(&[1.0, 1.0, 1.0]).is_err());
+        let mut out = Vec::new();
+        m.matvec_into(&[1.0, 1.0], &mut out).unwrap();
+        assert_eq!(out, vec![3.0, 7.0]);
+        m.matvec_t_into(&[1.0, 1.0], &mut out).unwrap();
+        assert_eq!(out, vec![4.0, 6.0]);
+        assert!(m.matvec_into(&[1.0], &mut out).is_err());
+        assert!(m.matvec_t_into(&[1.0, 1.0, 1.0], &mut out).is_err());
     }
 
     #[test]
@@ -1685,21 +1608,15 @@ mod tests {
         assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn frobenius_norm() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!((m.frobenius() - 5.0).abs() < 1e-12);
-    }
-
-    /// Naive triple loop with the same ascending-k accumulation order
-    /// as the blocked kernel.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
+    /// Naive triple loop for `a · bᵀ` with the same ascending-k
+    /// accumulation order as the blocked kernel.
+    fn naive_matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
         for i in 0..a.rows() {
-            for j in 0..b.cols() {
+            for j in 0..b.rows() {
                 let mut acc = 0.0;
                 for t in 0..a.cols() {
-                    acc += a.get(i, t) * b.get(t, j);
+                    acc += a.get(i, t) * b.get(j, t);
                 }
                 out.set(i, j, acc);
             }
@@ -1708,33 +1625,26 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trips() {
-        let m = Matrix::random(7, 3, 1.0, &mut seeded(20));
-        let t = m.transposed();
-        assert_eq!((t.rows(), t.cols()), (3, 7));
-        assert_eq!(t.get(2, 5), m.get(5, 2));
-        assert_eq!(t.transposed(), m);
-    }
-
-    #[test]
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
+        // [[5, 6], [7, 8]] stored transposed.
+        let bt = Matrix::from_rows(&[vec![5.0, 7.0], vec![6.0, 8.0]]).unwrap();
+        let c = a.matmul_bt(&bt).unwrap();
         assert_eq!(c.row(0), &[19.0, 22.0]);
         assert_eq!(c.row(1), &[43.0, 50.0]);
     }
 
     #[test]
     fn blocked_matmul_is_bitwise_naive_across_block_boundaries() {
-        // Sizes straddling the 32-wide tiles exercise partial blocks.
+        // Sizes straddling the 32-wide tiles (and the 8-row vector
+        // tiles) exercise partial blocks.
         let mut rng = seeded(21);
         for (m, k, n) in [(1, 1, 1), (5, 9, 3), (33, 40, 65), (70, 37, 45)] {
             let a = Matrix::random(m, k, 1.0, &mut rng);
-            let b = Matrix::random(k, n, 1.0, &mut rng);
-            let blocked = a.matmul(&b).unwrap();
-            let naive = naive_matmul(&a, &b);
-            assert_eq!(blocked, naive, "{m}x{k}x{n}");
+            let b = Matrix::random(n, k, 1.0, &mut rng);
+            let mut blocked = Matrix::zeros(m, n);
+            a.matmul_bt_into(&b, &mut blocked).unwrap();
+            assert_eq!(blocked, naive_matmul_bt(&a, &b), "{m}x{k}x{n}");
         }
     }
 
@@ -1756,7 +1666,8 @@ mod tests {
             let x = Matrix::random(1, cols, 1.0, &mut rng).row(0).to_vec();
             let y = Matrix::random(1, rows, 1.0, &mut rng).row(0).to_vec();
 
-            let got = w.matvec(&x).unwrap();
+            let mut got = Vec::new();
+            w.matvec_into(&x, &mut got).unwrap();
             for (r, &g) in got.iter().enumerate() {
                 let mut acc = 0.0;
                 for (t, &xt) in x.iter().enumerate() {
@@ -1765,7 +1676,8 @@ mod tests {
                 assert!(acc.to_bits() == g.to_bits(), "matvec {rows}x{cols} row {r}");
             }
 
-            let got_t = w.matvec_t(&y).unwrap();
+            let mut got_t = Vec::new();
+            w.matvec_t_into(&y, &mut got_t).unwrap();
             for (c, &g) in got_t.iter().enumerate() {
                 let mut acc = 0.0;
                 for (r, &yr) in y.iter().enumerate() {
@@ -1819,7 +1731,8 @@ mod tests {
                 .unwrap();
 
             let mut ref_w = w.clone();
-            let mut ref_out = ref_w.matvec_t(&delta).unwrap();
+            let mut ref_out = Vec::new();
+            ref_w.matvec_t_into(&delta, &mut ref_out).unwrap();
             for (o, &a) in ref_out.iter_mut().zip(&acts) {
                 *o = *o * a * (1.0 - a);
             }
@@ -1980,11 +1893,15 @@ mod tests {
         let w = Matrix::random(12, 9, 1.0, &mut rng);
         let x = vec![1.0; 9];
         let y = vec![1.0; 12];
+        let (mut fresh, mut fresh_t) = (Vec::new(), Vec::new());
+        w.matvec_into(&x, &mut fresh).unwrap();
+        w.matvec_t_into(&y, &mut fresh_t).unwrap();
+        // A stale, oversized buffer is resized and overwritten.
         let mut out = vec![999.0; 40];
         w.matvec_into(&x, &mut out).unwrap();
-        assert_eq!(out, w.matvec(&x).unwrap());
+        assert_eq!(out, fresh);
         w.matvec_t_into(&y, &mut out).unwrap();
-        assert_eq!(out, w.matvec_t(&y).unwrap());
+        assert_eq!(out, fresh_t);
         assert!(w.matvec_t_into(&x, &mut out).is_err());
     }
 
@@ -1994,33 +1911,32 @@ mod tests {
         let w = Matrix::random(40, 33, 1.0, &mut rng);
         let xs = Matrix::random(50, 33, 1.0, &mut rng);
         let batch = xs.matmul_bt(&w).unwrap();
+        let mut single = Vec::new();
         for r in 0..xs.rows() {
-            let single = w.matvec(xs.row(r)).unwrap();
+            w.matvec_into(xs.row(r), &mut single).unwrap();
             assert_eq!(batch.row(r), single.as_slice(), "row {r}");
         }
     }
 
     #[test]
-    fn matmul_into_reuses_output() {
+    fn matmul_bt_into_reuses_output() {
         let mut rng = seeded(23);
         let a = Matrix::random(6, 4, 1.0, &mut rng);
-        let b = Matrix::random(4, 5, 1.0, &mut rng);
+        let b = Matrix::random(5, 4, 1.0, &mut rng);
         let mut out = Matrix::zeros(6, 5);
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
+        a.matmul_bt_into(&b, &mut out).unwrap();
+        assert_eq!(out, a.matmul_bt(&b).unwrap());
         // Stale contents must be overwritten, not accumulated.
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
+        a.matmul_bt_into(&b, &mut out).unwrap();
+        assert_eq!(out, a.matmul_bt(&b).unwrap());
     }
 
     #[test]
     fn matmul_shape_errors() {
         let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        assert!(a.matmul(&b).is_err());
         assert!(a.matmul_bt(&Matrix::zeros(5, 4)).is_err());
-        let c = Matrix::zeros(3, 2);
+        let b = Matrix::zeros(2, 3);
         let mut wrong = Matrix::zeros(3, 3);
-        assert!(a.matmul_into(&c, &mut wrong).is_err());
+        assert!(a.matmul_bt_into(&b, &mut wrong).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! A dense feed-forward network trained by plain back-propagation —
 //! the "BP network" forming the visible/output layers of the paper's
-//! DBN.
+//! DBN. Training sweeps sample [`Matrix`] pairs; inference runs one
+//! sample or a whole batch through caller-owned ping-pong buffers.
 
 use helio_common::rng::DetRng;
 use serde::{Deserialize, Serialize};
@@ -36,7 +37,7 @@ impl Layer {
     /// caller-owned matrix so repeated batched inference reuses the
     /// allocation. `X · Wᵀ` computes the same ascending-index dot
     /// products as the per-sample `W · x`, so the result is bitwise
-    /// identical to mapping [`Layer::forward`].
+    /// identical to mapping [`Layer::forward_into`].
     fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix) -> Result<(), AnnError> {
         out.reset(x.rows(), self.bias.len());
         x.matmul_bt_into(&self.weights, out)?;
@@ -100,19 +101,7 @@ impl Mlp {
         self.layers.last().map_or(0, |l| l.bias.len())
     }
 
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
-    pub fn forward(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.forward_into(x, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Mlp::forward`] ping-ponging between two caller-owned buffers:
+    /// Forward pass ping-ponging between two caller-owned buffers:
     /// `out` ends up holding the output activation, and reused buffers
     /// make repeated inference allocation-free (after the buffers grow
     /// to the widest layer once). The input is read in place, never
@@ -140,41 +129,13 @@ impl Mlp {
         Ok(())
     }
 
-    /// Forward pass over a batch of inputs, one output row per input
-    /// row. Runs each layer as one blocked matrix product instead of
-    /// `samples` matrix–vector products; results are bitwise identical
-    /// to calling [`Mlp::forward`] per sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for ragged or
-    /// wrong-width inputs.
-    pub fn forward_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, AnnError> {
-        if xs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let a = self.forward_batch_matrix(&Matrix::from_rows(xs)?)?;
-        Ok((0..a.rows()).map(|r| a.row(r).to_vec()).collect())
-    }
-
-    /// [`Mlp::forward_batch`] on an already-packed `samples × in`
-    /// matrix, returning the `samples × out` activations as a matrix —
-    /// no per-row `Vec` is ever materialised.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong-width inputs.
-    pub fn forward_batch_matrix(&self, xs: &Matrix) -> Result<Matrix, AnnError> {
-        let mut scratch = Matrix::default();
-        let mut out = Matrix::default();
-        self.forward_batch_into(xs, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Mlp::forward_batch_matrix`] ping-ponging between two
-    /// caller-owned matrices, mirroring [`Mlp::forward_into`]: `out`
-    /// ends up holding the `samples × out` activations and reused
-    /// buffers make repeated batched inference allocation-free.
+    /// Forward pass over a `samples × in` batch, one output row per
+    /// input row, ping-ponging between two caller-owned matrices like
+    /// [`Mlp::forward_into`]: `out` ends up holding the `samples × out`
+    /// activations and reused buffers make repeated batched inference
+    /// allocation-free. Each layer runs as one blocked matrix product
+    /// instead of `samples` matrix–vector products; every row is
+    /// bitwise identical to [`Mlp::forward_into`] on that sample.
     ///
     /// # Errors
     ///
@@ -199,18 +160,9 @@ impl Mlp {
     }
 
     /// One SGD step on a single `(input, target)` pair with squared
-    /// loss; returns the sample loss before the update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong sizes.
-    pub fn sgd_step(&mut self, x: &[f64], target: &[f64], lr: f64) -> Result<f64, AnnError> {
-        self.sgd_step_into(x, target, lr, &mut MlpTrainScratch::default())
-    }
-
-    /// [`Mlp::sgd_step`] through caller-provided scratch: identical
-    /// update, zero heap allocation once the buffers have grown to
-    /// this network's layer widths.
+    /// loss, through caller-provided scratch; returns the sample loss
+    /// before the update. No heap allocation happens once the buffers
+    /// have grown to this network's layer widths.
     ///
     /// # Errors
     ///
@@ -275,38 +227,10 @@ impl Mlp {
         Ok(loss)
     }
 
-    /// Trains for `epochs` sweeps over the data set; returns the mean
-    /// loss of the final epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::BadTrainingSet`] for empty or mismatched
-    /// data.
-    pub fn train(
-        &mut self,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        epochs: usize,
-        lr: f64,
-    ) -> Result<f64, AnnError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(AnnError::BadTrainingSet(format!(
-                "{} inputs vs {} targets",
-                inputs.len(),
-                targets.len()
-            )));
-        }
-        self.train_pairs(
-            inputs.len(),
-            |i| (inputs[i].as_slice(), targets[i].as_slice()),
-            epochs,
-            lr,
-        )
-    }
-
-    /// [`Mlp::train`] on sample matrices (one sample per row): the
-    /// same sweep order and updates, without a `Vec<Vec<f64>>` copy of
-    /// the data.
+    /// Trains for `epochs` sweeps over sample matrices (one sample per
+    /// row, in row order); returns the mean loss of the final epoch.
+    /// One scratch set serves the whole run, so after the first sample
+    /// no step allocates.
     ///
     /// # Errors
     ///
@@ -326,31 +250,13 @@ impl Mlp {
                 targets.rows()
             )));
         }
-        self.train_pairs(
-            inputs.rows(),
-            |i| (inputs.row(i), targets.row(i)),
-            epochs,
-            lr,
-        )
-    }
-
-    /// Shared epoch loop over an indexed `(input, target)` accessor.
-    /// One scratch set serves the whole run, so after the first sample
-    /// no step allocates.
-    fn train_pairs<'a>(
-        &mut self,
-        n: usize,
-        pair: impl Fn(usize) -> (&'a [f64], &'a [f64]),
-        epochs: usize,
-        lr: f64,
-    ) -> Result<f64, AnnError> {
+        let n = inputs.rows();
         let mut scratch = MlpTrainScratch::default();
         let mut last = 0.0;
         for _ in 0..epochs {
             last = 0.0;
             for i in 0..n {
-                let (x, t) = pair(i);
-                last += self.sgd_step_into(x, t, lr, &mut scratch)?;
+                last += self.sgd_step_into(inputs.row(i), targets.row(i), lr, &mut scratch)?;
             }
             last /= n as f64;
         }
@@ -419,31 +325,42 @@ mod tests {
     use super::*;
     use helio_common::rng::seeded;
 
+    fn forward(mlp: &Mlp, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        mlp.forward_into(x, &mut Vec::new(), &mut out).unwrap();
+        out
+    }
+
+    fn rows(rows: &[Vec<f64>]) -> Matrix {
+        Matrix::from_rows(rows).unwrap()
+    }
+
     #[test]
     fn learns_xor() {
         let mut rng = seeded(5);
         let mut mlp = Mlp::new(&[2, 6, 1], &mut rng).unwrap();
-        let inputs = vec![
+        let inputs = rows(&[
             vec![0.0, 0.0],
             vec![0.0, 1.0],
             vec![1.0, 0.0],
             vec![1.0, 1.0],
-        ];
-        let targets = vec![vec![0.05], vec![0.95], vec![0.95], vec![0.05]];
-        let loss = mlp.train(&inputs, &targets, 4000, 0.8).unwrap();
+        ]);
+        let targets = rows(&[vec![0.05], vec![0.95], vec![0.95], vec![0.05]]);
+        let loss = mlp.train_matrix(&inputs, &targets, 4000, 0.8).unwrap();
         assert!(loss < 0.01, "XOR loss {loss}");
-        assert!(mlp.forward(&[0.0, 1.0]).unwrap()[0] > 0.7);
-        assert!(mlp.forward(&[1.0, 1.0]).unwrap()[0] < 0.3);
+        assert!(forward(&mlp, &[0.0, 1.0])[0] > 0.7);
+        assert!(forward(&mlp, &[1.0, 1.0])[0] < 0.3);
     }
 
     #[test]
     fn training_reduces_loss_on_regression() {
         let mut rng = seeded(6);
         let mut mlp = Mlp::new(&[1, 8, 1], &mut rng).unwrap();
-        let inputs: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64 / 31.0]).collect();
-        let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![0.2 + 0.6 * x[0]]).collect();
-        let first = mlp.train(&inputs, &targets, 1, 0.5).unwrap();
-        let last = mlp.train(&inputs, &targets, 500, 0.5).unwrap();
+        let xs: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64 / 31.0]).collect();
+        let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![0.2 + 0.6 * x[0]]).collect();
+        let (inputs, targets) = (rows(&xs), rows(&ys));
+        let first = mlp.train_matrix(&inputs, &targets, 1, 0.5).unwrap();
+        let last = mlp.train_matrix(&inputs, &targets, 500, 0.5).unwrap();
         assert!(last < first, "loss should fall: {first} -> {last}");
         assert!(last < 1e-3);
     }
@@ -456,16 +373,27 @@ mod tests {
         let mut mlp = Mlp::new(&[3, 4, 2], &mut rng).unwrap();
         assert_eq!(mlp.input_dim(), 3);
         assert_eq!(mlp.output_dim(), 2);
-        assert!(mlp.forward(&[0.0; 2]).is_err());
-        assert!(mlp.sgd_step(&[0.0; 3], &[0.0; 1], 0.1).is_err());
-        assert!(mlp.train(&[], &[], 1, 0.1).is_err());
+        let mut out = Vec::new();
+        assert!(mlp
+            .forward_into(&[0.0; 2], &mut Vec::new(), &mut out)
+            .is_err());
+        let mut scratch = MlpTrainScratch::default();
+        assert!(mlp
+            .sgd_step_into(&[0.0; 3], &[0.0; 1], 0.1, &mut scratch)
+            .is_err());
+        assert!(mlp
+            .train_matrix(&Matrix::zeros(0, 3), &Matrix::zeros(0, 2), 1, 0.1)
+            .is_err());
+        assert!(mlp
+            .train_matrix(&Matrix::zeros(4, 3), &Matrix::zeros(3, 2), 1, 0.1)
+            .is_err());
     }
 
     #[test]
     fn outputs_live_in_unit_interval() {
         let mut rng = seeded(8);
         let mlp = Mlp::new(&[4, 5, 3], &mut rng).unwrap();
-        let y = mlp.forward(&[10.0, -10.0, 3.0, 0.0]).unwrap();
+        let y = forward(&mlp, &[10.0, -10.0, 3.0, 0.0]);
         assert!(y.iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
@@ -485,16 +413,20 @@ mod tests {
     fn forward_batch_is_bitwise_per_sample_forward() {
         let mut rng = seeded(11);
         let mlp = Mlp::new(&[7, 40, 35, 3], &mut rng).unwrap();
-        let xs: Vec<Vec<f64>> = (0..50)
-            .map(|i| (0..7).map(|j| ((i * 7 + j) as f64).sin()).collect())
-            .collect();
-        let batch = mlp.forward_batch(&xs).unwrap();
-        assert_eq!(batch.len(), xs.len());
-        for (x, y) in xs.iter().zip(&batch) {
-            assert_eq!(y, &mlp.forward(x).unwrap());
+        let xs = Matrix::from_flat(50, 7, (0..50 * 7).map(|i| (i as f64).sin()).collect()).unwrap();
+        let (mut scratch, mut batch) = (Matrix::default(), Matrix::default());
+        mlp.forward_batch_into(&xs, &mut scratch, &mut batch)
+            .unwrap();
+        assert_eq!((batch.rows(), batch.cols()), (50, 3));
+        for r in 0..xs.rows() {
+            assert_eq!(batch.row(r), forward(&mlp, xs.row(r)).as_slice(), "row {r}");
         }
-        assert!(mlp.forward_batch(&[vec![0.0; 2]]).is_err());
-        assert!(mlp.forward_batch(&[]).unwrap().is_empty());
+        assert!(mlp
+            .forward_batch_into(&Matrix::zeros(1, 2), &mut scratch, &mut batch)
+            .is_err());
+        mlp.forward_batch_into(&Matrix::zeros(0, 7), &mut scratch, &mut batch)
+            .unwrap();
+        assert_eq!(batch.rows(), 0);
     }
 
     #[test]
@@ -506,68 +438,21 @@ mod tests {
         for i in 0..8 {
             let x: Vec<f64> = (0..5).map(|j| ((i * 5 + j) as f64).cos()).collect();
             mlp.forward_into(&x, &mut scratch, &mut out).unwrap();
-            assert_eq!(out, mlp.forward(&x).unwrap(), "sample {i}");
+            assert_eq!(out, forward(&mlp, &x), "sample {i}");
         }
         assert!(mlp.forward_into(&[0.0; 3], &mut scratch, &mut out).is_err());
     }
 
     #[test]
-    fn forward_batch_matrix_matches_row_batch() {
-        let mut rng = seeded(13);
-        let mlp = Mlp::new(&[4, 6, 3], &mut rng).unwrap();
-        let xs: Vec<Vec<f64>> = (0..10)
-            .map(|i| (0..4).map(|j| ((i + j) as f64).sin()).collect())
-            .collect();
-        let rows = mlp.forward_batch(&xs).unwrap();
-        let m = mlp
-            .forward_batch_matrix(&Matrix::from_rows(&xs).unwrap())
-            .unwrap();
-        assert_eq!((m.rows(), m.cols()), (10, 3));
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(m.row(r), row.as_slice(), "row {r}");
-        }
-    }
-
-    #[test]
     fn training_is_deterministic() {
-        let inputs = vec![vec![0.1], vec![0.9]];
-        let targets = vec![vec![0.9], vec![0.1]];
+        let inputs = rows(&[vec![0.1], vec![0.9]]);
+        let targets = rows(&[vec![0.9], vec![0.1]]);
         let run = || {
             let mut rng = seeded(10);
             let mut mlp = Mlp::new(&[1, 3, 1], &mut rng).unwrap();
-            mlp.train(&inputs, &targets, 50, 0.5).unwrap();
-            mlp.forward(&[0.5]).unwrap()
+            mlp.train_matrix(&inputs, &targets, 50, 0.5).unwrap();
+            forward(&mlp, &[0.5])
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn train_matrix_is_bitwise_train() {
-        let inputs: Vec<Vec<f64>> = (0..12)
-            .map(|i| (0..3).map(|j| ((i * 3 + j) as f64).sin()).collect())
-            .collect();
-        let targets: Vec<Vec<f64>> = inputs
-            .iter()
-            .map(|x| vec![0.1 + 0.4 * x[0].abs(), 0.9 - 0.3 * x[1].abs()])
-            .collect();
-        let mut a = Mlp::new(&[3, 9, 2], &mut seeded(15)).unwrap();
-        let loss_a = a.train(&inputs, &targets, 20, 0.4).unwrap();
-        let mut b = Mlp::new(&[3, 9, 2], &mut seeded(15)).unwrap();
-        let loss_b = b
-            .train_matrix(
-                &Matrix::from_rows(&inputs).unwrap(),
-                &Matrix::from_rows(&targets).unwrap(),
-                20,
-                0.4,
-            )
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        assert!(b
-            .train_matrix(&Matrix::zeros(0, 3), &Matrix::zeros(0, 2), 1, 0.1)
-            .is_err());
-        assert!(b
-            .train_matrix(&Matrix::zeros(4, 3), &Matrix::zeros(3, 2), 1, 0.1)
-            .is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! Restricted Boltzmann machine with CD-1 (one-step contrastive
 //! divergence) training — the unsupervised layers of the paper's DBN
-//! (Fig. 6, Eq. 20–21).
+//! (Fig. 6, Eq. 20–21). Training sweeps a sample [`Matrix`]; every
+//! per-sample step writes into reused buffers.
 
 use helio_common::rng::DetRng;
 use rand::Rng;
@@ -63,18 +64,7 @@ impl Rbm {
     }
 
     /// Hidden activation probabilities `P(h=1 | v)` (Eq. 21's sigmoid
-    /// form).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
-    pub fn hidden_probs(&self, visible: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut act = Vec::with_capacity(self.hidden());
-        self.hidden_probs_into(visible, &mut act)?;
-        Ok(act)
-    }
-
-    /// [`Rbm::hidden_probs`] writing into a reused buffer.
+    /// form), written into a reused buffer.
     ///
     /// # Errors
     ///
@@ -85,26 +75,11 @@ impl Rbm {
         Ok(())
     }
 
-    /// [`Rbm::hidden_probs`] over a batch of visible vectors as one
-    /// blocked matrix product — the feature-extraction step that feeds
-    /// each pre-trained RBM's activations to the next layer. Bitwise
-    /// identical to mapping [`Rbm::hidden_probs`] per sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for ragged or
-    /// wrong-width inputs.
-    pub fn hidden_probs_batch(&self, visibles: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, AnnError> {
-        if visibles.is_empty() {
-            return Ok(Vec::new());
-        }
-        let z = self.hidden_probs_batch_matrix(&Matrix::from_rows(visibles)?)?;
-        Ok((0..z.rows()).map(|r| z.row(r).to_vec()).collect())
-    }
-
-    /// [`Rbm::hidden_probs_batch`] on a sample matrix (one sample per
-    /// row), staying `Matrix`-native for the allocation-lean training
-    /// pipeline.
+    /// [`Rbm::hidden_probs_into`] over a sample matrix (one sample per
+    /// row) as one blocked matrix product — the feature-extraction step
+    /// that feeds each pre-trained RBM's activations to the next layer.
+    /// Bitwise identical to mapping [`Rbm::hidden_probs_into`] per
+    /// sample.
     ///
     /// # Errors
     ///
@@ -117,18 +92,8 @@ impl Rbm {
         Ok(z)
     }
 
-    /// Visible reconstruction probabilities `P(v=1 | h)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
-    pub fn visible_probs(&self, hidden: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut act = Vec::with_capacity(self.visible());
-        self.visible_probs_into(hidden, &mut act)?;
-        Ok(act)
-    }
-
-    /// [`Rbm::visible_probs`] writing into a reused buffer.
+    /// Visible reconstruction probabilities `P(v=1 | h)`, written into
+    /// a reused buffer.
     ///
     /// # Errors
     ///
@@ -139,24 +104,11 @@ impl Rbm {
         Ok(())
     }
 
-    /// One CD-1 update on a single sample with learning rate `lr`;
-    /// returns the reconstruction error (squared distance).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] for wrong input sizes.
-    pub fn cd1_step(
-        &mut self,
-        visible: &[f64],
-        lr: f64,
-        rng: &mut DetRng,
-    ) -> Result<f64, AnnError> {
-        self.cd1_step_into(visible, lr, rng, &mut RbmTrainScratch::default())
-    }
-
-    /// [`Rbm::cd1_step`] through caller-provided scratch: identical
-    /// update and RNG stream, zero heap allocation once the buffers
-    /// have grown to this RBM's shape.
+    /// One CD-1 update on a single sample with learning rate `lr`,
+    /// through caller-provided scratch; returns the reconstruction
+    /// error (squared distance). The RNG stream does not depend on the
+    /// scratch, and no heap allocation happens once the buffers have
+    /// grown to this RBM's shape.
     ///
     /// # Errors
     ///
@@ -202,26 +154,10 @@ impl Rbm {
             .sum())
     }
 
-    /// Trains on a data set for `epochs` sweeps; returns the mean
-    /// reconstruction error of the final epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::BadTrainingSet`] for an empty set and
-    /// propagates dimension mismatches.
-    pub fn train(
-        &mut self,
-        samples: &[Vec<f64>],
-        epochs: usize,
-        lr: f64,
-        rng: &mut DetRng,
-    ) -> Result<f64, AnnError> {
-        self.train_rows(samples.len(), |i| &samples[i], epochs, lr, rng)
-    }
-
-    /// [`Rbm::train`] on a sample matrix (one sample per row): the
-    /// same sweep order and RNG stream, without a `Vec<Vec<f64>>`
-    /// copy of the data.
+    /// Trains on a sample matrix (one sample per row) for `epochs`
+    /// sweeps in row order; returns the mean reconstruction error of
+    /// the final epoch. One scratch set serves the whole run, so after
+    /// the first sample no step allocates.
     ///
     /// # Errors
     ///
@@ -234,20 +170,7 @@ impl Rbm {
         lr: f64,
         rng: &mut DetRng,
     ) -> Result<f64, AnnError> {
-        self.train_rows(samples.rows(), |i| samples.row(i), epochs, lr, rng)
-    }
-
-    /// Shared epoch loop over an indexed sample accessor. One scratch
-    /// set serves the whole run, so after the first sample no step
-    /// allocates.
-    fn train_rows<'a>(
-        &mut self,
-        n: usize,
-        row: impl Fn(usize) -> &'a [f64],
-        epochs: usize,
-        lr: f64,
-        rng: &mut DetRng,
-    ) -> Result<f64, AnnError> {
+        let n = samples.rows();
         if n == 0 {
             return Err(AnnError::BadTrainingSet("no samples for RBM".into()));
         }
@@ -256,7 +179,7 @@ impl Rbm {
         for _ in 0..epochs {
             last = 0.0;
             for i in 0..n {
-                last += self.cd1_step_into(row(i), lr, rng, &mut scratch)?;
+                last += self.cd1_step_into(samples.row(i), lr, rng, &mut scratch)?;
             }
             last /= n as f64;
         }
@@ -271,14 +194,20 @@ mod tests {
 
     /// Two binary prototype patterns the RBM should learn to
     /// reconstruct.
-    fn patterns() -> Vec<Vec<f64>> {
+    fn patterns() -> Matrix {
         let a = vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0];
         let b = vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let mut out = Vec::new();
+        let mut rows = Vec::new();
         for _ in 0..20 {
-            out.push(a.clone());
-            out.push(b.clone());
+            rows.push(a.clone());
+            rows.push(b.clone());
         }
+        Matrix::from_rows(&rows).unwrap()
+    }
+
+    fn hidden_probs(rbm: &Rbm, visible: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        rbm.hidden_probs_into(visible, &mut out).unwrap();
         out
     }
 
@@ -287,8 +216,8 @@ mod tests {
         let mut rng = seeded(1);
         let mut rbm = Rbm::new(6, 4, &mut rng);
         let data = patterns();
-        let before = rbm.train(&data, 1, 0.2, &mut rng).unwrap();
-        let after = rbm.train(&data, 60, 0.2, &mut rng).unwrap();
+        let before = rbm.train_matrix(&data, 1, 0.2, &mut rng).unwrap();
+        let after = rbm.train_matrix(&data, 60, 0.2, &mut rng).unwrap();
         assert!(
             after < 0.5 * before,
             "reconstruction error should drop: {before} -> {after}"
@@ -300,9 +229,9 @@ mod tests {
     fn learned_rbm_separates_patterns() {
         let mut rng = seeded(2);
         let mut rbm = Rbm::new(6, 4, &mut rng);
-        rbm.train(&patterns(), 80, 0.2, &mut rng).unwrap();
-        let ha = rbm.hidden_probs(&[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]).unwrap();
-        let hb = rbm.hidden_probs(&[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
+        rbm.train_matrix(&patterns(), 80, 0.2, &mut rng).unwrap();
+        let ha = hidden_probs(&rbm, &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
+        let hb = hidden_probs(&rbm, &[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let dist: f64 = ha
             .iter()
             .zip(&hb)
@@ -316,9 +245,10 @@ mod tests {
     fn probabilities_stay_in_unit_interval() {
         let mut rng = seeded(3);
         let rbm = Rbm::new(5, 3, &mut rng);
-        let h = rbm.hidden_probs(&[0.2, 0.9, 0.1, 0.5, 0.7]).unwrap();
+        let h = hidden_probs(&rbm, &[0.2, 0.9, 0.1, 0.5, 0.7]);
         assert!(h.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let v = rbm.visible_probs(&h).unwrap();
+        let mut v = Vec::new();
+        rbm.visible_probs_into(&h, &mut v).unwrap();
         assert!(v.iter().all(|&p| (0.0..=1.0).contains(&p)));
         assert_eq!(h.len(), 3);
         assert_eq!(v.len(), 5);
@@ -328,13 +258,17 @@ mod tests {
     fn dimension_checks() {
         let mut rng = seeded(4);
         let mut rbm = Rbm::new(5, 3, &mut rng);
-        assert!(rbm.hidden_probs(&[0.0; 4]).is_err());
-        assert!(rbm.visible_probs(&[0.0; 5]).is_err());
-        assert!(rbm.cd1_step(&[0.0; 2], 0.1, &mut rng).is_err());
-        assert!(rbm.train(&[], 1, 0.1, &mut rng).is_err());
+        let mut out = Vec::new();
+        assert!(rbm.hidden_probs_into(&[0.0; 4], &mut out).is_err());
+        assert!(rbm.visible_probs_into(&[0.0; 5], &mut out).is_err());
+        let mut scratch = RbmTrainScratch::default();
+        assert!(rbm
+            .cd1_step_into(&[0.0; 2], 0.1, &mut rng, &mut scratch)
+            .is_err());
         assert!(rbm
             .train_matrix(&Matrix::zeros(0, 5), 1, 0.1, &mut rng)
             .is_err());
+        assert!(rbm.hidden_probs_batch_matrix(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]
@@ -342,12 +276,13 @@ mod tests {
         let mut rng = seeded(5);
         let rbm = Rbm::new(6, 4, &mut rng);
         let data = patterns();
-        let batch = rbm.hidden_probs_batch(&data).unwrap();
-        for (v, h) in data.iter().zip(&batch) {
-            assert_eq!(h, &rbm.hidden_probs(v).unwrap());
+        let batch = rbm.hidden_probs_batch_matrix(&data).unwrap();
+        assert_eq!((batch.rows(), batch.cols()), (data.rows(), 4));
+        for r in 0..data.rows() {
+            assert_eq!(batch.row(r), hidden_probs(&rbm, data.row(r)).as_slice());
         }
-        assert!(rbm.hidden_probs_batch(&[vec![0.0; 3]]).is_err());
-        assert!(rbm.hidden_probs_batch(&[]).unwrap().is_empty());
+        let empty = rbm.hidden_probs_batch_matrix(&Matrix::zeros(0, 6)).unwrap();
+        assert_eq!(empty.rows(), 0);
     }
 
     #[test]
@@ -356,22 +291,9 @@ mod tests {
         let run = || {
             let mut rng = seeded(9);
             let mut rbm = Rbm::new(6, 4, &mut rng);
-            rbm.train(&data, 10, 0.2, &mut rng).unwrap();
+            rbm.train_matrix(&data, 10, 0.2, &mut rng).unwrap();
             rbm
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn train_matrix_is_bitwise_train() {
-        let data = patterns();
-        let m = Matrix::from_rows(&data).unwrap();
-        let mut rng_a = seeded(9);
-        let mut a = Rbm::new(6, 4, &mut rng_a);
-        a.train(&data, 10, 0.2, &mut rng_a).unwrap();
-        let mut rng_b = seeded(9);
-        let mut b = Rbm::new(6, 4, &mut rng_b);
-        b.train_matrix(&m, 10, 0.2, &mut rng_b).unwrap();
-        assert_eq!(a, b);
     }
 }

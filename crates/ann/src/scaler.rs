@@ -1,9 +1,12 @@
 //! Min–max feature scaling into `[0, 1]`, which both the RBM (whose
 //! visible units are probabilities) and the sigmoid output layer need.
+//! The scaler is fitted on a sample [`Matrix`] and maps one sample
+//! slice into a pre-sized output slice, in either direction.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::AnnError;
+use crate::matrix::Matrix;
 
 /// Per-feature min–max scaler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -13,46 +16,14 @@ pub struct MinMaxScaler {
 }
 
 impl MinMaxScaler {
-    /// Fits the scaler to a data set (one `Vec` per sample).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::BadTrainingSet`] when the set is empty,
-    /// ragged, or contains non-finite values.
-    pub fn fit(samples: &[Vec<f64>]) -> Result<Self, AnnError> {
-        let dim = samples
-            .first()
-            .ok_or_else(|| AnnError::BadTrainingSet("no samples".into()))?
-            .len();
-        let mut mins = vec![f64::INFINITY; dim];
-        let mut maxs = vec![f64::NEG_INFINITY; dim];
-        for s in samples {
-            if s.len() != dim {
-                return Err(AnnError::BadTrainingSet(format!(
-                    "ragged sample: expected {dim} features, got {}",
-                    s.len()
-                )));
-            }
-            for (i, &v) in s.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(AnnError::BadTrainingSet("non-finite feature".into()));
-                }
-                mins[i] = mins[i].min(v);
-                maxs[i] = maxs[i].max(v);
-            }
-        }
-        Ok(Self { mins, maxs })
-    }
-
-    /// [`MinMaxScaler::fit`] on a sample matrix (one sample per row):
-    /// the same ascending row/feature scan, so the fitted ranges are
-    /// bitwise identical — without a `Vec<Vec<f64>>` copy of the data.
+    /// Fits the scaler to a sample matrix (one sample per row) in one
+    /// ascending row/feature scan.
     ///
     /// # Errors
     ///
     /// Returns [`AnnError::BadTrainingSet`] when the matrix has no
     /// rows or contains non-finite values.
-    pub fn fit_matrix(samples: &crate::matrix::Matrix) -> Result<Self, AnnError> {
+    pub fn fit_matrix(samples: &Matrix) -> Result<Self, AnnError> {
         if samples.rows() == 0 {
             return Err(AnnError::BadTrainingSet("no samples".into()));
         }
@@ -88,44 +59,9 @@ impl MinMaxScaler {
         &self.maxs
     }
 
-    /// Scales one sample into `[0, 1]` (constant features map to 0.5).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] on wrong feature counts.
-    pub fn transform(&self, sample: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut out = Vec::with_capacity(self.dim());
-        self.transform_into(sample, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MinMaxScaler::transform`] writing into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] on wrong feature counts.
-    pub fn transform_into(&self, sample: &[f64], out: &mut Vec<f64>) -> Result<(), AnnError> {
-        if sample.len() != self.dim() {
-            return Err(AnnError::dims(
-                format!("{} features", self.dim()),
-                format!("{}", sample.len()),
-            ));
-        }
-        out.clear();
-        out.extend(sample.iter().enumerate().map(|(i, &v)| {
-            let span = self.maxs[i] - self.mins[i];
-            if span <= 0.0 {
-                0.5
-            } else {
-                ((v - self.mins[i]) / span).clamp(0.0, 1.0)
-            }
-        }));
-        Ok(())
-    }
-
-    /// [`MinMaxScaler::transform_into`] writing into a pre-sized slice
-    /// (a matrix row, for batched inference). Arithmetic is identical
-    /// per element, so results are bitwise equal.
+    /// Scales one sample into `[0, 1]` (constant features map to 0.5),
+    /// writing into a pre-sized slice (a scratch buffer or a matrix
+    /// row).
     ///
     /// # Errors
     ///
@@ -149,44 +85,8 @@ impl MinMaxScaler {
         Ok(())
     }
 
-    /// Inverse transform from `[0, 1]` back to the original range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] on wrong feature counts.
-    pub fn inverse(&self, scaled: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut out = Vec::with_capacity(self.dim());
-        self.inverse_into(scaled, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MinMaxScaler::inverse`] writing into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] on wrong feature counts.
-    pub fn inverse_into(&self, scaled: &[f64], out: &mut Vec<f64>) -> Result<(), AnnError> {
-        if scaled.len() != self.dim() {
-            return Err(AnnError::dims(
-                format!("{} features", self.dim()),
-                format!("{}", scaled.len()),
-            ));
-        }
-        out.clear();
-        out.extend(scaled.iter().enumerate().map(|(i, &v)| {
-            let span = self.maxs[i] - self.mins[i];
-            if span <= 0.0 {
-                self.mins[i]
-            } else {
-                self.mins[i] + v * span
-            }
-        }));
-        Ok(())
-    }
-
-    /// [`MinMaxScaler::inverse_into`] writing into a pre-sized slice
-    /// (a matrix row, for batched inference). Bitwise identical per
-    /// element.
+    /// Inverse of [`MinMaxScaler::transform_slice`], from `[0, 1]`
+    /// back to the original range, writing into a pre-sized slice.
     ///
     /// # Errors
     ///
@@ -215,69 +115,58 @@ impl MinMaxScaler {
 mod tests {
     use super::*;
 
+    fn fit(rows: &[Vec<f64>]) -> Result<MinMaxScaler, AnnError> {
+        MinMaxScaler::fit_matrix(&Matrix::from_rows(rows)?)
+    }
+
+    fn transform(s: &MinMaxScaler, sample: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; s.dim()];
+        s.transform_slice(sample, &mut out).unwrap();
+        out
+    }
+
+    fn inverse(s: &MinMaxScaler, scaled: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; s.dim()];
+        s.inverse_slice(scaled, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn round_trips() {
         let data = vec![vec![0.0, 10.0], vec![4.0, 20.0], vec![2.0, 15.0]];
-        let s = MinMaxScaler::fit(&data).unwrap();
-        let t = s.transform(&[2.0, 15.0]).unwrap();
+        let s = fit(&data).unwrap();
+        assert_eq!((s.mins(), s.maxs()), (&[0.0, 10.0][..], &[4.0, 20.0][..]));
+        let t = transform(&s, &[2.0, 15.0]);
         assert!((t[0] - 0.5).abs() < 1e-12);
         assert!((t[1] - 0.5).abs() < 1e-12);
-        let back = s.inverse(&t).unwrap();
+        let back = inverse(&s, &t);
         assert!((back[0] - 2.0).abs() < 1e-12);
         assert!((back[1] - 15.0).abs() < 1e-12);
     }
 
     #[test]
     fn clamps_out_of_range_queries() {
-        let s = MinMaxScaler::fit(&[vec![0.0], vec![1.0]]).unwrap();
-        assert_eq!(s.transform(&[5.0]).unwrap()[0], 1.0);
-        assert_eq!(s.transform(&[-5.0]).unwrap()[0], 0.0);
+        let s = fit(&[vec![0.0], vec![1.0]]).unwrap();
+        assert_eq!(transform(&s, &[5.0])[0], 1.0);
+        assert_eq!(transform(&s, &[-5.0])[0], 0.0);
     }
 
     #[test]
     fn constant_features_map_to_half() {
-        let s = MinMaxScaler::fit(&[vec![7.0], vec![7.0]]).unwrap();
-        assert_eq!(s.transform(&[7.0]).unwrap()[0], 0.5);
-        assert_eq!(s.inverse(&[0.9]).unwrap()[0], 7.0);
-    }
-
-    #[test]
-    fn slice_variants_are_bitwise_vec_variants() {
-        let data = vec![vec![0.0, 10.0, 3.0], vec![4.0, 20.0, 3.0]];
-        let s = MinMaxScaler::fit(&data).unwrap();
-        let sample = [1.7, 12.5, 3.0];
-        let mut buf = [0.0; 3];
-        s.transform_slice(&sample, &mut buf).unwrap();
-        assert_eq!(buf.to_vec(), s.transform(&sample).unwrap());
-        let mut back = [0.0; 3];
-        s.inverse_slice(&buf, &mut back).unwrap();
-        assert_eq!(back.to_vec(), s.inverse(&buf).unwrap());
-        assert!(s.transform_slice(&sample[..2], &mut buf).is_err());
-        assert!(s.inverse_slice(&buf, &mut back[..1]).is_err());
-    }
-
-    #[test]
-    fn fit_matrix_is_bitwise_fit() {
-        use crate::matrix::Matrix;
-        let data = vec![
-            vec![0.0, 10.0, -3.5],
-            vec![4.0, 20.0, 2.25],
-            vec![2.0, 15.0, 0.0],
-        ];
-        let a = MinMaxScaler::fit(&data).unwrap();
-        let b = MinMaxScaler::fit_matrix(&Matrix::from_rows(&data).unwrap()).unwrap();
-        assert_eq!(a, b);
-        assert!(MinMaxScaler::fit_matrix(&Matrix::zeros(0, 3)).is_err());
-        assert!(MinMaxScaler::fit_matrix(&Matrix::from_rows(&[vec![f64::NAN]]).unwrap()).is_err());
+        let s = fit(&[vec![7.0], vec![7.0]]).unwrap();
+        assert_eq!(transform(&s, &[7.0])[0], 0.5);
+        assert_eq!(inverse(&s, &[0.9])[0], 7.0);
     }
 
     #[test]
     fn validation() {
-        assert!(MinMaxScaler::fit(&[]).is_err());
-        assert!(MinMaxScaler::fit(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-        assert!(MinMaxScaler::fit(&[vec![f64::NAN]]).is_err());
-        let s = MinMaxScaler::fit(&[vec![0.0, 1.0]]).unwrap();
-        assert!(s.transform(&[1.0]).is_err());
-        assert!(s.inverse(&[1.0, 2.0, 3.0]).is_err());
+        assert!(MinMaxScaler::fit_matrix(&Matrix::zeros(0, 3)).is_err());
+        assert!(fit(&[vec![f64::NAN]]).is_err());
+        let s = fit(&[vec![0.0, 1.0]]).unwrap();
+        let mut out = [0.0; 2];
+        assert!(s.transform_slice(&[1.0], &mut out).is_err());
+        assert!(s.transform_slice(&[1.0, 2.0], &mut out[..1]).is_err());
+        assert!(s.inverse_slice(&[1.0, 2.0, 3.0], &mut out).is_err());
+        assert!(s.inverse_slice(&[1.0, 2.0], &mut out[..1]).is_err());
     }
 }

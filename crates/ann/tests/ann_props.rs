@@ -1,7 +1,9 @@
 //! Property tests of the ANN substrate.
 
-#![allow(clippy::disallowed_methods)] // property tests exercise the allocating wrapper
-use helio_ann::{AnnError, Dbn, DbnConfig, Matrix, MinMaxScaler, Mlp, Rbm, TrainingSet};
+use helio_ann::{
+    AnnError, Dbn, DbnConfig, Matrix, MinMaxScaler, Mlp, MlpTrainScratch, PredictScratch, Rbm,
+    RbmTrainScratch, TrainingSet,
+};
 use helio_common::rng::seeded;
 use proptest::prelude::*;
 
@@ -30,11 +32,14 @@ proptest! {
         ),
         pick in 0usize..100,
     ) {
-        let scaler = MinMaxScaler::fit(&samples).expect("valid set");
-        let sample = &samples[pick % samples.len()];
-        let t = scaler.transform(sample).expect("dims match");
+        let m = Matrix::from_rows(&samples).expect("square rows");
+        let scaler = MinMaxScaler::fit_matrix(&m).expect("valid set");
+        let sample = m.row(pick % m.rows());
+        let mut t = [0.0; 3];
+        scaler.transform_slice(sample, &mut t).expect("dims match");
         prop_assert!(t.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        let back = scaler.inverse(&t).expect("dims match");
+        let mut back = [0.0; 3];
+        scaler.inverse_slice(&t, &mut back).expect("dims match");
         for (a, b) in sample.iter().zip(&back) {
             // Constant features collapse to their single value.
             prop_assert!((a - b).abs() < 1e-9 || t.contains(&0.5));
@@ -50,9 +55,10 @@ proptest! {
     ) {
         let m = Matrix::random(3, 4, 1.0, &mut seeded(seed));
         let sum: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        let lhs = m.matvec(&sum).expect("dims");
-        let ax = m.matvec(&x).expect("dims");
-        let ay = m.matvec(&y).expect("dims");
+        let (mut lhs, mut ax, mut ay) = (Vec::new(), Vec::new(), Vec::new());
+        m.matvec_into(&sum, &mut lhs).expect("dims");
+        m.matvec_into(&x, &mut ax).expect("dims");
+        m.matvec_into(&y, &mut ay).expect("dims");
         for i in 0..3 {
             prop_assert!((lhs[i] - ax[i] - ay[i]).abs() < 1e-9);
         }
@@ -65,14 +71,16 @@ proptest! {
         input in prop::collection::vec(-1e3f64..1e3, 5),
     ) {
         let mlp = Mlp::new(&[5, 7, 3], &mut seeded(seed)).expect("valid sizes");
-        let out = mlp.forward(&input).expect("dims");
+        let mut out = Vec::new();
+        mlp.forward_into(&input, &mut Vec::new(), &mut out).expect("dims");
         prop_assert_eq!(out.len(), 3);
         prop_assert!(out.iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
-    /// The scratch-based RBM epoch loop is bit-for-bit the naive
-    /// per-sample `cd1_step` loop, across random shapes, seeds, and
-    /// learning rates (the contract the SIMD kernels must preserve).
+    /// The scratch-reusing RBM epoch loop is bit-for-bit a per-sample
+    /// `cd1_step_into` loop with a fresh scratch on every step, across
+    /// random shapes, seeds, and learning rates (the contract the SIMD
+    /// kernels must preserve).
     #[test]
     fn rbm_train_is_bitwise_per_sample_cd1(
         visible in 1usize..14,
@@ -92,7 +100,10 @@ proptest! {
         for _ in 0..epochs {
             loss_b = 0.0;
             for i in 0..n {
-                loss_b += b.cd1_step(samples.row(i), lr, &mut rng_b).expect("steps");
+                let mut fresh = RbmTrainScratch::default();
+                loss_b += b
+                    .cd1_step_into(samples.row(i), lr, &mut rng_b, &mut fresh)
+                    .expect("steps");
             }
             loss_b /= n as f64;
         }
@@ -100,9 +111,9 @@ proptest! {
         prop_assert_eq!(loss_a.to_bits(), loss_b.to_bits());
     }
 
-    /// The scratch-based MLP epoch loop is bit-for-bit the naive
-    /// per-sample `sgd_step` loop, across random shapes and widths
-    /// spanning the SIMD lane boundary.
+    /// The scratch-reusing MLP epoch loop is bit-for-bit a per-sample
+    /// `sgd_step_into` loop with a fresh scratch on every step, across
+    /// random shapes and widths spanning the SIMD lane boundary.
     #[test]
     fn mlp_train_is_bitwise_per_sample_sgd(
         input in 1usize..14,
@@ -123,7 +134,10 @@ proptest! {
         for _ in 0..epochs {
             loss_b = 0.0;
             for i in 0..n {
-                loss_b += b.sgd_step(xs.row(i), ys.row(i), lr).expect("steps");
+                let mut fresh = MlpTrainScratch::default();
+                loss_b += b
+                    .sgd_step_into(xs.row(i), ys.row(i), lr, &mut fresh)
+                    .expect("steps");
             }
             loss_b /= n as f64;
         }
@@ -166,8 +180,12 @@ proptest! {
         let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![3.0 + x[0] / 10.0]).collect();
         let mut cfg = DbnConfig::small(9);
         cfg.bp_epochs = 40;
-        let dbn = Dbn::train(&inputs, &targets, &cfg).expect("train");
-        let y = dbn.predict(&[query]).expect("predict")[0];
+        let set = TrainingSet::from_rows(&inputs, &targets).expect("rows pack");
+        let dbn = Dbn::train_set(&set, &cfg).expect("train");
+        let mut out = Vec::new();
+        dbn.predict_into(&[query], &mut PredictScratch::default(), &mut out)
+            .expect("predict");
+        let y = out[0];
         prop_assert!((3.0 - 1e-9..=8.75 + 1e-9).contains(&y), "prediction {} escaped", y);
     }
 }

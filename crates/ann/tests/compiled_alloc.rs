@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use helio_ann::{CompiledDbn, CompiledTier, Dbn, DbnConfig};
+use helio_ann::{CompiledDbn, CompiledTier, Dbn, DbnConfig, TrainingSet};
 
 struct CountingAlloc;
 
@@ -71,7 +71,11 @@ fn trained_dbn() -> Dbn {
         .collect();
     let mut cfg = DbnConfig::small(42);
     cfg.bp_epochs = 20;
-    Dbn::train(&inputs, &targets, &cfg).expect("trains")
+    Dbn::train_set(
+        &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+        &cfg,
+    )
+    .expect("trains")
 }
 
 #[test]

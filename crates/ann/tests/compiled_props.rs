@@ -4,7 +4,9 @@
 //! bound of the f64 reference `Dbn::predict_into` — on both the SIMD
 //! dispatch path and the forced-scalar fallback.
 
-use helio_ann::{CompiledDbn, CompiledScratch, CompiledTier, Dbn, DbnConfig, PredictScratch};
+use helio_ann::{
+    CompiledDbn, CompiledScratch, CompiledTier, Dbn, DbnConfig, PredictScratch, TrainingSet,
+};
 use helio_common::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
@@ -34,7 +36,11 @@ fn train(in_dim: usize, hidden: Vec<usize>, out_dim: usize, seed: u64) -> (Dbn, 
         bp_lr: 0.4,
         seed,
     };
-    let dbn = Dbn::train(&inputs, &targets, &cfg).expect("random bounded set trains");
+    let dbn = Dbn::train_set(
+        &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+        &cfg,
+    )
+    .expect("random bounded set trains");
     (dbn, inputs)
 }
 

@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable};
+use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable, TrainingSet};
 
 struct CountingAlloc;
 
@@ -122,7 +122,11 @@ fn shaped_dbn(outputs: usize) -> Dbn {
         .collect();
     let mut cfg = DbnConfig::small(42);
     cfg.bp_epochs = 20;
-    Dbn::train(&inputs, &targets, &cfg).expect("trains")
+    Dbn::train_set(
+        &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+        &cfg,
+    )
+    .expect("trains")
 }
 
 #[test]

@@ -19,7 +19,9 @@
 
 use std::sync::OnceLock;
 
-use helio_ann::{decisions_match, Dbn, DbnConfig, DistillConfig, DistilledPolicy, PredictScratch};
+use helio_ann::{
+    decisions_match, Dbn, DbnConfig, DistillConfig, DistilledPolicy, PredictScratch, TrainingSet,
+};
 use proptest::prelude::*;
 
 /// A scheduler-shaped teacher (13 → 16 → 10 → 10) and its distilled
@@ -57,7 +59,11 @@ fn fixture() -> &'static (Dbn, DistilledPolicy) {
             .collect();
         let mut cfg = DbnConfig::small(42);
         cfg.bp_epochs = 40;
-        let dbn = Dbn::train(&inputs, &targets, &cfg).expect("teacher trains");
+        let dbn = Dbn::train_set(
+            &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+            &cfg,
+        )
+        .expect("teacher trains");
         let dcfg = DistillConfig {
             samples: 16384,
             candidates: 32,
@@ -118,10 +124,12 @@ fn recorded_agreement_clears_the_quality_floor() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A reloaded artifact is bit-identical in behaviour: `predict`
-    /// returns the same bits before and after a JSON round trip, and
-    /// the reload's batched kernel lands on the same bits.
+    /// A reloaded artifact is bit-identical in behaviour:
+    /// `predict_into` returns the same bits before and after a JSON
+    /// round trip, and the reload's batched kernel lands on the same
+    /// bits.
     #[test]
+    #[allow(clippy::disallowed_methods)] // the one-decision path is the reference
     fn predict_is_deterministic_across_reloads(
         unit in prop::collection::vec(0.0f64..1.0, 13),
     ) {
@@ -129,8 +137,9 @@ proptest! {
         let x = in_range(dbn, &unit);
         let json = policy.to_json().expect("serialises");
         let reloaded = DistilledPolicy::from_json(&json).expect("reloads");
-        let a = policy.predict(&x).expect("original predicts");
-        let b = reloaded.predict(&x).expect("reload predicts");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        policy.predict_into(&x, &mut a).expect("original predicts");
+        reloaded.predict_into(&x, &mut b).expect("reload predicts");
         prop_assert_eq!(&a, &b, "reload drifted");
 
         let mut out = Vec::new();
@@ -638,7 +647,11 @@ fn tie_teacher(shape: usize) -> &'static Dbn {
             .collect();
         let mut cfg = DbnConfig::small(5);
         cfg.bp_epochs = 20;
-        Dbn::train(&inputs, &targets, &cfg).expect("tie teacher trains")
+        Dbn::train_set(
+            &TrainingSet::from_rows(&inputs, &targets).expect("rows pack"),
+            &cfg,
+        )
+        .expect("tie teacher trains")
     })
 }
 

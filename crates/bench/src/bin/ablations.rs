@@ -42,7 +42,7 @@ fn main() {
     let engine = Engine::new(&node, &graph, &eval).expect("engine");
 
     // ------------------------------------------------------------------
-    println!("# Ablation 1 — capacitor-switch threshold E_th (Eq. 22), MPC backend");
+    println!("# Ablation 1 — capacitor-switch threshold E_th (Eq. 22), MPC planner");
     // The thresholds share the node/graph/trace: run the sweep as one
     // lockstep batch and print in input order.
     let e_th_cases = [

@@ -141,8 +141,8 @@ pub fn run_planner_batch<'a>(
     engine.run_sharded_with(&mut worker_scratches())
 }
 
-/// One [`BatchScratch`] per configured worker (`HELIO_THREADS` /
-/// `HELIO_SERIAL`, else available parallelism), at least one: hand
+/// One [`BatchScratch`] per configured worker (`HELIO_THREADS`, else
+/// available parallelism), at least one: hand
 /// them to [`BatchEngine::run_sharded_with`] to spread a batch over
 /// the whole worker pool.
 pub fn worker_scratches() -> Vec<BatchScratch> {
@@ -152,7 +152,7 @@ pub fn worker_scratches() -> Vec<BatchScratch> {
 
 /// Maps `f` over `items` on the worker pool, preserving input order in
 /// the output — the sweep primitive of the experiment binaries. Honours
-/// `HELIO_THREADS`/`HELIO_SERIAL`.
+/// `HELIO_THREADS`.
 pub fn par_sweep<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     helio_par::par_map(items, f)
 }

@@ -732,7 +732,13 @@ mod tests {
                 v
             })
             .collect();
-        Arc::new(Dbn::train(&inputs, &targets, &helio_ann::DbnConfig::small(2)).unwrap())
+        Arc::new(
+            Dbn::train_set(
+                &helio_ann::TrainingSet::from_rows(&inputs, &targets).unwrap(),
+                &helio_ann::DbnConfig::small(2),
+            )
+            .unwrap(),
+        )
     }
 
     fn scratches(n: usize) -> Vec<BatchScratch> {

@@ -263,11 +263,6 @@ impl ProposedPlanner {
         }
     }
 
-    /// The `δ` threshold in use.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
     /// Builds the DBN feature vector (previous-period solar powers,
     /// capacitor voltages, accumulated DMR — Fig. 6's inputs) into
     /// `input`, cleared first. Shared by the sequential path, the
@@ -818,8 +813,11 @@ mod tests {
         let in_dim = 10 + 2 + 1;
         let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64; in_dim]).collect();
         let targets: Vec<Vec<f64>> = (0..20).map(|_| vec![1.0; 2 + g.len()]).collect();
-        let dbn =
-            helio_ann::Dbn::train(&inputs, &targets, &helio_ann::DbnConfig::small(2)).unwrap();
+        let dbn = helio_ann::Dbn::train_set(
+            &helio_ann::TrainingSet::from_rows(&inputs, &targets).unwrap(),
+            &helio_ann::DbnConfig::small(2),
+        )
+        .unwrap();
         let mut planner = ProposedPlanner::from_dbn(dbn, 0.5, SwitchRule::default());
         let storage = &node.storage;
         let bank = helio_storage::CapacitorBank::new(&node.capacitors, storage).unwrap();
@@ -871,7 +869,11 @@ mod tests {
                 v
             })
             .collect();
-        helio_ann::Dbn::train(&inputs, &targets, &helio_ann::DbnConfig::small(2)).unwrap()
+        helio_ann::Dbn::train_set(
+            &helio_ann::TrainingSet::from_rows(&inputs, &targets).unwrap(),
+            &helio_ann::DbnConfig::small(2),
+        )
+        .unwrap()
     }
 
     #[test]

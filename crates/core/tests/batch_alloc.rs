@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use helio_ann::{Dbn, DbnConfig};
+use helio_ann::{Dbn, DbnConfig, TrainingSet};
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
 use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder};
@@ -99,7 +99,13 @@ fn tiny_dbn(graph: &TaskGraph) -> Arc<Dbn> {
             v
         })
         .collect();
-    Arc::new(Dbn::train(&inputs, &targets, &DbnConfig::small(2)).unwrap())
+    Arc::new(
+        Dbn::train_set(
+            &TrainingSet::from_rows(&inputs, &targets).unwrap(),
+            &DbnConfig::small(2),
+        )
+        .unwrap(),
+    )
 }
 
 fn build<'a>(

@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use helio_ann::{Dbn, DbnConfig};
+use helio_ann::{Dbn, DbnConfig, TrainingSet};
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
 use helio_faults::{
@@ -71,7 +71,7 @@ fn shared_dbn(graph: &TaskGraph) -> Arc<Dbn> {
             .collect();
         let mut cfg = DbnConfig::small(3);
         cfg.bp_epochs = 100;
-        Arc::new(Dbn::train(&inputs, &targets, &cfg).unwrap())
+        Arc::new(Dbn::train_set(&TrainingSet::from_rows(&inputs, &targets).unwrap(), &cfg).unwrap())
     })
     .clone()
 }

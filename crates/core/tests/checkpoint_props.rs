@@ -8,6 +8,7 @@ use std::sync::{Arc, OnceLock};
 
 use helio_ann::{
     CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable,
+    TrainingSet,
 };
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
@@ -93,7 +94,7 @@ fn shared_dbn(graph: &TaskGraph) -> Arc<Dbn> {
             .collect();
         let mut cfg = DbnConfig::small(3);
         cfg.bp_epochs = 100;
-        Arc::new(Dbn::train(&inputs, &targets, &cfg).unwrap())
+        Arc::new(Dbn::train_set(&TrainingSet::from_rows(&inputs, &targets).unwrap(), &cfg).unwrap())
     })
     .clone()
 }

@@ -72,7 +72,7 @@ impl FaultHarness {
                 while flat < total_periods {
                     if rng.gen_bool(p) {
                         let len = rng.gen_range(lo..=hi).min(total_periods - flat);
-                        for s in &mut h.solar_factor[flat..flat + len] {
+                        for s in h.solar_factor.iter_mut().skip(flat).take(len) {
                             *s = 0.0;
                         }
                         flat += len;
@@ -83,13 +83,15 @@ impl FaultHarness {
             }
             // Log contiguous faulted stretches once each.
             let mut flat = 0usize;
-            while flat < total_periods {
-                let f = h.solar_factor[flat];
+            while let Some(&f) = h.solar_factor.get(flat) {
                 if f < 1.0 {
                     let start = flat;
-                    while flat < total_periods && (h.solar_factor[flat] - f).abs() < 1e-12 {
-                        flat += 1;
-                    }
+                    flat += h
+                        .solar_factor
+                        .iter()
+                        .skip(flat)
+                        .take_while(|&&v| (v - f).abs() < 1e-12)
+                        .count();
                     let kind = if f <= 0.0 {
                         FaultKind::SolarOutage
                     } else {

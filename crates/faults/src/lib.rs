@@ -23,7 +23,10 @@
 //!   [`FaultEvent`], and graceful-degradation reactions are tallied in
 //!   [`DegradedCounters`]; both land in the simulation report.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)
+)]
 
 pub mod harness;
 pub mod plan;

@@ -73,7 +73,7 @@ pub fn corrupt_line(line: &str, kind: LineCorruption, seed: u64) -> Vec<u8> {
             } else {
                 1 + (seed as usize) % (bytes.len() - 1)
             };
-            bytes[..cut].to_vec()
+            bytes.iter().take(cut).copied().collect()
         }
         LineCorruption::Garbage => {
             let mut out = Vec::with_capacity(24);

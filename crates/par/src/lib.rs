@@ -7,10 +7,11 @@
 //! order — so parallel output is byte-for-byte identical to a serial
 //! run no matter how the OS schedules the workers.
 //!
-//! Thread count comes from, in priority order:
-//! 1. `HELIO_SERIAL=1` — force single-threaded execution;
-//! 2. `HELIO_THREADS=<n>` — explicit worker count;
-//! 3. `std::thread::available_parallelism()`.
+//! Thread count comes from `HELIO_THREADS=<n>` (an explicit worker
+//! count; `1` forces single-threaded execution), else
+//! `std::thread::available_parallelism()`.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::any::Any;
 use std::env;
@@ -39,9 +40,6 @@ pub fn panic_message(payload: &PanicPayload) -> &str {
 /// Number of worker threads parallel maps will use.
 #[must_use]
 pub fn configured_threads() -> usize {
-    if env::var("HELIO_SERIAL").map(|v| v == "1").unwrap_or(false) {
-        return 1;
-    }
     if let Ok(raw) = env::var("HELIO_THREADS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             return n.max(1);
@@ -116,7 +114,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_range(items.len(), |i| f(&items[i]))
+    // Every index is in range, so no `None` is dropped.
+    par_map_range(items.len(), |i| items.get(i).map(&f))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Maps `f(index, item)` over a mutable slice, in parallel, returning

@@ -15,7 +15,9 @@
 //!   (Fig. 10a).
 //!
 //! All predictors forecast *per-period harvested energy* for a horizon
-//! of future periods, which is the granularity the planners consume.
+//! of future periods, which is the granularity the planners consume,
+//! into a caller-owned buffer ([`SolarPredictor::forecast_into`]), or
+//! for the next period alone ([`SolarPredictor::forecast_one`]).
 
 use helio_common::rng::derive_fmt;
 use helio_common::time::PeriodRef;
@@ -32,35 +34,22 @@ use crate::trace::SolarTrace;
 /// accidentally cheat.
 pub trait SolarPredictor {
     /// Predicts the harvested energy of `horizon` consecutive periods
-    /// starting at `from`. The returned vector has length `horizon`
-    /// (shorter if the grid ends first).
-    fn forecast(&self, trace: &SolarTrace, from: PeriodRef, horizon: usize) -> Vec<Joules>;
-
-    /// Fills `out` with the same forecast as
-    /// [`SolarPredictor::forecast`], reusing the buffer's capacity.
-    /// The provided predictors override this without allocating; the
-    /// default delegates.
+    /// starting at `from` into `out` (cleared first, capacity reused).
+    /// `out` ends with length `horizon` (shorter if the grid ends
+    /// first).
     fn forecast_into(
         &self,
         trace: &SolarTrace,
         from: PeriodRef,
         horizon: usize,
         out: &mut Vec<Joules>,
-    ) {
-        out.clear();
-        out.extend(self.forecast(trace, from, horizon));
-    }
+    );
 
     /// One-period fast path: the first entry of
-    /// [`SolarPredictor::forecast`] with `horizon == 1`, without the
-    /// vector. Callers that only need the next period (the engine's
-    /// period-start context) should prefer this.
-    fn forecast_one(&self, trace: &SolarTrace, from: PeriodRef) -> Joules {
-        self.forecast(trace, from, 1)
-            .first()
-            .copied()
-            .unwrap_or(Joules::ZERO)
-    }
+    /// [`SolarPredictor::forecast_into`] with `horizon == 1`, without
+    /// the vector. Callers that only need the next period (the
+    /// engine's period-start context) should prefer this.
+    fn forecast_one(&self, trace: &SolarTrace, from: PeriodRef) -> Joules;
 
     /// Human-readable predictor name for experiment tables.
     fn name(&self) -> &'static str;
@@ -136,12 +125,6 @@ impl Default for EwmaPredictor {
 }
 
 impl SolarPredictor for EwmaPredictor {
-    fn forecast(&self, trace: &SolarTrace, from: PeriodRef, horizon: usize) -> Vec<Joules> {
-        let mut out = Vec::with_capacity(horizon);
-        self.forecast_into(trace, from, horizon, &mut out);
-        out
-    }
-
     fn forecast_into(
         &self,
         trace: &SolarTrace,
@@ -237,12 +220,6 @@ impl Default for WcmaPredictor {
 }
 
 impl SolarPredictor for WcmaPredictor {
-    fn forecast(&self, trace: &SolarTrace, from: PeriodRef, horizon: usize) -> Vec<Joules> {
-        let mut out = Vec::with_capacity(horizon);
-        self.forecast_into(trace, from, horizon, &mut out);
-        out
-    }
-
     fn forecast_into(
         &self,
         trace: &SolarTrace,
@@ -367,12 +344,6 @@ impl NoisyOracle {
 }
 
 impl SolarPredictor for NoisyOracle {
-    fn forecast(&self, trace: &SolarTrace, from: PeriodRef, horizon: usize) -> Vec<Joules> {
-        let mut out = Vec::with_capacity(horizon);
-        self.forecast_into(trace, from, horizon, &mut out);
-        out
-    }
-
     fn forecast_into(
         &self,
         trace: &SolarTrace,
@@ -426,6 +397,17 @@ mod tests {
             .build()
     }
 
+    fn forecast(
+        predictor: &impl SolarPredictor,
+        trace: &SolarTrace,
+        from: PeriodRef,
+        horizon: usize,
+    ) -> Vec<Joules> {
+        let mut out = Vec::new();
+        predictor.forecast_into(trace, from, horizon, &mut out);
+        out
+    }
+
     fn actual(trace: &SolarTrace, from: PeriodRef, horizon: usize) -> Vec<f64> {
         let grid = trace.grid();
         let start = grid.period_index(from);
@@ -438,7 +420,7 @@ mod tests {
     fn perfect_oracle_returns_truth() {
         let t = trace(5, 1);
         let from = PeriodRef::new(2, 10);
-        let pred = NoisyOracle::perfect().forecast(&t, from, 20);
+        let pred = forecast(&NoisyOracle::perfect(), &t, from, 20);
         let truth = actual(&t, from, 20);
         for (p, a) in pred.iter().zip(&truth) {
             assert!((p.value() - a).abs() < 1e-12);
@@ -457,7 +439,7 @@ mod tests {
         for day in 1..5 {
             let from = PeriodRef::new(day, 0);
             let horizon = 5 * t.grid().periods_per_day();
-            let pred = oracle.forecast(&t, from, horizon);
+            let pred = forecast(&oracle, &t, from, horizon);
             let truth = actual(&t, from, horizon);
             for (i, (p, a)) in pred.iter().zip(&truth).enumerate() {
                 if *a > 1e-6 {
@@ -481,11 +463,11 @@ mod tests {
         let t = trace(6, 4);
         let oracle = NoisyOracle::new(7, 0.1, 0.2);
         let from = PeriodRef::new(2, 5);
-        let a = oracle.forecast(&t, from, 30);
-        let b = oracle.forecast(&t, from, 30);
+        let a = forecast(&oracle, &t, from, 30);
+        let b = forecast(&oracle, &t, from, 30);
         assert_eq!(a, b);
         // Overlapping horizons agree on shared targets (same origin day).
-        let c = oracle.forecast(&t, PeriodRef::new(2, 6), 29);
+        let c = forecast(&oracle, &t, PeriodRef::new(2, 6), 29);
         assert_eq!(&a[1..], &c[..]);
     }
 
@@ -493,9 +475,9 @@ mod tests {
     fn predictions_are_nonnegative() {
         let t = trace(8, 5);
         for pred in [
-            NoisyOracle::new(1, 0.5, 1.0).forecast(&t, PeriodRef::new(3, 0), 60),
-            WcmaPredictor::default().forecast(&t, PeriodRef::new(3, 0), 60),
-            EwmaPredictor::default().forecast(&t, PeriodRef::new(3, 0), 60),
+            forecast(&NoisyOracle::new(1, 0.5, 1.0), &t, PeriodRef::new(3, 0), 60),
+            forecast(&WcmaPredictor::default(), &t, PeriodRef::new(3, 0), 60),
+            forecast(&EwmaPredictor::default(), &t, PeriodRef::new(3, 0), 60),
         ] {
             assert!(pred.iter().all(|e| e.value() >= 0.0));
         }
@@ -515,8 +497,8 @@ mod tests {
         for day in 5..30 {
             let from = PeriodRef::new(day, 12); // 6 AM on a 48-period day
             let truth = actual(&t, from, horizon);
-            let pw = wcma.forecast(&t, from, horizon);
-            let pe = ewma.forecast(&t, from, horizon);
+            let pw = forecast(&wcma, &t, from, horizon);
+            let pe = forecast(&ewma, &t, from, horizon);
             for i in 0..truth.len() {
                 err_w += (pw[i].value() - truth[i]).abs();
                 err_e += (pe[i].value() - truth[i]).abs();
@@ -533,7 +515,7 @@ mod tests {
         let t = trace(3, 6);
         let total = t.grid().total_periods();
         let from = t.grid().period_at(total - 5);
-        let pred = WcmaPredictor::default().forecast(&t, from, 50);
+        let pred = forecast(&WcmaPredictor::default(), &t, from, 50);
         assert_eq!(pred.len(), 5);
     }
 
@@ -549,8 +531,8 @@ mod tests {
             .days(&days)
             .build();
         let from = PeriodRef::new(6, 24); // noon, storm day
-        let wcma = WcmaPredictor::default().forecast(&t, from, 4);
-        let profile_based = EwmaPredictor::new(0.2).forecast(&t, from, 4);
+        let wcma = forecast(&WcmaPredictor::default(), &t, from, 4);
+        let profile_based = forecast(&EwmaPredictor::new(0.2), &t, from, 4);
         let wsum: f64 = wcma.iter().map(|e| e.value()).sum();
         let esum: f64 = profile_based.iter().map(|e| e.value()).sum();
         assert!(
