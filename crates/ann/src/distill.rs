@@ -208,7 +208,7 @@ impl DistilledPolicy {
     /// samples of the wrong width.
     ///
     /// The fitter's row lists take `u16` row ids when every row fits
-    /// one ([`NARROW_ROWS`]) and `u32` ids otherwise; both widths fit
+    /// one (`NARROW_ROWS`) and `u32` ids otherwise; both widths fit
     /// the same artifact, bit for bit.
     pub fn distill(
         teacher: &Dbn,

@@ -245,7 +245,7 @@ impl Matrix {
     /// into one sweep so each weight tile is loaded and stored once
     /// instead of twice (CD-1 applies exactly this pair for its
     /// positive and negative phases). Bit-identical to two
-    /// [`Matrix::rank1_update`] calls in the same order: the updates
+    /// `rank1_update` calls in the same order: the updates
     /// are element-independent, and each element sees its two rounded
     /// additions in sequence.
     ///
@@ -333,7 +333,7 @@ impl Matrix {
         self.rank1_update(delta, acts, scale)
     }
 
-    /// [`Matrix::rank1_update`] with the matching bias update
+    /// `rank1_update` with the matching bias update
     /// `bias[r] += scale · a[r]` folded into the row sweep — the
     /// gradient step of a layer with nothing to propagate. The bias
     /// addend is the row's hoisted `scale · a_r` product, added once,

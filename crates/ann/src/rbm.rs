@@ -42,16 +42,6 @@ impl Rbm {
         }
     }
 
-    /// Number of visible units.
-    pub fn visible(&self) -> usize {
-        self.visible_bias.len()
-    }
-
-    /// Number of hidden units.
-    pub fn hidden(&self) -> usize {
-        self.hidden_bias.len()
-    }
-
     /// The learned weights (`hidden × visible`) — handed to the BP
     /// network during DBN assembly.
     pub fn weights(&self) -> &Matrix {

@@ -11,17 +11,16 @@
 
 use std::sync::Arc;
 
-use helio_ann::{
-    CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable,
-};
+use helio_ann::{CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy};
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
+use helio_faults::FaultHarness;
 use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilder};
-use helio_tasks::benchmarks;
+use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::{
     BatchCheckpoint, BatchEngine, BatchRunState, BatchScenario, BatchScratch, DpConfig, Engine,
-    FixedPlanner, MpcPlanner, NodeConfig, OptimalPlanner, Pattern, ProposedPlanner, SimReport,
-    SwitchRule,
+    FixedPlanner, MpcPlanner, NodeConfig, OptimalPlanner, Pattern, PeriodPlanner, ProposedPlanner,
+    SimReport, SwitchRule,
 };
 
 /// Seed of the golden trace (matches the online planner unit tests).
@@ -68,147 +67,204 @@ pub fn golden_dbn(optimal: &OptimalPlanner) -> Dbn {
     Dbn::train_set(optimal.samples(), &cfg).expect("golden DBN trains")
 }
 
-/// Runs the whole golden suite and returns `(case name, report)` pairs
-/// in a fixed order. Case names double as file stems under
-/// `results/golden_online/`.
-pub fn golden_reports() -> Vec<(String, SimReport)> {
-    golden_reports_with(None)
+/// What serves the golden `ecg_dbn` case. The other 20 cases never
+/// consult the network, so they anchor every serving path to the same
+/// committed reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DbnServing {
+    /// The f64 reference network (`proposed-dbn`): the committed
+    /// golden reports.
+    Reference,
+    /// The compiled forward at a tier (`compiled-dbn`,
+    /// `compiled-dbn-i8`), gated by [`GOLDEN_COMPILED_DMR_EPS`].
+    Compiled(CompiledTier),
+    /// The distilled artifact over a compiled `f32` fallback
+    /// (`distilled`), gated by [`GOLDEN_DISTILLED_DMR_EPS`].
+    Distilled,
 }
 
-/// [`golden_reports`] through [`Engine::run_with_faults`]: with `None`
-/// or an empty harness the reports are byte-identical to the clean
-/// suite (the robustness gate CI relies on).
-pub fn golden_reports_with(
-    harness: Option<&helio_faults::FaultHarness>,
-) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
+/// The golden cases on one benchmark, in golden order; the batch
+/// runners run each group as one lockstep batch.
+struct CaseGroup {
+    graph: TaskGraph,
+    cases: Vec<(String, Box<dyn PeriodPlanner>)>,
+}
 
-    // Six benchmarks × three fixed patterns. ASAP gets the small
-    // capacitor (it hoards no energy), the planned patterns the large.
-    for graph in benchmarks::all_six() {
-        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-        for (pattern, cap) in [
-            (Pattern::Asap, 0usize),
-            (Pattern::Inter, 1),
-            (Pattern::Intra, 1),
-        ] {
-            let report = engine
-                .run_with_faults(&mut FixedPlanner::new(pattern, cap), harness)
-                .expect("golden fixed run");
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
+/// The 21 golden cases, in golden order: the six benchmarks × three
+/// fixed patterns (ASAP gets the small capacitor, since it hoards no
+/// energy, the planned patterns the large), then the planner-driven
+/// paths on ECG: optimal LUT replay, MPC on a perfect oracle, and the
+/// DBN trained from the optimal samples, served as `dbn` says. Case
+/// names double as file stems under `results/golden_online/`.
+fn golden_cases(node: &NodeConfig, trace: &SolarTrace, dbn: DbnServing) -> Vec<CaseGroup> {
+    let mut groups: Vec<CaseGroup> = benchmarks::all_six()
+        .into_iter()
+        .map(|graph| {
+            let cases = [
+                (Pattern::Asap, 0usize),
+                (Pattern::Inter, 1),
+                (Pattern::Intra, 1),
+            ]
+            .into_iter()
+            .map(|(pattern, cap)| {
+                let planner: Box<dyn PeriodPlanner> = Box::new(FixedPlanner::new(pattern, cap));
+                (format!("{}_{}", graph.name(), pattern), planner)
+            })
+            .collect();
+            CaseGroup { graph, cases }
+        })
+        .collect();
 
-    // Planner-driven paths on ECG: optimal LUT replay, MPC on a perfect
-    // oracle, and the DBN trained from the optimal samples.
     let graph = benchmarks::ecg();
-    let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
     let dp = golden_dp();
-    let mut optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    out.push((
-        "ecg_optimal".into(),
-        engine
-            .run_with_faults(&mut optimal, harness)
-            .expect("golden optimal run"),
-    ));
-    let mut mpc = MpcPlanner::new(
+    let switch = SwitchRule::default();
+    let optimal =
+        OptimalPlanner::compute(node, &graph, trace, &dp, GOLDEN_DELTA).expect("golden optimal");
+    let network = golden_dbn(&optimal);
+    let compile =
+        |tier| Arc::new(CompiledDbn::compile(&network, tier).expect("golden DBN compiles"));
+    let served = match dbn {
+        DbnServing::Reference => ProposedPlanner::from_dbn(network, GOLDEN_DELTA, switch),
+        DbnServing::Compiled(tier) => {
+            ProposedPlanner::from_compiled_dbn(compile(tier), GOLDEN_DELTA, switch)
+        }
+        DbnServing::Distilled => ProposedPlanner::from_distilled(
+            Arc::new(golden_distilled_policy(&network)),
+            compile(CompiledTier::F32),
+            GOLDEN_DELTA,
+            switch,
+        ),
+    };
+    let mpc = MpcPlanner::new(
         Box::new(NoisyOracle::perfect()),
         24,
         dp,
         GOLDEN_DELTA,
-        SwitchRule::default(),
+        switch,
     );
-    out.push((
-        "ecg_mpc".into(),
-        engine
-            .run_with_faults(&mut mpc, harness)
-            .expect("golden mpc run"),
-    ));
-    let mut dbn_planner = ProposedPlanner::from_dbn(dbn, GOLDEN_DELTA, SwitchRule::default());
-    out.push((
-        "ecg_dbn".into(),
-        engine
-            .run_with_faults(&mut dbn_planner, harness)
-            .expect("golden dbn run"),
-    ));
+    groups.push(CaseGroup {
+        graph,
+        cases: vec![
+            ("ecg_optimal".into(), Box::new(optimal)),
+            ("ecg_mpc".into(), Box::new(mpc)),
+            ("ecg_dbn".into(), Box::new(served)),
+        ],
+    });
+    groups
+}
+
+/// The committed golden suite: `(case name, report)` pairs in golden
+/// order, each case run through [`Engine::run`].
+pub fn golden_reports() -> Vec<(String, SimReport)> {
+    golden_reports_with(DbnServing::Reference, None)
+}
+
+/// The 21 golden cases with `ecg_dbn` served as `dbn`, each run through
+/// [`Engine::run_with_faults`]. With `None` or an empty harness the
+/// reference reports are byte-identical to the clean suite (the
+/// robustness gate CI relies on).
+pub fn golden_reports_with(
+    dbn: DbnServing,
+    harness: Option<&FaultHarness>,
+) -> Vec<(String, SimReport)> {
+    let node = golden_node();
+    let trace = golden_trace();
+    let mut out = Vec::new();
+    for CaseGroup { graph, cases } in golden_cases(&node, &trace, dbn) {
+        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
+        for (name, mut planner) in cases {
+            let report = engine
+                .run_with_faults(planner.as_mut(), harness)
+                .expect("golden run");
+            out.push((name, report));
+        }
+    }
     out
 }
 
+/// The same cases, in the same order, with each benchmark's cases run
+/// as one lockstep [`BatchEngine`] batch by `run`.
+fn golden_batch_reports_via(
+    dbn: DbnServing,
+    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
+) -> Vec<(String, SimReport)> {
+    let node = golden_node();
+    let trace = golden_trace();
+    let mut out = Vec::new();
+    for CaseGroup { graph, cases } in golden_cases(&node, &trace, dbn) {
+        let mut engine = BatchEngine::new(&node, &graph).expect("golden batch engine");
+        let mut names = Vec::with_capacity(cases.len());
+        for (name, planner) in cases {
+            engine
+                .push(BatchScenario::new(&trace, planner))
+                .expect("golden batch scenario");
+            names.push(name);
+        }
+        let reports = run(engine);
+        assert_eq!(reports.len(), names.len(), "one report per golden case");
+        out.extend(names.into_iter().zip(reports));
+    }
+    out
+}
+
+/// The golden cases through [`BatchEngine::run_sharded_with`] on
+/// `shards` workers. The batched and sharded engines' byte-identity
+/// contract means these reports must equal [`golden_reports_with`]'s
+/// for the same `dbn`, byte for byte, at every shard count.
+pub fn golden_sharded_reports(dbn: DbnServing, shards: usize) -> Vec<(String, SimReport)> {
+    golden_batch_reports_via(dbn, &move |engine| {
+        engine
+            .run_sharded_with(&mut scratches(shards))
+            .expect("golden sharded run")
+    })
+}
+
+/// `shards` fresh worker scratches.
+fn scratches(shards: usize) -> Vec<BatchScratch> {
+    (0..shards).map(|_| BatchScratch::default()).collect()
+}
+
+/// The golden cases as [`golden_sharded_reports`] batches, each killed
+/// at flat period `kill`, its checkpoint JSON-round-tripped (exactly
+/// what the fleet service's on-disk resume does) and finished with
+/// `shards` scratches. The checkpoint contract (interrupt anywhere,
+/// resume byte-identically) means these reports must also equal
+/// [`golden_reports_with`]'s byte for byte.
+pub fn golden_checkpoint_reports(
+    dbn: DbnServing,
+    kill: usize,
+    shards: usize,
+) -> Vec<(String, SimReport)> {
+    golden_batch_reports_via(dbn, &move |mut engine| {
+        let paused = engine
+            .run_span_with(None, Some(kill), &mut scratches(1))
+            .expect("golden checkpoint");
+        let BatchRunState::Paused(ckpt) = paused else {
+            panic!("golden run did not pause at {kill}");
+        };
+        let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
+        let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
+        match engine
+            .run_span_with(Some(&ckpt), None, &mut scratches(shards))
+            .expect("golden checkpoint resume")
+        {
+            BatchRunState::Done(reports) => reports,
+            BatchRunState::Paused(_) => panic!("golden resume paused without a stop period"),
+        }
+    })
+}
+
 /// Per-scenario DMR epsilon of the compiled-planner regression gate:
-/// every case replayed through [`golden_compiled_reports`] must land
-/// within this of the f64 reference suite's DMR. The compiled path is
+/// every case served through [`DbnServing::Compiled`] must land within
+/// this of the f64 reference suite's DMR. The compiled path is
 /// tolerance-gated, not bit-identical — see `helio_ann::compiled` for
 /// the contract; `tests/golden_compiled.rs` enforces this bound on all
 /// 21 scenarios for both tiers.
 pub const GOLDEN_COMPILED_DMR_EPS: f64 = 0.01;
 
-/// The 21 golden cases with the DBN case running the compiled planner
-/// at `tier` instead of the f64 reference: 20 cases are untouched by
-/// compilation (fixed patterns, optimal, MPC) and anchor the harness;
-/// `ecg_dbn` becomes `compiled-dbn`/`compiled-dbn-i8`. The DMR-bound
-/// harness compares these against [`golden_reports`] per scenario.
-pub fn golden_compiled_reports(tier: CompiledTier) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-
-    for graph in benchmarks::all_six() {
-        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-        for (pattern, cap) in [
-            (Pattern::Asap, 0usize),
-            (Pattern::Inter, 1),
-            (Pattern::Intra, 1),
-        ] {
-            let report = engine
-                .run(&mut FixedPlanner::new(pattern, cap))
-                .expect("golden fixed run");
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
-
-    let graph = benchmarks::ecg();
-    let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-    let dp = golden_dp();
-    let mut optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    out.push((
-        "ecg_optimal".into(),
-        engine.run(&mut optimal).expect("golden optimal run"),
-    ));
-    let mut mpc = MpcPlanner::new(
-        Box::new(NoisyOracle::perfect()),
-        24,
-        dp,
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_mpc".into(),
-        engine.run(&mut mpc).expect("golden mpc run"),
-    ));
-    let compiled = CompiledDbn::compile(&dbn, tier).expect("golden DBN compiles");
-    let mut compiled_planner = ProposedPlanner::from_compiled_dbn(
-        std::sync::Arc::new(compiled),
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_dbn".into(),
-        engine
-            .run(&mut compiled_planner)
-            .expect("golden compiled run"),
-    ));
-    out
-}
-
 /// Per-scenario DMR epsilon of the distilled-artifact regression gate:
-/// every case replayed through [`golden_distilled_reports`] must land
-/// within this of the f64 reference suite's DMR. The artifact is
+/// every case served through [`DbnServing::Distilled`] must land within
+/// this of the f64 reference suite's DMR. The artifact is
 /// agreement-gated against its teacher, not bit-identical —
 /// `tests/golden_distilled.rs` enforces this bound on all 21
 /// scenarios.
@@ -281,281 +337,6 @@ pub fn golden_distilled_policy(dbn: &Dbn) -> DistilledPolicy {
     let samples = golden_distill_samples(dbn);
     DistilledPolicy::distill(dbn, spp, &samples, &golden_distill_config())
         .expect("golden DBN distils")
-}
-
-/// The 21 golden cases with the DBN case running the distilled
-/// artifact (compiled `f32` as its fallback tier): 20 cases are
-/// untouched by distillation and anchor the harness; `ecg_dbn` becomes
-/// `distilled`. The DMR-bound harness compares these against
-/// [`golden_reports`] per scenario.
-pub fn golden_distilled_reports() -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-
-    for graph in benchmarks::all_six() {
-        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-        for (pattern, cap) in [
-            (Pattern::Asap, 0usize),
-            (Pattern::Inter, 1),
-            (Pattern::Intra, 1),
-        ] {
-            let report = engine
-                .run(&mut FixedPlanner::new(pattern, cap))
-                .expect("golden fixed run");
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
-
-    let graph = benchmarks::ecg();
-    let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-    let dp = golden_dp();
-    let mut optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    out.push((
-        "ecg_optimal".into(),
-        engine.run(&mut optimal).expect("golden optimal run"),
-    ));
-    let mut mpc = MpcPlanner::new(
-        Box::new(NoisyOracle::perfect()),
-        24,
-        dp,
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_mpc".into(),
-        engine.run(&mut mpc).expect("golden mpc run"),
-    ));
-    let policy = golden_distilled_policy(&dbn);
-    let compiled = CompiledDbn::compile(&dbn, CompiledTier::F32).expect("golden DBN compiles");
-    let mut distilled_planner = ProposedPlanner::from_distilled(
-        std::sync::Arc::new(policy),
-        std::sync::Arc::new(compiled),
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_dbn".into(),
-        engine
-            .run(&mut distilled_planner)
-            .expect("golden distilled run"),
-    ));
-    out
-}
-
-/// The same 21 cases as [`golden_reports`], in the same order, built
-/// through [`BatchEngine`] instead of per-scenario [`Engine`] runs:
-/// one lockstep batch per benchmark for the three fixed patterns, one
-/// batch for the three planner-driven ECG cases. The batched engine's
-/// byte-identity contract means these reports must render to exactly
-/// the committed golden files (CI-gated by `tests/golden_online.rs`).
-pub fn golden_batch_reports() -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&|engine| engine.run().expect("golden batch run"))
-}
-
-/// The same 21 cases as [`golden_batch_reports`] through
-/// [`BatchEngine::run_sharded_with`] on `shards` workers: the sharded
-/// engine's byte-identity contract means these reports must also
-/// render to exactly the committed golden files, for every shard
-/// count (CI-gated by `tests/golden_online.rs`).
-pub fn golden_sharded_reports(shards: usize) -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&move |engine| {
-        engine
-            .run_sharded_with(&mut scratches(shards))
-            .expect("golden sharded run")
-    })
-}
-
-/// `shards` fresh worker scratches.
-fn scratches(shards: usize) -> Vec<BatchScratch> {
-    (0..shards).map(|_| BatchScratch::default()).collect()
-}
-
-/// Runs `engine` to flat period `kill`, JSON-round-trips the
-/// checkpoint and resumes it to the end on `shards` scratches.
-fn kill_and_resume(mut engine: BatchEngine<'_>, kill: usize, shards: usize) -> Vec<SimReport> {
-    let paused = engine
-        .run_span_with(None, Some(kill), &mut scratches(1))
-        .expect("golden checkpoint");
-    let BatchRunState::Paused(ckpt) = paused else {
-        panic!("golden run did not pause at {kill}");
-    };
-    let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
-    let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
-    match engine
-        .run_span_with(Some(&ckpt), None, &mut scratches(shards))
-        .expect("golden checkpoint resume")
-    {
-        BatchRunState::Done(reports) => reports,
-        BatchRunState::Paused(_) => panic!("golden resume paused without a stop period"),
-    }
-}
-
-/// The same 21 cases as [`golden_batch_reports`], each batch killed at
-/// flat period `kill`, its checkpoint JSON-round-tripped (exactly what
-/// the fleet service's on-disk resume does) and finished with `shards`
-/// scratches. The checkpoint contract — interrupt anywhere, resume
-/// byte-identically — means these reports must render to exactly the
-/// committed golden files (CI-gated by `tests/golden_online.rs`).
-pub fn golden_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&move |engine| kill_and_resume(engine, kill, shards))
-}
-
-/// The 18 fixed-pattern cases (six benchmarks × three patterns) built
-/// as one lockstep batch per benchmark, appended to `out` in golden
-/// order.
-fn golden_fixed_batches_into(
-    node: &NodeConfig,
-    trace: &SolarTrace,
-    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
-    out: &mut Vec<(String, SimReport)>,
-) {
-    let patterns = [
-        (Pattern::Asap, 0usize),
-        (Pattern::Inter, 1),
-        (Pattern::Intra, 1),
-    ];
-    for graph in benchmarks::all_six() {
-        let mut engine = BatchEngine::new(node, &graph).expect("golden batch engine");
-        for (pattern, cap) in patterns {
-            engine
-                .push(BatchScenario::new(
-                    trace,
-                    Box::new(FixedPlanner::new(pattern, cap)),
-                ))
-                .expect("golden batch scenario");
-        }
-        let reports = run(engine);
-        for ((pattern, _), report) in patterns.iter().zip(reports) {
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
-}
-
-fn golden_batch_reports_via(
-    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
-) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-    golden_fixed_batches_into(&node, &trace, run, &mut out);
-
-    let graph = benchmarks::ecg();
-    let dp = golden_dp();
-    let optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    let mut engine = BatchEngine::new(&node, &graph).expect("golden batch engine");
-    engine
-        .push(BatchScenario::new(&trace, Box::new(optimal)))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(MpcPlanner::new(
-                Box::new(NoisyOracle::perfect()),
-                24,
-                dp,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(ProposedPlanner::from_dbn(
-                dbn,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    let mut reports = run(engine).into_iter();
-    for name in ["ecg_optimal", "ecg_mpc", "ecg_dbn"] {
-        out.push((name.into(), reports.next().expect("three reports")));
-    }
-    out
-}
-
-/// The same 21 cases as [`golden_distilled_reports`], in the same
-/// order, built through [`BatchEngine::run_sharded_with`] on `shards`
-/// workers — the `ecg_dbn` case runs the *batched* distilled decision
-/// path: its planners share one [`FoldTable`] handle, so its leaf
-/// evaluation goes through the multi-lane kernel. The
-/// batched kernel's bit-identity contract means these reports must
-/// match the sequential [`golden_distilled_reports`] byte for byte at
-/// every shard count (CI-gated by `tests/golden_distilled.rs`).
-pub fn golden_distilled_batch_reports(shards: usize) -> Vec<(String, SimReport)> {
-    golden_distilled_batch_via(&move |engine| {
-        engine
-            .run_sharded_with(&mut scratches(shards))
-            .expect("golden distilled sharded run")
-    })
-}
-
-/// [`golden_distilled_batch_reports`] killed at flat period `kill`,
-/// the checkpoint JSON-round-tripped and resumed with `shards`
-/// scratches — and must still match [`golden_distilled_reports`] byte
-/// for byte.
-pub fn golden_distilled_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
-    golden_distilled_batch_via(&move |engine| kill_and_resume(engine, kill, shards))
-}
-
-fn golden_distilled_batch_via(
-    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
-) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-    golden_fixed_batches_into(&node, &trace, run, &mut out);
-
-    let graph = benchmarks::ecg();
-    let dp = golden_dp();
-    let optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    let policy = Arc::new(golden_distilled_policy(&dbn));
-    let compiled =
-        Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).expect("golden DBN compiles"));
-    let table = Arc::new(FoldTable::new(
-        Arc::clone(&policy),
-        FoldTable::DEFAULT_CAPACITY,
-    ));
-    let mut engine = BatchEngine::new(&node, &graph).expect("golden batch engine");
-    engine
-        .push(BatchScenario::new(&trace, Box::new(optimal)))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(MpcPlanner::new(
-                Box::new(NoisyOracle::perfect()),
-                24,
-                dp,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(ProposedPlanner::from_distilled_with_table(
-                table,
-                compiled,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    let mut reports = run(engine).into_iter();
-    for name in ["ecg_optimal", "ecg_mpc", "ecg_dbn"] {
-        out.push((name.into(), reports.next().expect("three reports")));
-    }
-    out
 }
 
 /// Canonical byte rendering of a golden report — the generator writes

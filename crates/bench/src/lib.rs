@@ -120,7 +120,7 @@ pub fn node_for_eval(node_train: &NodeConfig, eval: &SolarTrace) -> NodeConfig {
 /// Runs several planners against one `(node, graph, trace)` as a
 /// single lockstep [`BatchEngine`] batch — the sweep primitive the
 /// figure binaries build on. Reports come back in planner order and
-/// are byte-identical to per-planner [`Engine::run`] calls; DBN-backed
+/// are byte-identical to per-planner [`heliosched::Engine::run`] calls; DBN-backed
 /// planners sharing a network get their inference batched.
 ///
 /// # Errors

@@ -14,11 +14,13 @@
 //! to the metric the paper reports — the deadline miss rate.
 
 use helio_ann::CompiledTier;
-use helio_bench::golden::{golden_compiled_reports, golden_reports, GOLDEN_COMPILED_DMR_EPS};
+use helio_bench::golden::{
+    golden_reports, golden_reports_with, DbnServing, GOLDEN_COMPILED_DMR_EPS,
+};
 
 fn assert_dmr_within_eps(tier: CompiledTier) {
     let reference = golden_reports();
-    let compiled = golden_compiled_reports(tier);
+    let compiled = golden_reports_with(DbnServing::Compiled(tier), None);
     assert_eq!(reference.len(), 21, "golden suite is 21 scenarios");
     assert_eq!(compiled.len(), reference.len());
     for ((name, want), (compiled_name, got)) in reference.iter().zip(&compiled) {

@@ -18,9 +18,9 @@
 //! up here even when it leaves every DMR inside epsilon.
 
 use helio_bench::golden::{
-    golden_dbn, golden_distilled_batch_reports, golden_distilled_checkpoint_reports,
-    golden_distilled_policy, golden_distilled_reports, golden_dp, golden_grid, golden_node,
-    golden_reports, golden_trace, GOLDEN_DELTA, GOLDEN_DISTILLED_DMR_EPS,
+    golden_checkpoint_reports, golden_dbn, golden_distilled_policy, golden_dp, golden_grid,
+    golden_node, golden_reports, golden_reports_with, golden_sharded_reports, golden_trace,
+    DbnServing, GOLDEN_DELTA, GOLDEN_DISTILLED_DMR_EPS,
 };
 use heliosched::OptimalPlanner;
 use std::path::PathBuf;
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 #[test]
 fn distilled_dmr_within_epsilon_on_all_golden_scenarios() {
     let reference = golden_reports();
-    let distilled = golden_distilled_reports();
+    let distilled = golden_reports_with(DbnServing::Distilled, None);
     assert_eq!(reference.len(), 21, "golden suite is 21 scenarios");
     assert_eq!(distilled.len(), reference.len());
     for ((name, want), (distilled_name, got)) in reference.iter().zip(&distilled) {
@@ -62,13 +62,16 @@ fn batched_distilled_is_byte_identical_to_sequential() {
     // artifact handle, lane-major gather, multi-lane leaf kernel — must
     // reproduce the sequential per-scenario path byte for byte across
     // all 21 golden scenarios, sharded and after an interrupt/resume.
-    let sequential = golden_distilled_reports();
+    let sequential = golden_reports_with(DbnServing::Distilled, None);
     assert_eq!(sequential.len(), 21, "golden suite is 21 scenarios");
     for (label, batched) in [
-        ("run_sharded(3)", golden_distilled_batch_reports(3)),
+        (
+            "run_sharded(3)",
+            golden_sharded_reports(DbnServing::Distilled, 3),
+        ),
         (
             "kill@17 resume 2 shards",
-            golden_distilled_checkpoint_reports(17, 2),
+            golden_checkpoint_reports(DbnServing::Distilled, 17, 2),
         ),
     ] {
         assert_eq!(batched.len(), sequential.len(), "{label}");

@@ -11,39 +11,39 @@
 use std::path::PathBuf;
 
 use helio_bench::golden::{
-    golden_batch_reports, golden_checkpoint_reports, golden_reports, golden_reports_with,
-    golden_sharded_reports, render, GOLDEN_DIR,
+    golden_checkpoint_reports, golden_reports, golden_reports_with, golden_sharded_reports, render,
+    DbnServing, GOLDEN_DIR,
 };
+use heliosched::SimReport;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// Asserts that `reports` are the 21 golden cases (6 benchmarks × 3
+/// patterns + optimal + mpc + dbn on ECG), each rendering to exactly
+/// its committed file; `path` names the engine path in the failure.
+fn assert_matches_committed(reports: &[(String, SimReport)], path: &str) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join(GOLDEN_DIR)
+        .join(GOLDEN_DIR);
+    assert_eq!(reports.len(), 21, "golden suite shrank unexpectedly");
+    for (name, report) in reports {
+        let file = dir.join(format!("{name}.json"));
+        let committed = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", file.display()));
+        assert_eq!(
+            render(report),
+            committed,
+            "SimReport for `{name}` diverged from the committed golden ({}) \
+             when run through {path}. Every engine path must be byte-identical \
+             to the sequential engine; if the engine's behaviour changed \
+             intentionally, regenerate with `cargo run -p helio-bench --bin \
+             golden_online`.",
+            file.display()
+        );
+    }
 }
 
 #[test]
 fn reports_match_committed_goldens_bytewise() {
-    let dir = golden_dir();
-    let reports = golden_reports();
-    assert!(!reports.is_empty());
-    let mut checked = 0usize;
-    for (name, report) in &reports {
-        let path = dir.join(format!("{name}.json"));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-        let fresh = render(report);
-        assert_eq!(
-            fresh,
-            committed,
-            "SimReport for `{name}` diverged from the committed golden \
-             ({}). If the engine's behaviour changed intentionally, \
-             regenerate with `cargo run -p helio-bench --bin golden_online`.",
-            path.display()
-        );
-        checked += 1;
-    }
-    // 6 benchmarks × 3 patterns + optimal + mpc + dbn on ECG.
-    assert_eq!(checked, 21, "golden suite shrank unexpectedly");
+    assert_matches_committed(&golden_reports(), "Engine::run");
 }
 
 /// A deterministic work counter beside the byte gate: the encoded
@@ -66,53 +66,32 @@ fn golden_period_logs_keep_their_encoded_size() {
     );
 }
 
-/// The batching gate: every golden case run through `BatchEngine` —
-/// scenarios advancing in lockstep, DBN inference batched across the
-/// batch — must reproduce the committed bytes exactly. This is the
-/// batched engine's correctness contract over all 21 golden seeds.
+/// The batching gate: every golden case run through `BatchEngine` on
+/// one scratch (what `BatchEngine::run` does) — scenarios advancing in
+/// lockstep, DBN inference batched across the batch — must reproduce
+/// the committed bytes exactly. This is the batched engine's
+/// correctness contract over all 21 golden seeds.
 #[test]
 fn batch_engine_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
-    let reports = golden_batch_reports();
-    assert_eq!(reports.len(), 21);
-    for (name, report) in &reports {
-        let path = dir.join(format!("{name}.json"));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-        assert_eq!(
-            render(report),
-            committed,
-            "`{name}` diverged when run through BatchEngine — the batched \
-             path must be byte-identical to the sequential engine"
-        );
-    }
+    assert_matches_committed(
+        &golden_sharded_reports(DbnServing::Reference, 1),
+        "BatchEngine on one scratch",
+    );
 }
 
 /// The sharding gate: every golden case run through
-/// `BatchEngine::run_sharded` — scenarios partitioned into contiguous
-/// per-worker shards, each worker with its own scratch — must
-/// reproduce the committed bytes exactly, for single- and multi-shard
-/// partitions. This is the sharded engine's correctness contract over
-/// all 21 golden seeds.
+/// `BatchEngine::run_sharded_with` — scenarios partitioned into
+/// contiguous per-worker shards, each worker with its own scratch —
+/// must reproduce the committed bytes exactly across a multi-shard
+/// partition (the one-shard partition is the batching gate above).
+/// This is the sharded engine's correctness contract over all 21
+/// golden seeds.
 #[test]
 fn sharded_engine_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
-    for shards in [1usize, 3] {
-        let reports = golden_sharded_reports(shards);
-        assert_eq!(reports.len(), 21);
-        for (name, report) in &reports {
-            let path = dir.join(format!("{name}.json"));
-            let committed = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-            assert_eq!(
-                render(report),
-                committed,
-                "`{name}` diverged when run through BatchEngine::run_sharded \
-                 with {shards} shards — the sharded path must be byte-identical \
-                 to the sequential engine"
-            );
-        }
-    }
+    assert_matches_committed(
+        &golden_sharded_reports(DbnServing::Reference, 3),
+        "BatchEngine::run_sharded_with on 3 shards",
+    );
 }
 
 /// The checkpoint gate: every golden case killed at a period boundary,
@@ -123,22 +102,11 @@ fn sharded_engine_reproduces_goldens_bytewise() {
 /// the crash-safe resume contract over all 21 golden seeds.
 #[test]
 fn checkpoint_resumed_engine_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
     for (kill, shards) in [(1usize, 1usize), (48, 3), (95, 3)] {
-        let reports = golden_checkpoint_reports(kill, shards);
-        assert_eq!(reports.len(), 21);
-        for (name, report) in &reports {
-            let path = dir.join(format!("{name}.json"));
-            let committed = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-            assert_eq!(
-                render(report),
-                committed,
-                "`{name}` diverged after a kill at period {kill} resumed \
-                 with {shards} shards — checkpoint/resume must be \
-                 byte-identical to the uninterrupted run"
-            );
-        }
+        assert_matches_committed(
+            &golden_checkpoint_reports(DbnServing::Reference, kill, shards),
+            &format!("a kill at period {kill} resumed on {shards} shards"),
+        );
     }
 }
 
@@ -147,20 +115,9 @@ fn checkpoint_resumed_engine_reproduces_goldens_bytewise() {
 /// the committed bytes exactly.
 #[test]
 fn empty_fault_harness_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
     let empty = helio_faults::FaultHarness::empty();
-    let reports = golden_reports_with(Some(&empty));
-    assert_eq!(reports.len(), 21);
-    for (name, report) in &reports {
-        let path = dir.join(format!("{name}.json"));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-        assert_eq!(
-            render(report),
-            committed,
-            "`{name}` diverged under an empty fault harness — the fault \
-             path must be zero-cost and behaviour-neutral when no faults \
-             are planned"
-        );
-    }
+    assert_matches_committed(
+        &golden_reports_with(DbnServing::Reference, Some(&empty)),
+        "Engine::run_with_faults under an empty fault harness",
+    );
 }

@@ -41,7 +41,7 @@ pub fn derive(seed: u64, label: &str) -> DetRng {
     ChaCha8Rng::seed_from_u64(seed ^ h.0)
 }
 
-/// [`derive`] with the label given as format arguments, for labels
+/// [`derive()`] with the label given as format arguments, for labels
 /// built per draw: the label's bytes are hashed as they are formatted,
 /// so no `String` is built. `derive_fmt(seed, format_args!(..))` is
 /// `derive(seed, &format!(..))`, stream for stream.

@@ -35,59 +35,6 @@ pub fn max(values: &[f64]) -> Option<f64> {
     values.iter().copied().reduce(f64::max)
 }
 
-/// Mean absolute percentage error between `actual` and `predicted`
-/// (skipping points where `actual == 0`), as a fraction.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length.
-pub fn mape(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len(), "series must match");
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for (&a, &p) in actual.iter().zip(predicted) {
-        if a != 0.0 {
-            total += ((p - a) / a).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        total / n as f64
-    }
-}
-
-/// Pearson correlation coefficient; `0.0` when either series is constant.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "series must match");
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    if vx == 0.0 || vy == 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,23 +58,5 @@ mod tests {
         assert_eq!(max(&[2.0, 1.0]), Some(2.0));
         assert_eq!(min(&[f64::NAN, 1.0]), None);
         assert_eq!(max(&[]), None);
-    }
-
-    #[test]
-    fn mape_skips_zero_actuals() {
-        let actual = [0.0, 10.0];
-        let predicted = [5.0, 11.0];
-        assert!((mape(&actual, &predicted) - 0.1).abs() < 1e-12);
-        assert_eq!(mape(&[0.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn pearson_detects_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&xs, &[1.0, 1.0, 1.0, 1.0]), 0.0);
     }
 }

@@ -101,20 +101,11 @@ impl TaskSet {
         Self(self.0 | (1u32 << i))
     }
 
-    /// `{i}` when `cond`, the empty set otherwise — a branchless
-    /// building block for assembling a mask from data-dependent
-    /// predicates (a union of these compiles to straight-line bit
-    /// arithmetic, where a conditional `insert` is an unpredictable
-    /// branch per element).
-    #[inline]
-    #[must_use]
-    pub const fn mask_if(cond: bool, i: usize) -> Self {
-        Self((cond as u32) << i)
-    }
-
-    /// `self` when `cond`, the empty set otherwise — the whole-set
-    /// sibling of [`TaskSet::mask_if`], for branchless unions of
-    /// precomputed masks selected by data-dependent predicates.
+    /// `self` when `cond`, the empty set otherwise — a branchless
+    /// building block for unions of precomputed masks selected by
+    /// data-dependent predicates (a union of these compiles to
+    /// straight-line bit arithmetic, where a conditional `union` is an
+    /// unpredictable branch per mask).
     #[inline]
     #[must_use]
     pub const fn select_if(self, cond: bool) -> Self {
@@ -147,13 +138,6 @@ impl TaskSet {
     #[must_use]
     pub const fn is_subset_of(self, other: Self) -> bool {
         self.0 & !other.0 == 0
-    }
-
-    /// Whether the two sets share no member.
-    #[inline]
-    #[must_use]
-    pub const fn is_disjoint(self, other: Self) -> bool {
-        self.0 & other.0 == 0
     }
 
     /// Iterates member indices in ascending order — the canonical
@@ -263,7 +247,6 @@ mod tests {
         let b = TaskSet::from_bits(0b1110);
         assert!(a.is_subset_of(b));
         assert!(!b.is_subset_of(a));
-        assert!(a.is_disjoint(TaskSet::from_bits(0b1001)));
         assert_eq!(b.difference(a).bits(), 0b1000);
         assert_eq!(a.union(b).bits(), 0b1110);
         assert_eq!(a.intersection(b).bits(), 0b0110);
@@ -271,8 +254,6 @@ mod tests {
 
     #[test]
     fn branchless_selectors() {
-        assert_eq!(TaskSet::mask_if(true, 3).bits(), 0b1000);
-        assert_eq!(TaskSet::mask_if(false, 3), TaskSet::EMPTY);
         let s = TaskSet::from_bits(0b1011);
         assert_eq!(s.select_if(true), s);
         assert_eq!(s.select_if(false), TaskSet::EMPTY);

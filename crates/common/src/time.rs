@@ -162,11 +162,6 @@ impl TimeGrid {
         self.slot_duration * self.slots_per_period as f64
     }
 
-    /// Duration of one day on this grid.
-    pub fn day_duration(&self) -> Seconds {
-        self.period_duration() * self.periods_per_day as f64
-    }
-
     /// Slots in one day.
     pub const fn slots_per_day(&self) -> usize {
         self.periods_per_day * self.slots_per_period
@@ -223,12 +218,6 @@ impl TimeGrid {
     /// Whether the slot reference lies inside the grid.
     pub fn contains_slot(&self, s: SlotRef) -> bool {
         self.contains_period(s.period_ref()) && s.slot < self.slots_per_period
-    }
-
-    /// Seconds elapsed from the start of the horizon to the *start* of a
-    /// slot.
-    pub fn slot_start(&self, s: SlotRef) -> Seconds {
-        self.slot_duration * self.slot_index(s) as f64
     }
 
     /// Local time-of-day in hours (0..24-equivalent on this grid) at the
@@ -307,7 +296,6 @@ mod tests {
         assert_eq!(g.total_periods(), 3 * 144);
         assert_eq!(g.total_slots(), 3 * 1440);
         assert!((g.period_duration().value() - 600.0).abs() < 1e-12);
-        assert!((g.day_duration().hours() - 24.0).abs() < 1e-12);
     }
 
     #[test]
@@ -363,13 +351,6 @@ mod tests {
             Some(PeriodRef::new(1, 0))
         );
         assert_eq!(g.next_period(PeriodRef::new(1, 2)), None);
-    }
-
-    #[test]
-    fn slot_start_times() {
-        let g = grid();
-        let s = SlotRef::new(0, 1, 0);
-        assert!((g.slot_start(s).value() - 600.0).abs() < 1e-9);
     }
 
     #[test]

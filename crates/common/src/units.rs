@@ -185,20 +185,6 @@ unit!(
     "s"
 );
 
-impl Joules {
-    /// Builds an energy from a millijoule value.
-    #[inline]
-    pub fn from_millijoules(mj: f64) -> Self {
-        Joules(mj * 1e-3)
-    }
-
-    /// Returns the energy expressed in millijoules.
-    #[inline]
-    pub fn millijoules(self) -> f64 {
-        self.0 * 1e3
-    }
-}
-
 impl Watts {
     /// Builds a power from a milliwatt value (the paper's native unit).
     #[inline]
@@ -329,7 +315,6 @@ mod tests {
     #[test]
     fn milli_round_trips() {
         assert!((Watts::from_milliwatts(50.0).milliwatts() - 50.0).abs() < 1e-12);
-        assert!((Joules::from_millijoules(7.5).millijoules() - 7.5).abs() < 1e-12);
     }
 
     #[test]

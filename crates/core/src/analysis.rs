@@ -1,7 +1,6 @@
 //! Post-run analysis helpers: the slicing and summarisation the
-//! paper's discussion sections perform on simulation results (day vs
-//! night split, capacitor usage, DMR-vs-utilisation trade-off, and
-//! cross-scheduler comparison tables).
+//! paper's discussion sections perform on simulation results: the day
+//! vs night DMR split and the scheduling-pattern counts.
 
 use helio_common::time::TimeGrid;
 use serde::{Deserialize, Serialize};
@@ -48,17 +47,6 @@ pub fn day_night_split(report: &SimReport, grid: &TimeGrid) -> DayNightSplit {
     }
 }
 
-/// Periods each capacitor was active, indexed by capacitor.
-pub fn capacitor_usage(report: &SimReport, capacitor_count: usize) -> Vec<usize> {
-    let mut usage = vec![0usize; capacitor_count];
-    for p in &report.periods {
-        if let Some(u) = usage.get_mut(p.capacitor) {
-            *u += 1;
-        }
-    }
-    usage
-}
-
 /// Periods each scheduling pattern was chosen, as
 /// `(asap, inter, intra)` counts.
 pub fn pattern_usage(report: &SimReport) -> (usize, usize, usize) {
@@ -71,56 +59,6 @@ pub fn pattern_usage(report: &SimReport) -> (usize, usize, usize) {
         }
     }
     counts
-}
-
-/// One scheduler's point in the DMR-vs-utilisation plane (the Fig. 9
-/// scatter).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TradeoffPoint {
-    /// Scheduler name.
-    pub planner: String,
-    /// Long-term DMR.
-    pub dmr: f64,
-    /// Energy utilisation.
-    pub utilisation: f64,
-    /// Migration efficiency.
-    pub migration_efficiency: f64,
-}
-
-impl TradeoffPoint {
-    /// Extracts the trade-off point of a report.
-    pub fn of(report: &SimReport) -> Self {
-        Self {
-            planner: report.planner.clone(),
-            dmr: report.overall_dmr(),
-            utilisation: report.energy_utilisation(),
-            migration_efficiency: report.migration_efficiency(),
-        }
-    }
-}
-
-/// Pairwise DMR improvement of `candidate` over `baseline` per day,
-/// returning `(max, mean)` improvements in DMR points (positive =
-/// candidate better).
-///
-/// Reports covering different horizons are compared over the days both
-/// cover; `(0.0, 0.0)` when there is no overlap.
-pub fn dmr_improvement(candidate: &SimReport, baseline: &SimReport) -> (f64, f64) {
-    let days = candidate
-        .daily_dmr_series()
-        .len()
-        .min(baseline.daily_dmr_series().len());
-    if days == 0 {
-        return (0.0, 0.0);
-    }
-    let mut max = f64::MIN;
-    let mut total = 0.0;
-    for d in 0..days {
-        let gain = baseline.day_dmr(d) - candidate.day_dmr(d);
-        max = max.max(gain);
-        total += gain;
-    }
-    (max, total / days.max(1) as f64)
 }
 
 #[cfg(test)]
@@ -188,35 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn capacitor_usage_histogram() {
-        let u = capacitor_usage(&report(), 2);
-        assert_eq!(u, vec![12, 12]);
-        // Out-of-range capacitor indices are ignored gracefully.
-        let u = capacitor_usage(&report(), 1);
-        assert_eq!(u, vec![12]);
-    }
-
-    #[test]
     fn pattern_usage_counts() {
         let (asap, inter, intra) = pattern_usage(&report());
         assert_eq!(asap, 0);
         assert_eq!(inter, 12);
         assert_eq!(intra, 12);
-    }
-
-    #[test]
-    fn tradeoff_point_extracts_aggregates() {
-        let p = TradeoffPoint::of(&report());
-        assert!((p.dmr - 0.5).abs() < 1e-12);
-        assert!((p.utilisation - 0.6).abs() < 1e-12);
-        assert_eq!(p.planner, "x");
-    }
-
-    #[test]
-    fn improvement_of_identical_reports_is_zero() {
-        let r = report();
-        let (max, mean) = dmr_improvement(&r, &r);
-        assert_eq!(max, 0.0);
-        assert_eq!(mean, 0.0);
     }
 }

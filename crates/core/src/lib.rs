@@ -70,9 +70,7 @@ pub mod planner;
 pub mod resilient;
 pub mod subsets;
 
-pub use analysis::{
-    capacitor_usage, day_night_split, dmr_improvement, DayNightSplit, TradeoffPoint,
-};
+pub use analysis::{day_night_split, DayNightSplit};
 pub use batch::{BatchEngine, BatchRunState, BatchScenario, BatchScratch, PlanContext};
 pub use checkpoint::{
     BatchCheckpoint, MpcCacheState, MpcCheckpoint, PlannerCheckpoint, ProposedCheckpoint,

@@ -16,7 +16,7 @@
 //! bucket × subset cell — depend only on the period's solar profile
 //! once the graph, the subsets, the capacitor and the bucket grid are
 //! fixed. Horizons repeat profiles heavily (every dark period is the
-//! same), so [`StageMemo`] keeps one transition table per distinct
+//! same), so `StageMemo` keeps one transition table per distinct
 //! profile, keyed on its exact `f64` bits: a memoised stage is
 //! bitwise the table the kernel would compute again. The value
 //! iteration then only reads tables. The forward replay starts from
@@ -81,7 +81,7 @@ pub struct DpResult {
     pub complexity: u64,
 }
 
-/// Hit/miss counters of a [`StageMemo`], in DP cells: a cell served
+/// Hit/miss counters of a `StageMemo`, in DP cells: a cell served
 /// from a memoised stage is a hit, a cell the kernel filled is a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {

@@ -609,12 +609,6 @@ impl SimReport {
             misses as f64 / total as f64
         }
     }
-
-    /// Per-day DMR series (one value per simulated day).
-    pub fn daily_dmr_series(&self) -> Vec<f64> {
-        let last_day = self.periods.last_period().map_or(0, |p| p.day);
-        (0..=last_day).map(|d| self.day_dmr(d)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -665,7 +659,6 @@ mod tests {
         assert!((r.overall_dmr() - 0.5).abs() < 1e-12);
         assert!((r.day_dmr(0) - 0.5).abs() < 1e-12);
         assert!((r.day_dmr(1) - 0.5).abs() < 1e-12);
-        assert_eq!(r.daily_dmr_series().len(), 2);
     }
 
     #[test]
@@ -700,7 +693,6 @@ mod tests {
         assert_eq!(r.overall_dmr(), 0.0);
         assert_eq!(r.energy_utilisation(), 0.0);
         assert_eq!(r.migration_efficiency(), 0.0);
-        assert!(r.daily_dmr_series().len() <= 1);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! can be replayed and diffed bytewise — the CI smoke test does
 //! exactly that. Telemetry (timings, worker counts) never goes to the
 //! protocol stream.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)
+)]
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -190,9 +193,8 @@ fn read_raw_line<R: BufRead>(
             });
         }
         let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(chunk.len());
         if !overflowed {
-            buf.extend_from_slice(&chunk[..take]);
+            buf.extend_from_slice(newline.and_then(|n| chunk.get(..n)).unwrap_or(chunk));
             if let Some(cap) = max {
                 if buf.len() > cap {
                     buf.truncate(cap);
@@ -200,7 +202,7 @@ fn read_raw_line<R: BufRead>(
                 }
             }
         }
-        let consumed = newline.map_or(take, |n| n + 1);
+        let consumed = newline.map_or(chunk.len(), |n| n + 1);
         input.consume(consumed);
         if newline.is_some() {
             return Ok(if overflowed {
@@ -970,7 +972,11 @@ impl FleetService {
         let total = self.node.grid.total_periods();
         let periods_per_day = self.node.grid.periods_per_day();
         let (built, lane_trace) = distinct_traces(self.node.grid, &req.scenarios);
-        let traces: Vec<&SolarTrace> = lane_trace.iter().map(|&k| &built[k]).collect();
+        let traces: Vec<&SolarTrace> = lane_trace
+            .iter()
+            .map(|&k| built.get(k))
+            .collect::<Option<_>>()
+            .ok_or_else(|| FleetError::Engine("lane trace index out of range".into()))?;
         let harnesses: Vec<Option<FaultHarness>> = req
             .scenarios
             .iter()
@@ -1144,23 +1150,14 @@ fn build_engine<'a>(
     only: Option<usize>,
 ) -> Result<BatchEngine<'a>, FleetError> {
     let mut engine = BatchEngine::with_context(node, graph, Arc::clone(ctx))?;
-    let indices: Vec<usize> = match only {
-        Some(i) => vec![i],
-        None => (0..req.scenarios.len()).collect(),
-    };
-    for i in indices {
-        let planner = make_planner(
-            &req.scenarios[i],
-            node,
-            graph,
-            traces[i],
-            dbn,
-            compiled,
-            delta,
-            dp,
-        )?;
-        let mut scenario = BatchScenario::new(traces[i], planner);
-        if let Some(h) = &harnesses[i] {
+    let lanes = req.scenarios.iter().zip(traces).zip(harnesses);
+    for (i, ((spec, &trace), harness)) in lanes.enumerate() {
+        if only.is_some_and(|o| o != i) {
+            continue;
+        }
+        let planner = make_planner(spec, node, graph, trace, dbn, compiled, delta, dp)?;
+        let mut scenario = BatchScenario::new(trace, planner);
+        if let Some(h) = harness {
             scenario = scenario.with_harness(h);
         }
         engine.push(scenario)?;
@@ -1189,12 +1186,18 @@ fn run_isolated<'a>(
 ) -> Result<Vec<Result<SimReport, String>>, FleetError> {
     let mut results = Vec::with_capacity(req.scenarios.len());
     for i in 0..req.scenarios.len() {
-        let sub = resume.map(|c| BatchCheckpoint {
-            next_period: c.next_period,
-            scenarios: vec![c.scenarios[i].clone()],
-            planners: vec![c.planners[i].clone()],
-        });
         let one = || -> Result<SimReport, FleetError> {
+            let sub = match resume {
+                None => None,
+                Some(c) => match (c.scenarios.get(i), c.planners.get(i)) {
+                    (Some(scenario), Some(planner)) => Some(BatchCheckpoint {
+                        next_period: c.next_period,
+                        scenarios: vec![scenario.clone()],
+                        planners: vec![planner.clone()],
+                    }),
+                    _ => return Err(FleetError::Engine(format!("checkpoint holds no lane {i}"))),
+                },
+            };
             let mut engine = build_engine(
                 node,
                 graph,

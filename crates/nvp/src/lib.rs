@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 pub mod pmu;
 pub mod processor;
 

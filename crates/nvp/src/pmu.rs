@@ -137,19 +137,6 @@ impl Pmu {
             wasted,
         }
     }
-
-    /// Energy the node could spend on load *this slot* without browning
-    /// out: direct-channel capacity plus what the active capacitor can
-    /// deliver. Planners use this to avoid starting doomed slots.
-    pub fn available_energy(
-        &self,
-        harvested: Joules,
-        bank: &CapacitorBank,
-        storage: &StorageModelParams,
-    ) -> Joules {
-        harvested.max(Joules::ZERO) * self.params.direct_efficiency
-            + bank.active_deliverable(storage)
-    }
 }
 
 #[cfg(test)]
@@ -225,20 +212,6 @@ mod tests {
         assert_ledger(&flow);
         assert!((flow.wasted.value() - 30.0).abs() < 1e-9);
         assert_eq!(flow.stored, Joules::ZERO);
-    }
-
-    #[test]
-    fn available_energy_bounds_serving() {
-        let (pmu, mut bank, storage) = setup();
-        bank.charge_active(&storage, Joules::new(20.0));
-        let avail = pmu.available_energy(Joules::new(5.0), &bank, &storage);
-        let flow = pmu.settle_slot(Joules::new(5.0), avail, &mut bank, &storage);
-        assert_ledger(&flow);
-        assert!(
-            flow.unmet.value() < 1e-6,
-            "a demand equal to available energy must be servable, unmet {}",
-            flow.unmet
-        );
     }
 
     #[test]

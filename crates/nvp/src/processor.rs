@@ -97,13 +97,9 @@ impl NvpFleet {
         self.states.is_empty()
     }
 
-    /// State of one NVP.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nvp` is out of range.
-    pub fn state(&self, nvp: usize) -> NvpState {
-        self.states[nvp]
+    /// State of one NVP, `None` when `nvp` is out of range.
+    pub fn state(&self, nvp: usize) -> Option<NvpState> {
+        self.states.get(nvp).copied()
     }
 
     /// Clears all `Running` markers at a slot boundary (tasks may be
@@ -123,23 +119,19 @@ impl NvpFleet {
     /// # Errors
     ///
     /// Returns the occupying task when the NVP already runs another task
-    /// this slot (constraint 9).
+    /// this slot (constraint 9), and `task` itself when its NVP lies
+    /// outside a fleet not sized for `graph`.
     pub fn assign(&mut self, graph: &TaskGraph, task: TaskId) -> Result<(), TaskId> {
-        let nvp = graph.task(task).nvp;
-        match self.states[nvp] {
-            NvpState::Running(other) if other != task => Err(other),
-            NvpState::Suspended(prev) => {
-                if prev == task {
-                    self.restores += 1;
-                }
-                self.states[nvp] = NvpState::Running(task);
-                Ok(())
-            }
-            _ => {
-                self.states[nvp] = NvpState::Running(task);
-                Ok(())
-            }
+        let Some(state) = self.states.get_mut(graph.task(task).nvp) else {
+            return Err(task);
+        };
+        match *state {
+            NvpState::Running(other) if other != task => return Err(other),
+            NvpState::Suspended(prev) if prev == task => self.restores += 1,
+            _ => {}
         }
+        *state = NvpState::Running(task);
+        Ok(())
     }
 
     /// Records a brown-out: every running NVP backs up its task state.
@@ -208,6 +200,17 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_nvp_is_refused() {
+        let g = benchmarks::wam();
+        // A one-NVP fleet cannot host WAM's NVP 1 task.
+        let mut fleet = NvpFleet::new(1);
+        let on_nvp_1 = g.ids().nth(2).unwrap();
+        assert_eq!(fleet.assign(&g, on_nvp_1), Err(on_nvp_1));
+        assert_eq!(fleet.state(1), None);
+        assert!(fleet.running().is_empty());
+    }
+
+    #[test]
     fn reassigning_same_task_is_idempotent() {
         let g = benchmarks::ecg();
         let mut fleet = NvpFleet::for_graph(&g);
@@ -226,10 +229,10 @@ mod tests {
         fleet.begin_slot();
         fleet.assign(&g, id).unwrap();
         fleet.power_failure();
-        assert_eq!(fleet.state(0), NvpState::Suspended(id));
+        assert_eq!(fleet.state(0), Some(NvpState::Suspended(id)));
         fleet.begin_slot();
         // Suspension survives the slot boundary.
-        assert_eq!(fleet.state(0), NvpState::Suspended(id));
+        assert_eq!(fleet.state(0), Some(NvpState::Suspended(id)));
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl PeriodStart<'_> {
     pub fn is_allowed(&self, id: helio_tasks::TaskId) -> bool {
         self.allowed.is_none_or(|m| m.contains(id.index()))
     }
-
-    /// The admission mask resolved against the graph: `allowed`, or
-    /// every task when the planner supplied none.
-    pub fn admitted_set(&self) -> TaskSet {
-        self.allowed.unwrap_or_else(|| self.graph.all_tasks())
-    }
 }
 
 /// Slot-start context handed to
@@ -99,13 +93,11 @@ mod tests {
             allowed: None,
         };
         assert!(g.ids().all(|id| ps.is_allowed(id)));
-        assert_eq!(ps.admitted_set(), g.all_tasks());
         let ps = PeriodStart {
             allowed: Some(TaskSet::EMPTY),
             ..ps
         };
         assert!(g.ids().all(|id| !ps.is_allowed(id)));
-        assert_eq!(ps.admitted_set(), TaskSet::EMPTY);
     }
 
     #[test]

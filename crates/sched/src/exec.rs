@@ -10,9 +10,8 @@ use serde::{Deserialize, Serialize};
 /// whole slots.
 ///
 /// Constructed once and [`ExecState::reset`] at each period start —
-/// the dependency masks are precomputed so the per-slot queries
-/// ([`ExecState::runnable_set`], [`ExecState::deps_met`]) are
-/// allocation-free bit operations.
+/// the dependency masks are precomputed so the per-slot query
+/// [`ExecState::runnable_set`] is an allocation-free bit operation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecState {
     remaining: Vec<usize>,
@@ -102,12 +101,6 @@ impl ExecState {
         }
     }
 
-    /// Whether every dependency of `id` has completed (constraint 7).
-    pub fn deps_met(&self, graph: &TaskGraph, id: TaskId) -> bool {
-        let _ = graph;
-        self.pred_mask[id.index()].is_subset_of(self.completed)
-    }
-
     /// Whether `id` has already missed its deadline as of the start of
     /// slot `m` (Eq. 5's θ at the deadline boundary, or a provably
     /// unreachable deadline).
@@ -131,13 +124,6 @@ impl ExecState {
             }
         }
         set
-    }
-
-    /// Tasks worth scheduling in slot `m`, as ids (allocating
-    /// convenience wrapper over [`ExecState::runnable_set`]).
-    pub fn runnable(&self, graph: &TaskGraph, m: usize) -> Vec<TaskId> {
-        let _ = graph;
-        self.runnable_set(m).iter().map(TaskId).collect()
     }
 
     /// Records one slot of progress on `id`. Advancing an
@@ -169,14 +155,6 @@ impl ExecState {
         } else {
             self.misses() as f64 / self.remaining.len() as f64
         }
-    }
-
-    /// Tasks that completed this period (`te_{i,j}(n)` bits, Eq. 17
-    /// measured on completions).
-    pub fn completed_mask(&self) -> Vec<bool> {
-        (0..self.remaining.len())
-            .map(|i| self.completed.contains(i))
-            .collect()
     }
 }
 
@@ -230,14 +208,13 @@ mod tests {
         let ids: Vec<TaskId> = g.ids().collect();
         // Initially only lpf (τ0) is runnable on the dependency chain;
         // qrs (τ3) waits for hpf2.
-        let runnable = s.runnable(&g, 0);
-        assert!(runnable.contains(&ids[0]));
-        assert!(!runnable.contains(&ids[3]));
+        let runnable = s.runnable_set(0);
+        assert!(runnable.contains(ids[0].index()));
+        assert!(!runnable.contains(ids[3].index()));
         // Complete the filter chain.
         s.advance(ids[0]);
         s.advance(ids[1]);
         s.advance(ids[2]);
-        assert!(s.runnable(&g, 3).contains(&ids[3]));
         assert!(s.runnable_set(3).contains(ids[3].index()));
     }
 
@@ -250,7 +227,7 @@ mod tests {
         assert_eq!(s.slack(lpf, 2), Some(0));
         assert_eq!(s.slack(lpf, 3), None);
         assert!(s.is_doomed(lpf, 3));
-        assert!(!s.runnable(&g, 3).contains(&lpf));
+        assert!(!s.runnable_set(3).contains(lpf.index()));
         // Completed tasks have no slack and are not doomed.
         s.advance(lpf);
         assert_eq!(s.slack(lpf, 0), None);
@@ -263,9 +240,10 @@ mod tests {
         let mut s = ExecState::new(&g, SLOT);
         let first = g.ids().next().unwrap();
         s.advance(first);
-        let mask = s.completed_mask();
-        assert!(mask[0]);
-        assert!(!mask[1]);
+        let done = s.completed_set();
+        assert!(done.contains(0));
+        assert!(!done.contains(1));
+        assert_eq!(done.len(), 1);
     }
 
     #[test]
@@ -275,8 +253,8 @@ mod tests {
             let mut reused = ExecState::new(&g, SLOT);
             // Make arbitrary progress, then reset.
             for m in 0..6 {
-                for id in reused.runnable(&g, m) {
-                    reused.advance(id);
+                for i in reused.runnable_set(m).iter() {
+                    reused.advance(TaskId(i));
                 }
             }
             assert_ne!(reused, fresh, "progress should change the state");
@@ -287,20 +265,6 @@ mod tests {
                 "{}: reset must equal a fresh state",
                 g.name()
             );
-        }
-    }
-
-    #[test]
-    fn runnable_set_matches_runnable_vec() {
-        let g = benchmarks::wam();
-        let mut s = ExecState::new(&g, SLOT);
-        for m in 0..10 {
-            let vec: Vec<usize> = s.runnable(&g, m).iter().map(|id| id.index()).collect();
-            let set: Vec<usize> = s.runnable_set(m).iter().collect();
-            assert_eq!(vec, set, "slot {m}");
-            if let Some(&first) = vec.first() {
-                s.advance(TaskId(first));
-            }
         }
     }
 }

@@ -67,12 +67,6 @@ impl SolarPanel {
     pub fn electrical_power(&self, w_per_m2: f64) -> Watts {
         Watts::new(w_per_m2.max(0.0) * self.area_m2 * self.efficiency)
     }
-
-    /// Peak power at standard 1000 W/m² irradiance — a convenient scale
-    /// for sizing workloads.
-    pub fn peak_power(&self) -> Watts {
-        self.electrical_power(1000.0)
-    }
 }
 
 impl Default for SolarPanel {
@@ -87,7 +81,7 @@ mod tests {
 
     #[test]
     fn paper_panel_peak_is_about_95_mw() {
-        let p = SolarPanel::paper_panel().peak_power();
+        let p = SolarPanel::paper_panel().electrical_power(1000.0);
         assert!((p.milliwatts() - 94.5).abs() < 0.1, "got {p}");
     }
 

@@ -191,7 +191,7 @@ impl CapacitorBank {
         self.voltages_iter().collect()
     }
 
-    /// [`Bank::voltages`] without the allocation — the per-period DBN
+    /// [`CapacitorBank::voltages`] without the allocation — the per-period DBN
     /// feature gather streams straight into its reused input buffer.
     pub fn voltages_iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.states.iter().map(|s| s.voltage().value())

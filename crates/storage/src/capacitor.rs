@@ -232,15 +232,6 @@ impl CapState {
             .energy_between(self.voltage, cap.v_cutoff())
             .max(Joules::ZERO)
     }
-
-    /// Fraction of the usable window currently filled, in `[0, 1]`.
-    pub fn fill_fraction(&self, cap: &SuperCap) -> f64 {
-        let usable = cap.usable_capacity();
-        if usable.value() <= 0.0 {
-            return 0.0;
-        }
-        (self.energy_above_cutoff(cap) / usable).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -356,19 +347,6 @@ mod tests {
         let after = state.stored_energy(&cap);
         let eta = params.discharge_curve.efficiency(Volts::new(4.0)) * cap.cycle_efficiency();
         assert!(((before - after).value() - 2.0 / eta).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fill_fraction_spans_zero_to_one() {
-        let (cap, _) = setup(10.0);
-        assert_eq!(cap.empty_state().fill_fraction(&cap), 0.0);
-        assert!((cap.full_state().fill_fraction(&cap) - 1.0).abs() < 1e-12);
-        let half_energy = cap.usable_capacity() * 0.5;
-        let v = cap
-            .capacitance()
-            .voltage_for_energy(cap.capacitance().stored_energy(cap.v_cutoff()) + half_energy);
-        let mid = cap.state_at(v);
-        assert!((mid.fill_fraction(&cap) - 0.5).abs() < 1e-9);
     }
 
     #[test]

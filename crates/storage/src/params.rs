@@ -110,7 +110,7 @@ impl StorageModelParams {
     /// with voltage.
     ///
     /// The calibrated exponent 4 mostly takes a fast path that returns
-    /// the same bits as `ratio.powf(4.0)` (see [`pow4`]).
+    /// the same bits as `ratio.powf(4.0)` (see `pow4`).
     pub fn leakage_current(&self, c: Farads, v: Volts) -> f64 {
         let ratio = (v.value() / self.v_full.value()).max(0.0);
         let scaled = if self.leak_exponent == 4.0 {

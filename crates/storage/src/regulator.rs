@@ -14,8 +14,6 @@ use helio_common::math::lerp_table;
 use helio_common::units::Volts;
 use serde::{Deserialize, Serialize};
 
-use crate::error::StorageError;
-
 /// Knot voltages of both default curves.
 const KNOT_VOLTAGES: [f64; 10] = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
 /// Efficiencies of [`RegulatorCurve::default_charge`] at [`KNOT_VOLTAGES`].
@@ -48,41 +46,6 @@ pub struct RegulatorCurve {
 }
 
 impl RegulatorCurve {
-    /// Builds a curve from `(voltage, efficiency)` knots, e.g. from
-    /// external calibration data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::InvalidParams`] when the knot array is
-    /// empty, is not strictly increasing in voltage, or contains
-    /// non-finite voltages or efficiencies outside `(0, 1]`.
-    pub fn try_from_knots(knots: &[(f64, f64)]) -> Result<Self, StorageError> {
-        if knots.is_empty() {
-            return Err(StorageError::InvalidParams(
-                "regulator curve needs knots".into(),
-            ));
-        }
-        if knots.iter().any(|&(v, _)| !v.is_finite()) {
-            return Err(StorageError::InvalidParams(
-                "knot voltages must be finite".into(),
-            ));
-        }
-        if !knots.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(StorageError::InvalidParams(
-                "knot voltages must be strictly increasing".into(),
-            ));
-        }
-        if !knots.iter().all(|&(_, e)| e > 0.0 && e <= 1.0) {
-            return Err(StorageError::InvalidParams(
-                "efficiencies must lie in (0, 1]".into(),
-            ));
-        }
-        Ok(Self {
-            voltages: knots.iter().map(|k| k.0).collect(),
-            efficiencies: knots.iter().map(|k| k.1).collect(),
-        })
-    }
-
     /// Default *input* (charging) regulator fit, `η_chr(V)`.
     ///
     /// Calibrated against the paper's Fig. 5 shape: ~0.5 near the cut-off
@@ -160,31 +123,21 @@ mod tests {
 
     #[test]
     fn interpolates_between_knots() {
-        let c = RegulatorCurve::try_from_knots(&[(1.0, 0.5), (2.0, 0.7)]).unwrap();
-        assert!((c.efficiency(Volts::new(1.5)) - 0.6).abs() < 1e-12);
+        // Halfway between the 0.5 V (0.52) and 1.0 V (0.60) knots.
+        let chr = RegulatorCurve::default_charge();
+        assert!((chr.efficiency(Volts::new(0.75)) - 0.56).abs() < 1e-12);
     }
 
     #[test]
     fn default_curves_are_valid_knots() {
-        for (effs, curve) in [
-            (CHARGE_EFFICIENCIES, RegulatorCurve::default_charge()),
-            (DISCHARGE_EFFICIENCIES, RegulatorCurve::default_discharge()),
+        assert!(KNOT_VOLTAGES.windows(2).all(|w| w[0] < w[1]));
+        for curve in [
+            RegulatorCurve::default_charge(),
+            RegulatorCurve::default_discharge(),
         ] {
-            let knots: Vec<(f64, f64)> = KNOT_VOLTAGES.into_iter().zip(effs).collect();
-            assert_eq!(RegulatorCurve::try_from_knots(&knots).unwrap(), curve);
+            assert_eq!(curve.voltages(), KNOT_VOLTAGES);
+            assert!(curve.efficiencies().iter().all(|&e| e > 0.0 && e <= 1.0));
         }
-    }
-
-    #[test]
-    fn rejects_unsorted_knots() {
-        let err = RegulatorCurve::try_from_knots(&[(2.0, 0.5), (1.0, 0.7)]).unwrap_err();
-        assert!(err.to_string().contains("strictly increasing"), "{err}");
-    }
-
-    #[test]
-    fn rejects_out_of_range_efficiency() {
-        let err = RegulatorCurve::try_from_knots(&[(1.0, 0.0)]).unwrap_err();
-        assert!(err.to_string().contains("(0, 1]"), "{err}");
     }
 
     #[test]

@@ -16,11 +16,6 @@ use crate::graph::TaskGraph;
 use crate::random::{random_graph, RandomGraphConfig};
 use crate::task::TaskId;
 
-/// The standard period length all benchmarks target (10 minutes).
-pub fn standard_period() -> Seconds {
-    Seconds::new(600.0)
-}
-
 fn t(
     g: &mut TaskGraph,
     name: &str,
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn all_benchmarks_validate_against_standard_period() {
         for g in all_six() {
-            g.validate(standard_period())
+            g.validate(Seconds::new(600.0))
                 .unwrap_or_else(|e| panic!("{} invalid: {e}", g.name()));
         }
     }

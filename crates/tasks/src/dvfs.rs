@@ -73,29 +73,6 @@ pub fn scale_graph(
     Ok(scaled)
 }
 
-/// The largest slot-aligned frequency reduction that keeps `graph`
-/// deadline-feasible, searched over `candidates` in descending order
-/// of energy savings (ascending `f`). Returns `None` when even `f = 1`
-/// fails (malformed input).
-pub fn max_feasible_slowdown(
-    graph: &TaskGraph,
-    law: DvfsLaw,
-    period: Seconds,
-    slot: Seconds,
-    candidates: &[f64],
-) -> Option<(f64, TaskGraph)> {
-    let mut sorted = candidates.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    for &f in &sorted {
-        if let Ok(scaled) = scale_graph(graph, f, law, period, slot) {
-            return Some((f, scaled));
-        }
-    }
-    scale_graph(graph, 1.0, law, period, slot)
-        .ok()
-        .map(|g| (1.0, g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +156,6 @@ mod tests {
         let g = benchmarks::ecg();
         assert!(scale_graph(&g, 0.0, DvfsLaw::default(), PERIOD, SLOT).is_err());
         assert!(scale_graph(&g, 1.5, DvfsLaw::default(), PERIOD, SLOT).is_err());
-    }
-
-    #[test]
-    fn max_feasible_slowdown_finds_a_factor() {
-        let g = benchmarks::wam();
-        let candidates = [0.25, 0.5, 0.75, 1.0];
-        let (f, scaled) = max_feasible_slowdown(&g, DvfsLaw::default(), PERIOD, SLOT, &candidates)
-            .expect("some factor works");
-        assert!(f <= 1.0);
-        assert!(scaled.validate(PERIOD).is_ok());
-        assert!(
-            scaled.total_energy() <= g.total_energy() + helio_common::units::Joules::new(1e-12)
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! with per-period deadlines, execution times and average powers
 //! (Table 1's task parameters), the six evaluation benchmarks (the
 //! real WAM / ECG / SHM applications plus three random sets), a seeded
-//! random-DAG generator, and time-feasibility analysis.
+//! random-DAG generator, and the DVFS scaling of Ablation 5.
 //!
 //! The paper characterised its tasks with a C2RTL flow plus
 //! ModelSim/Design-Compiler power analysis at SMIC 130 nm; here each
@@ -25,14 +25,12 @@
 pub mod benchmarks;
 pub mod dvfs;
 pub mod error;
-pub mod feasibility;
 pub mod graph;
 pub mod random;
 pub mod task;
 
-pub use dvfs::{max_feasible_slowdown, scale_graph, DvfsLaw};
+pub use dvfs::{scale_graph, DvfsLaw};
 pub use error::TaskError;
-pub use feasibility::{analyze, FeasibilityReport};
 pub use graph::TaskGraph;
 pub use random::{random_graph, RandomGraphConfig};
 pub use task::{Task, TaskId};
